@@ -31,7 +31,7 @@ from .data import (
     split_dataset,
     write_dataset,
 )
-from .gnn import ConvParams, DenseParams, GnnConfig, GraphTensors, conv_forward, dmpnn_forward
+from .gnn import ConvParams, DenseParams, GraphTensors, conv_forward, dmpnn_forward
 from .model import (
     AttentionParams,
     MixtureInput,
@@ -40,12 +40,10 @@ from .model import (
     aggregate_mixture,
     build_model,
     embed_molecule,
-    export_representation,
     load_checkpoint,
     mixture_from_record,
+    mixture_representation,
     predict,
-    predict_concat_variant,
-    predict_weighted_sum_variant,
     save_checkpoint,
     transform_head,
 )

@@ -57,7 +57,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._watched: list[Tensor] = []
-        self.gradients: dict[Tensor, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
         stack = getattr(_LOCAL, "stack", None)
@@ -112,7 +111,6 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     for tensor in tape._watched:
         if tensor not in result:
             result[tensor] = np.zeros_like(tensor.data)
-    tape.gradients = result
     return result
 
 

@@ -26,10 +26,10 @@ from .model import (
     GraphStore,
     ModelConfig,
     build_model,
-    export_representation,
-    forward,
     load_checkpoint,
     mixture_from_record,
+    mixture_representation,
+    predict,
     save_checkpoint,
 )
 from .screening import (
@@ -120,8 +120,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _load_records(path: str) -> list[data_mod.MixtureRecord]:
+    records = data_mod.load_dataset(path)
+    if not records:
+        raise DataError(f"{path} has no mixtures")
+    return records
+
+
 def _load_examples(path: str, store: GraphStore):
-    records = data_mod.attach_targets(data_mod.load_dataset(path))
+    records = data_mod.attach_targets(_load_records(path))
     return [(mixture_from_record(r, store), r.target_298K) for r in records]
 
 
@@ -248,8 +255,8 @@ def _cmd_permute_test(args) -> int:
         if len(record.solvent_smiles) < 2:
             continue
         permuted = permute_mixture(record, seed=args.seed + i)
-        before = float(forward(params, mixture_from_record(record, store)).data[0])
-        after = float(forward(params, mixture_from_record(permuted, store)).data[0])
+        before = predict(params, mixture_from_record(record, store))
+        after = predict(params, mixture_from_record(permuted, store))
         diffs.append(abs(after - before))
     doc = {
         "variant": params.config.variant,
@@ -263,14 +270,15 @@ def _cmd_permute_test(args) -> int:
 
 def _cmd_export_reprs(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    records = data_mod.load_dataset(args.data)
+    if params.config.variant == "concat":
+        raise DataError("the concat variant has no aggregated mixture representation")
+    records = _load_records(args.data)
     store = GraphStore()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        first = export_representation(params, mixture_from_record(records[0], store))
-        header = ["mixture_id"] + [f"r_{i}" for i in range(len(first))]
+        header = ["mixture_id"] + [f"r_{i}" for i in range(params.config.representation_dim)]
         fh.write(",".join(header) + "\n")
         for record in records:
-            vec = export_representation(params, mixture_from_record(record, store))
+            vec = mixture_representation(params, mixture_from_record(record, store)).data.tolist()
             fh.write(",".join([record.mixture_id] + [repr(v) for v in vec]) + "\n")
     print(f"wrote {len(records)} representations to {args.out}")
     return 0

@@ -83,14 +83,16 @@ class MixtureRecord:
             raise DataError(
                 f"{n} solvents but {len(self.weight_fractions)} weight fractions"
             )
+        if not all(math.isfinite(w) for w in self.weight_fractions):
+            raise DataError(f"weight fractions must be finite, got {self.weight_fractions}")
         if abs(sum(self.weight_fractions) - 1.0) > 1e-6:
             raise DataError(
                 f"weight fractions sum to {sum(self.weight_fractions)!r}, expected 1"
             )
         if self.mol_weight_overrides is not None and len(self.mol_weight_overrides) != n:
             raise DataError("mol_weight_overrides count does not match solvent count")
-        if self.molality < 0:
-            raise DataError(f"molality must be >= 0, got {self.molality}")
+        if not (math.isfinite(self.molality) and self.molality >= 0):
+            raise DataError(f"molality must be finite and >= 0, got {self.molality}")
 
 
 @dataclass

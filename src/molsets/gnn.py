@@ -25,21 +25,6 @@ GAT_LEAKY_SLOPE = 0.2
 
 
 @dataclass
-class GnnConfig:
-    kind: str
-    num_layers: int
-    hidden_dim: int
-    representation_dim: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in CONV_KINDS:
-            raise ValueError(f"unknown convolution kind {self.kind!r}")
-        if self.num_layers < 1 or self.hidden_dim < 1 or self.representation_dim < 1:
-            raise ValueError("layer count and dimensions must be >= 1")
-
-
-@dataclass
 class ConvParams:
     kind: str
     input_dim: int

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import weakref
 from dataclasses import asdict, dataclass
 
@@ -112,12 +113,12 @@ class MixtureInput:
         if not self.solvents:
             raise ValueError("a mixture needs at least one solvent")
         weights = [w for _, w in self.solvents]
-        if any(w < 0 or w > 1 for w in weights):
+        if not all(0 <= w <= 1 for w in weights):
             raise ValueError(f"weight fractions must lie in [0, 1], got {weights}")
         if abs(sum(weights) - 1.0) > 1e-6:
             raise ValueError(f"weight fractions sum to {sum(weights)!r}, expected 1")
-        if self.molality < 0:
-            raise ValueError(f"molality must be >= 0, got {self.molality}")
+        if not (math.isfinite(self.molality) and self.molality >= 0):
+            raise ValueError(f"molality must be finite and >= 0, got {self.molality}")
 
 
 @dataclass
@@ -142,8 +143,6 @@ class ModelParams:
     phi_salt: GnnParams
     attention: AttentionParams | None
     rho: list[DenseParams]
-    feature_schema_version: int = FEATURE_SCHEMA_VERSION
-    seed: int = 0
 
 
 def _build_gnn(config: ModelConfig, rng: np.random.Generator) -> GnnParams:
@@ -188,7 +187,6 @@ def build_model(config: ModelConfig) -> ModelParams:
         phi_salt=phi_salt,
         attention=attention,
         rho=rho,
-        seed=config.seed,
     )
 
 
@@ -314,85 +312,45 @@ def _canonical(solvents: list[tuple[MolecularGraph, float]]):
     return sorted(solvents, key=lambda gw: gw[0].source_smiles)
 
 
-def forward(params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None) -> Tensor:
-    """Variant-dispatched prediction as a (1,) tensor (differentiable)."""
+def mixture_representation(
+    params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None
+) -> Tensor:
+    """Solvent part of the head input, the only place each variant differs.
+
+    molsets: attention aggregation of the canonically sorted solvents.
+    wsum: weight-fraction-weighted sum of their embeddings. concat: the
+    embeddings in the order given, zero padding up to max_solvents, then
+    the padded weight fractions (deliberately not permutation invariant).
+    """
     _check_mixture(params, mix)
-    variant = params.config.variant
-    if variant == "molsets":
-        pairs = [(_embed(params, 0, g, cache), w) for g, w in _canonical(mix.solvents)]
-        z_mix = aggregate_mixture(params.attention, pairs)
-    elif variant == "wsum":
-        z_mix = None
-        for g, w in _canonical(mix.solvents):
-            term = ad.scale(_embed(params, 0, g, cache), w)
-            z_mix = term if z_mix is None else ad.add(z_mix, term)
-    elif variant == "concat":
-        return _concat_forward(params, mix, cache)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    cfg = params.config
+    if cfg.variant == "concat":
+        pad = cfg.max_solvents - len(mix.solvents)
+        parts = [_embed(params, 0, g, cache) for g, _ in mix.solvents]
+        if pad:
+            parts.append(Tensor(np.zeros(pad * cfg.representation_dim)))
+        parts.append(Tensor(np.array([w for _, w in mix.solvents] + [0.0] * pad)))
+        return ad.concat(parts)
+    pairs = [(_embed(params, 0, g, cache), w) for g, w in _canonical(mix.solvents)]
+    if cfg.variant == "molsets":
+        return aggregate_mixture(params.attention, pairs)
+    total = None
+    for z, w in pairs:
+        term = ad.scale(z, w)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def forward(params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None) -> Tensor:
+    """Prediction of any variant as a (1,) tensor (differentiable)."""
+    z_mix = mixture_representation(params, mix, cache)
     z_salt = _embed(params, 1, mix.salt, cache)
     return transform_head(params.rho, z_mix, z_salt, mix.molality)
 
 
-def _concat_forward(params: ModelParams, mix: MixtureInput, cache: EmbedCache | None) -> Tensor:
-    """Order-sensitive ablation: concatenate embeddings and pad with zeros.
-
-    Solvents are taken in the order given (this variant is deliberately
-    not permutation invariant).
-    """
-    cfg = params.config
-    m = len(mix.solvents)
-    parts = [_embed(params, 0, g, cache) for g, _ in mix.solvents]
-    pad = cfg.max_solvents - m
-    if pad:
-        parts.append(Tensor(np.zeros(pad * cfg.representation_dim)))
-    weights = [w for _, w in mix.solvents] + [0.0] * pad
-    parts.append(Tensor(np.array(weights)))
-    parts.append(_embed(params, 1, mix.salt, cache))
-    parts.append(Tensor([mix.molality]))
-    h = ad.concat(parts)
-    for layer in params.rho[:-1]:
-        h = dense_forward(layer, h, "relu")
-    return dense_forward(params.rho[-1], h)
-
-
 def predict(params: ModelParams, mix: MixtureInput) -> float:
-    """Predicted log10 conductivity (S/cm) of the full attention model."""
-    if params.config.variant != "molsets":
-        raise ValueError(f"predict expects the molsets variant, got {params.config.variant!r}")
+    """Predicted log10 conductivity (S/cm) of the model, whatever its variant."""
     return float(forward(params, mix).data[0])
-
-
-def predict_weighted_sum_variant(params: ModelParams, mix: MixtureInput) -> float:
-    if params.config.variant != "wsum":
-        raise ValueError(f"expected the wsum variant, got {params.config.variant!r}")
-    return float(forward(params, mix).data[0])
-
-
-def predict_concat_variant(params: ModelParams, mix: MixtureInput) -> float:
-    if params.config.variant != "concat":
-        raise ValueError(f"expected the concat variant, got {params.config.variant!r}")
-    return float(forward(params, mix).data[0])
-
-
-def predict_any(params: ModelParams, mix: MixtureInput) -> float:
-    return float(forward(params, mix).data[0])
-
-
-def export_representation(params: ModelParams, mix: MixtureInput) -> np.ndarray:
-    """The aggregated solvent-mixture representation (head input, solvent part)."""
-    _check_mixture(params, mix)
-    variant = params.config.variant
-    if variant == "molsets":
-        pairs = [(_embed(params, 0, g, None), w) for g, w in _canonical(mix.solvents)]
-        return aggregate_mixture(params.attention, pairs).data.copy()
-    if variant == "wsum":
-        total = None
-        for g, w in _canonical(mix.solvents):
-            term = ad.scale(_embed(params, 0, g, None), w)
-            total = term if total is None else ad.add(total, term)
-        return total.data.copy()
-    raise ValueError("the concat variant has no aggregated mixture representation")
 
 
 class GraphStore:
@@ -433,32 +391,50 @@ def mixture_from_record(record, store: GraphStore | None = None) -> MixtureInput
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Single JSON document; float arrays round-trip bit-exactly."""
+    """Single JSON document; float arrays round-trip bit-exactly.
+
+    The document is written to `path` + ".tmp" and renamed over `path`,
+    so a failed or interrupted save never leaves a partial checkpoint.
+    """
     doc = {
         "config": asdict(params.config),
-        "feature_schema_version": params.feature_schema_version,
-        "seed": params.seed,
+        "feature_schema_version": FEATURE_SCHEMA_VERSION,
         "params": {
             name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
             for name, t in named_parameters(params)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    version = doc["feature_schema_version"]
+    if version != FEATURE_SCHEMA_VERSION:
+        raise ValueError(
+            f"checkpoint has feature schema version {version!r}, "
+            f"this build reads {FEATURE_SCHEMA_VERSION}"
+        )
     config_fields = dict(doc["config"])
     config_fields["rho_hidden_dims"] = tuple(config_fields["rho_hidden_dims"])
     config = ModelConfig(**config_fields)
     params = build_model(config)
-    params.feature_schema_version = int(doc["feature_schema_version"])
-    params.seed = int(doc["seed"])
     stored = doc["params"]
-    for name, tensor in named_parameters(params):
+    named = named_parameters(params)
+    unknown = sorted(set(stored) - {name for name, _ in named})
+    if unknown:
+        raise ValueError(f"checkpoint has unknown parameters {unknown}")
+    for name, tensor in named:
         if name not in stored:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
         entry = stored[name]

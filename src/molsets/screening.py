@@ -72,7 +72,6 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> list[C
 def run_screening(
     params: ModelParams,
     candidates: list[CandidateSpec],
-    use_cache: bool = True,
 ) -> tuple[list[ScreeningResult], list[str]]:
     """Predict every candidate and rank descending by predicted value.
 
@@ -81,7 +80,7 @@ def run_screening(
     ranking fall back to the candidates' lexicographic order.
     """
     store = GraphStore()
-    cache = {} if use_cache else None
+    cache = {}
     results: list[ScreeningResult] = []
     skipped: list[str] = []
     for cand in candidates:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .model import MixtureInput, ModelParams, build_model, forward, named_parameters
+from .model import MixtureInput, ModelParams, build_model, forward, named_parameters, predict
 
 logger = logging.getLogger(__name__)
 
@@ -154,17 +154,13 @@ def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[b
 
 def _copy_params(params: ModelParams) -> ModelParams:
     clone = build_model(params.config)
-    clone.feature_schema_version = params.feature_schema_version
-    clone.seed = params.seed
     for (_, src), (_, dst) in zip(named_parameters(params), named_parameters(clone)):
         dst.data = src.data.copy()
     return clone
 
 
 def _validation_loss(params: ModelParams, examples: list[Example]) -> float:
-    errors = [
-        (float(forward(params, mix).data[0]) - target) ** 2 for mix, target in examples
-    ]
+    errors = [(predict(params, mix) - target) ** 2 for mix, target in examples]
     return float(np.mean(errors))
 
 
@@ -304,7 +300,7 @@ def spearman(targets, preds) -> float:
 
 def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
     targets = np.array([target for _, target in examples])
-    preds = np.array([float(forward(params, mix).data[0]) for mix, _ in examples])
+    preds = np.array([predict(params, mix) for mix, _ in examples])
     return MetricsReport(
         pearson_rp=pearson(targets, preds),
         spearman_rs=spearman(targets, preds),

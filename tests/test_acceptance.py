@@ -292,7 +292,7 @@ def test_criterion_10_screening_throughput():
     candidates = enumerate_binary_candidates(solvents, salts)
     params = build_model(ModelConfig.for_conv("graphconv", seed=0))
     start = time.perf_counter()
-    results, skipped = run_screening(params, candidates, use_cache=True)
+    results, skipped = run_screening(params, candidates)
     elapsed = time.perf_counter() - start
     _report(
         10,

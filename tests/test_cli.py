@@ -183,7 +183,35 @@ def test_export_reprs_command(tmp_path, synthetic_csv, micro_config, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("mixture_id,r_0,")
     assert len(lines) == 1 + 12
-    assert len(lines[1].split(",")) == 1 + 6  # mixture_id plus representation_dim
+    mixture_id, *values = lines[1].split(",")
+    assert len([float(v) for v in values]) == 6  # representation_dim plain numbers
+
+
+def test_export_reprs_on_concat_checkpoint_is_data_error(tmp_path, synthetic_csv, micro_config, capsys):
+    ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config, variant="concat")
+    out = tmp_path / "reprs.csv"
+    assert cli(["export-reprs", "--checkpoint", ckpt, "--data", synthetic_csv, "--out", str(out)]) == 2
+    assert "concat" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def empty_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_dataset([], str(path))
+    return str(path)
+
+
+def test_export_reprs_on_empty_csv_is_data_error(tmp_path, synthetic_csv, micro_config, empty_csv, capsys):
+    ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
+    out = tmp_path / "reprs.csv"
+    assert cli(["export-reprs", "--checkpoint", ckpt, "--data", empty_csv, "--out", str(out)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_eval_on_empty_csv_is_data_error(tmp_path, synthetic_csv, micro_config, empty_csv, capsys):
+    ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
+    assert cli(["eval", "--checkpoint", ckpt, "--data", empty_csv]) == 2
+    assert "data error" in capsys.readouterr().err
 
 def test_bad_config_key_is_usage_error(tmp_path, synthetic_csv, capsys):
     config = tmp_path / "bad.json"

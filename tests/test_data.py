@@ -283,4 +283,10 @@ def test_record_validation():
     with pytest.raises(DataError):
         MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", -2.0)
     with pytest.raises(DataError):
+        MixtureRecord("x", ["C", "CC"], [float("nan"), 0.5], "[Li+].[Cl-]", 1.0)
+    with pytest.raises(DataError):
+        MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", float("nan"))
+    with pytest.raises(DataError):
+        MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", float("inf"))
+    with pytest.raises(DataError):
         ConductivityPoint(-5.0, -2.0)

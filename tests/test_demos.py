@@ -1,0 +1,33 @@
+"""The quick demos run end to end against the package sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# 06 and 07 train models for tens of seconds; their train and screen
+# paths are covered by the unit and acceptance tests.
+QUICK_DEMOS = [
+    "01_smiles_to_graphs.py",
+    "02_autodiff_basics.py",
+    "03_graph_convolutions.py",
+    "04_mixture_model_invariance.py",
+    "05_arrhenius_pipeline.py",
+]
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,6 @@ from molsets import autodiff as ad
 from molsets.autodiff import Tape, Tensor
 from molsets.gnn import (
     ConvParams,
-    GnnConfig,
     DenseParams,
     GraphTensors,
     conv_forward,
@@ -196,17 +195,6 @@ def test_conv_gradients_match_finite_differences(kind):
     for t in tensors:
         denom = max(np.linalg.norm(fd[t]), np.linalg.norm(grads[t]), 1e-10)
         assert np.linalg.norm(grads[t] - fd[t]) / denom <= 1e-6
-
-
-def test_gnn_config_validation():
-    config = GnnConfig("graphconv", num_layers=3, hidden_dim=16, representation_dim=32)
-    assert config.seed == 0
-    with pytest.raises(ValueError):
-        GnnConfig("nope", 3, 16, 32)
-    with pytest.raises(ValueError):
-        GnnConfig("graphconv", 0, 16, 32)
-    with pytest.raises(ValueError):
-        GnnConfig("graphconv", 3, 16, 0)
 
 
 def test_uniform_init_is_seeded_and_scaled():

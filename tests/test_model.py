@@ -1,29 +1,31 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from molsets import model as model_mod
 from molsets.autodiff import Tensor
 from molsets.chem import build_graph
 from molsets.model import (
     AttentionParams,
+    VARIANTS,
     MixtureInput,
     ModelConfig,
     GraphStore,
     aggregate_mixture,
     build_model,
     embed_molecule,
-    export_representation,
+    forward,
     load_checkpoint,
     mixture_from_record,
+    mixture_representation,
     named_parameters,
     predict,
-    predict_concat_variant,
-    predict_weighted_sum_variant,
     save_checkpoint,
     transform_head,
 )
-from molsets.gnn import DenseParams
+from molsets.gnn import CONV_KINDS, DenseParams
 
 THF = build_graph("C1CCOC1")
 GLYME = build_graph("COCOC")
@@ -154,30 +156,24 @@ def test_predict_split_solvent_order_independent():
 
 def test_wsum_singleton_and_zero_weight():
     params = micro_model("wsum", seed=9)
-    single = predict_weighted_sum_variant(params, MixtureInput([(THF, 1.0)], SALT, 1.0))
-    padded = predict_weighted_sum_variant(
-        params, MixtureInput([(THF, 1.0), (GLYME, 0.0)], SALT, 1.0)
-    )
+    single = predict(params, MixtureInput([(THF, 1.0)], SALT, 1.0))
+    padded = predict(params, MixtureInput([(THF, 1.0), (GLYME, 0.0)], SALT, 1.0))
     assert single == padded
 
 
 def test_wsum_permutation_invariance():
     params = micro_model("wsum", seed=10)
     solvents = [(THF, 0.3), (GLYME, 0.3), (TOLUENE, 0.4)]
-    base = predict_weighted_sum_variant(params, MixtureInput(solvents, SALT, 0.8))
+    base = predict(params, MixtureInput(solvents, SALT, 0.8))
     for perm in itertools.permutations(solvents):
-        out = predict_weighted_sum_variant(params, MixtureInput(list(perm), SALT, 0.8))
+        out = predict(params, MixtureInput(list(perm), SALT, 0.8))
         assert abs(out - base) <= 1e-9
 
 
 def test_wsum_weight_shift_between_identical_solvents():
     params = micro_model("wsum", seed=11)
-    a = predict_weighted_sum_variant(
-        params, MixtureInput([(THF, 0.25), (THF, 0.75)], SALT, 1.0)
-    )
-    b = predict_weighted_sum_variant(
-        params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0)
-    )
+    a = predict(params, MixtureInput([(THF, 0.25), (THF, 0.75)], SALT, 1.0))
+    b = predict(params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0))
     assert abs(a - b) <= 1e-12
 
 
@@ -185,8 +181,8 @@ def test_concat_variant_is_order_sensitive():
     hits = 0
     for seed in range(20):
         params = micro_model("concat", seed=100 + seed)
-        a = predict_concat_variant(params, MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0))
-        b = predict_concat_variant(params, MixtureInput([(GLYME, 0.5), (THF, 0.5)], SALT, 1.0))
+        a = predict(params, MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0))
+        b = predict(params, MixtureInput([(GLYME, 0.5), (THF, 0.5)], SALT, 1.0))
         if abs(a - b) > 1e-6:
             hits += 1
     assert hits >= 18
@@ -194,8 +190,8 @@ def test_concat_variant_is_order_sensitive():
 
 def test_concat_variant_identical_solvents_swap_is_noop():
     params = micro_model("concat", seed=12)
-    a = predict_concat_variant(params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0))
-    b = predict_concat_variant(params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0))
+    a = predict(params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0))
+    b = predict(params, MixtureInput([(THF, 0.5), (THF, 0.5)], SALT, 1.0))
     assert a == b
 
 
@@ -203,36 +199,89 @@ def test_concat_variant_enforces_max_solvents():
     params = micro_model("concat", seed=13)
     solvents = [(THF, 0.2), (GLYME, 0.2), (BENZENE, 0.2), (TOLUENE, 0.2), (SALT, 0.2)]
     with pytest.raises(ValueError):
-        predict_concat_variant(params, MixtureInput(solvents, SALT, 1.0))
+        predict(params, MixtureInput(solvents, SALT, 1.0))
 
 
-def test_variant_dispatch_is_strict():
-    params = micro_model("wsum", seed=14)
-    mix = MixtureInput([(THF, 1.0)], SALT, 1.0)
-    with pytest.raises(ValueError):
-        predict(params, mix)
-    with pytest.raises(ValueError):
-        predict_concat_variant(params, mix)
+EQUIVALENCE_MIXTURES = [
+    [(THF, 1.0)],
+    [(GLYME, 0.3), (THF, 0.7)],
+    [(THF, 0.25), (THF, 0.75)],
+    [(BENZENE, 0.2), (TOLUENE, 0.5), (GLYME, 0.3)],
+]
 
 
-def test_export_representation_dimensions():
+def _reference_prediction(params, mix):
+    """The head input assembled by hand from the public building blocks."""
+    cfg = params.config
+
+    def embed(graph):
+        return embed_molecule(params.phi_solvent, graph)
+
+    if cfg.variant == "concat":
+        pad = cfg.max_solvents - len(mix.solvents)
+        weights = [w for _, w in mix.solvents] + [0.0] * pad
+        z_mix = Tensor(
+            np.concatenate(
+                [embed(g).data for g, _ in mix.solvents]
+                + [np.zeros(pad * cfg.representation_dim), weights]
+            )
+        )
+    else:
+        canonical = sorted(mix.solvents, key=lambda gw: gw[0].source_smiles)
+        if cfg.variant == "molsets":
+            z_mix = aggregate_mixture(params.attention, [(embed(g), w) for g, w in canonical])
+        else:
+            total = None
+            for g, w in canonical:
+                term = embed(g).data * w
+                total = term if total is None else total + term
+            z_mix = Tensor(total)
+    z_salt = embed_molecule(params.phi_salt, mix.salt)
+    return transform_head(params.rho, z_mix, z_salt, mix.molality).data[0]
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_matches_hand_assembled_reference(variant, conv):
+    params = micro_model(variant, conv, seed=21)
+    for solvents in EQUIVALENCE_MIXTURES:
+        mix = MixtureInput(solvents, SALT, 1.3)
+        expected = _reference_prediction(params, mix)
+        assert predict(params, mix) == expected
+        assert forward(params, mix, {}).data[0] == expected
+
+
+def test_concat_representation_layout():
+    params = micro_model("concat", seed=22)
+    mix = MixtureInput([(GLYME, 0.4), (THF, 0.6)], SALT, 1.0)
+    rep = mixture_representation(params, mix).data
+    d = params.config.representation_dim
+    assert rep.shape == (params.config.max_solvents * (d + 1),)
+    assert np.array_equal(rep[:d], embed_molecule(params.phi_solvent, GLYME).data)
+    assert np.array_equal(rep[d : 2 * d], embed_molecule(params.phi_solvent, THF).data)
+    assert not rep[2 * d : 4 * d].any()
+    assert np.array_equal(rep[4 * d :], [0.4, 0.6, 0.0, 0.0])
+
+
+def test_mixture_representation_dimensions():
     params = build_model(ModelConfig.for_conv("graphconv", seed=15))
     mix = MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0)
-    assert export_representation(params, mix).shape == (32,)
+    assert mixture_representation(params, mix).data.shape == (32,)
 
 
 def test_export_singleton_equals_constituent():
     params = micro_model(seed=16)
-    single = export_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0))
+    single = mixture_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0)).data
     z = embed_molecule(params.phi_solvent, THF)
     assert np.array_equal(single, z.data @ params.attention.wv.data)
 
 
 def test_export_mixture_is_not_weighted_sum_of_constituents():
     params = micro_model(seed=17)
-    mixture = export_representation(params, MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0))
-    a = export_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0))
-    b = export_representation(params, MixtureInput([(GLYME, 1.0)], SALT, 1.0))
+    mix = MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0)
+    mixture = mixture_representation(params, mix).data
+    a = mixture_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0)).data
+    b = mixture_representation(params, MixtureInput([(GLYME, 1.0)], SALT, 1.0)).data
     assert np.abs(mixture - (0.5 * a + 0.5 * b)).max() > 1e-12
 
 
@@ -243,6 +292,12 @@ def test_mixture_validation():
         MixtureInput([(THF, 0.5), (GLYME, 0.6)], SALT, 1.0)
     with pytest.raises(ValueError):
         MixtureInput([(THF, 1.0)], SALT, -0.1)
+    with pytest.raises(ValueError):
+        MixtureInput([(THF, float("nan")), (GLYME, 0.5)], SALT, 1.0)
+    with pytest.raises(ValueError):
+        MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, float("nan"))
+    with pytest.raises(ValueError):
+        MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, float("inf"))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -262,6 +317,47 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     again = tmp_path / "model2.json"
     save_checkpoint(loaded, str(again))
     assert path.read_bytes() == again.read_bytes()
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"config", "feature_schema_version", "params"}
+    assert doc["feature_schema_version"] == model_mod.FEATURE_SCHEMA_VERSION
+
+
+def _saved_checkpoint_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(micro_model(seed=23), str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_checkpoint_rejects_other_feature_schema_version(tmp_path):
+    path, doc = _saved_checkpoint_doc(tmp_path)
+    doc["feature_schema_version"] = 99
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schema version"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_unknown_parameter(tmp_path):
+    path, doc = _saved_checkpoint_doc(tmp_path)
+    doc["params"]["attention.extra"] = {"shape": [1], "values": [0.0]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="attention.extra"):
+        load_checkpoint(str(path))
+
+
+def test_failed_checkpoint_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_checkpoint(micro_model(seed=24), str(path))
+    before = path.read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"config": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_mod.json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_checkpoint(micro_model(seed=25), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_build_model_is_seed_deterministic():

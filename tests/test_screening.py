@@ -1,7 +1,15 @@
 import pytest
 
 from molsets.data import MixtureRecord
-from molsets.model import GraphStore, ModelConfig, build_model, forward, mixture_from_record
+from molsets.chem import build_graph
+from molsets.model import (
+    GraphStore,
+    MixtureInput,
+    ModelConfig,
+    build_model,
+    forward,
+    mixture_from_record,
+)
 from molsets.screening import (
     CandidateSpec,
     enumerate_binary_candidates,
@@ -81,11 +89,17 @@ def test_screening_ranks_descending_and_reruns_identically(tmp_path):
 def test_screening_cache_transparency():
     params = _micro_params(2)
     cands = enumerate_binary_candidates(["C1CCOC1", "COCOC", "CCO"], ["[Li+].[Cl-]"])
-    with_cache, _ = run_screening(params, cands, use_cache=True)
-    without, _ = run_screening(params, cands, use_cache=False)
-    for a, b in zip(with_cache, without):
-        assert a.candidate == b.candidate
-        assert abs(a.predicted_log10_sigma - b.predicted_log10_sigma) <= 1e-12
+    results, _ = run_screening(params, cands)
+    assert len(results) == len(cands)
+    for res in results:
+        c = res.candidate
+        mix = MixtureInput(
+            [(build_graph(c.solvent_a), c.weights[0]), (build_graph(c.solvent_b), c.weights[1])],
+            build_graph(c.salt),
+            c.molality,
+        )
+        uncached = float(forward(params, mix).data[0])
+        assert abs(res.predicted_log10_sigma - uncached) <= 1e-12
 
 
 def test_screening_skips_unparseable_candidates():
