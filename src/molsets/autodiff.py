@@ -247,7 +247,7 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     xv = x.data
     if xv.ndim != 2:
         raise DimensionError(f"rows expects a 2-D tensor, got shape {xv.shape}")
-    idx = list(indices)
+    idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(xv[idx])
 
     def grad(g):
@@ -256,6 +256,35 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
         return (gx,)
 
     return _record(out, (x,), grad)
+
+
+def coo_to_dense(values: np.ndarray, rows, cols, shape: tuple[int, int]) -> np.ndarray:
+    """Dense matrix holding the sum of the values[k] placed at (rows[k], cols[k])."""
+    flat = np.asarray(rows, dtype=np.intp) * shape[1] + np.asarray(cols, dtype=np.intp)
+    return np.bincount(flat, values, shape[0] * shape[1]).reshape(shape)
+
+
+def coo_matrix(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
+    """coo_to_dense of a 1-D tensor; a value's gradient is g at its entry."""
+    vv, r, c = values.data, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if vv.ndim != 1 or r.shape != vv.shape or c.shape != vv.shape:
+        raise DimensionError(f"coo_matrix entry shapes {vv.shape}, {r.shape}, {c.shape} differ")
+    out = Tensor(coo_to_dense(vv, r, c, shape))
+    return _record(out, (values,), lambda g: (g[r, c],))
+
+
+def segment_softmax(x: Tensor, segment, n_segments: int) -> Tensor:
+    """Softmax of a 1-D tensor within segments: entries sharing an id in
+    [0, n_segments) sum to 1. Each segment is shifted by its own maximum."""
+    xv, seg = x.data, np.asarray(segment, dtype=np.intp)
+    if xv.ndim != 1 or seg.shape != xv.shape:
+        raise DimensionError(f"segment_softmax shapes {xv.shape} and {seg.shape} differ")
+    peak = np.full(n_segments, -np.inf)
+    np.maximum.at(peak, seg, xv)
+    shifted = np.exp(xv - peak[seg])
+    y = shifted / np.bincount(seg, shifted, n_segments)[seg]
+    out = Tensor(y)
+    return _record(out, (x,), lambda g: (y * (g - np.bincount(seg, g * y, n_segments)[seg]),))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

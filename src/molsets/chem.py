@@ -21,7 +21,8 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class Atom:
     implicit_h: int = 0  # filled by assign_implicit_hydrogens
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     i: int
     j: int
     order_code: float  # 1, 1.5, 2, or 3
@@ -85,23 +85,10 @@ class MolecularGraph:
     edges: tuple[Bond, ...]  # undirected, deduplicated, i < j
     log_mol_weight: float  # log10 Dalton
     source_smiles: str
-    _neighbors: list[list[tuple[int, float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_nodes(self) -> int:
         return self.node_features.shape[0]
-
-    def neighbors(self) -> list[list[tuple[int, float]]]:
-        """Per-node list of (neighbor index, bond order code), symmetric view."""
-        if self._neighbors is None:
-            nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-            for bond in self.edges:
-                nbrs[bond.i].append((bond.j, bond.order_code))
-                nbrs[bond.j].append((bond.i, bond.order_code))
-            self._neighbors = nbrs
-        return self._neighbors
 
 
 def _parse_bracket(content: str, smiles: str, offset: int) -> Atom:
@@ -324,10 +311,6 @@ def atom_features(atom: Atom) -> np.ndarray:
     return vec
 
 
-def bond_feature(bond: Bond) -> float:
-    return bond.order_code
-
-
 def molecular_weight(atoms: list[Atom]) -> float:
     """Total mass in Dalton, counting implicit hydrogens at 1.008 Da each."""
     return sum(
@@ -359,8 +342,8 @@ def build_graph(smiles: str, mol_weight_override: float | None = None) -> Molecu
 
     features = np.stack([atom_features(a) for a in all_atoms])
     weight = mol_weight_override if mol_weight_override is not None else molecular_weight(all_atoms)
-    if weight <= 0:
-        raise FeaturizationError(f"non-positive molecular weight {weight!r}")
+    if not (math.isfinite(weight) and weight > 0):
+        raise FeaturizationError(f"molecular weight must be finite and positive, got {weight!r}")
 
     return MolecularGraph(
         node_features=features,

@@ -62,6 +62,8 @@ class ConductivityPoint:
     def __post_init__(self):
         if not (math.isfinite(self.temperature_K) and self.temperature_K > 0):
             raise DataError(f"temperature must be finite and positive, got {self.temperature_K!r}")
+        if not math.isfinite(self.log10_sigma):
+            raise DataError(f"log10 conductivity must be finite, got {self.log10_sigma!r}")
 
 
 @dataclass
@@ -89,8 +91,11 @@ class MixtureRecord:
             raise DataError(
                 f"weight fractions sum to {sum(self.weight_fractions)!r}, expected 1"
             )
-        if self.mol_weight_overrides is not None and len(self.mol_weight_overrides) != n:
+        overrides = self.mol_weight_overrides
+        if overrides is not None and len(overrides) != n:
             raise DataError("mol_weight_overrides count does not match solvent count")
+        if overrides and not all(m is None or (math.isfinite(m) and m > 0) for m in overrides):
+            raise DataError(f"molecular weights must be finite and positive, got {overrides}")
         if not (math.isfinite(self.molality) and self.molality >= 0):
             raise DataError(f"molality must be finite and >= 0, got {self.molality}")
 
@@ -186,8 +191,7 @@ def _parse_row(row: dict[str, str], line: int) -> tuple[str, dict]:
             continue
         solvents.append(smiles)
         weights.append(numeric(f"weight_frac_{i}"))
-        mw = row[f"mol_weight_{i}"].strip()
-        overrides.append(float(mw) if mw else None)
+        overrides.append(numeric(f"mol_weight_{i}") if row[f"mol_weight_{i}"].strip() else None)
     if not solvents:
         raise DataError(f"line {line}: no solvent SMILES")
     if all(o is None for o in overrides):

@@ -1,17 +1,21 @@
 """Graph convolution operators, directed message passing, pooling, dense layers.
 
-All operators consume a node-feature matrix plus a GraphTensors bundle of
-constant topology matrices derived from the (undirected, deduplicated)
-edge list, and produce an updated node-feature matrix. Conventions for
-degenerate cases: empty neighborhoods contribute a zero aggregate, the
-degree-normalized operator includes a self term with unit weight, and the
-attention operator runs its softmax over each node's neighborhood plus
-the node itself.
+A graph's topology is one directed edge list (GraphTensors): each bond
+i-j appears as i -> j and j -> i with its bond code as weight. Every conv
+reads its operator off that list as a small dense matrix filled from
+(row, col, value) entries, built once per graph; at the sizes of these
+molecules (up to ~60 heavy atoms) one dense matmul costs less than a
+scatter-add over the edges. Conventions for degenerate cases: empty
+neighborhoods contribute a zero aggregate, the degree-normalized operator
+includes a self term with unit weight, and the attention operator runs
+an edge-wise softmax over each node's neighborhood plus the node itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -44,99 +48,78 @@ class DenseParams:
 
 
 class GraphTensors:
-    """Constant topology tensors for one graph, built lazily per operator."""
+    """Directed edge list of one graph and the conv operators built from it.
+
+    Bond k between i and j becomes edge 2k (i -> j) and edge 2k + 1
+    (j -> i), so the reverse of edge e is e ^ 1. Operators are built on
+    first use and kept with the graph.
+    """
 
     def __init__(self, n_nodes: int, edges):
         self.n = n_nodes
-        self.edges = [(int(i), int(j), float(w)) for i, j, w in edges]
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
-        for i, j, w in self.edges:
-            self.adj[i].append((j, w))
-            self.adj[j].append((i, w))
-        self._weighted = None
-        self._mean = None
-        self._gcn = None
-        self._dmpnn = None
+        bonds = np.fromiter(chain.from_iterable(edges), np.float64).reshape(-1, 3)  # (i, j, w)
+        ends = bonds[:, :2].astype(np.intp)
+        self.src = ends.reshape(-1)
+        self.dst = ends[:, ::-1].reshape(-1)
+        self.w = np.repeat(bonds[:, 2], 2)
 
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "GraphTensors":
-        return cls(graph.n_nodes, [(b.i, b.j, b.order_code) for b in graph.edges])
+        return cls(graph.n_nodes, graph.edges)
 
-    def weighted_adjacency(self) -> Tensor:
-        if self._weighted is None:
-            a = np.zeros((self.n, self.n))
-            for i, j, w in self.edges:
-                a[i, j] = w
-                a[j, i] = w
-            self._weighted = Tensor(a)
-        return self._weighted
+    def _matrix(self, rows, cols, values) -> Tensor:
+        return Tensor(ad.coo_to_dense(values, rows, cols, (self.n, self.n)))
 
-    def mean_adjacency(self) -> Tensor:
-        if self._mean is None:
-            a = np.zeros((self.n, self.n))
-            for i, nbrs in enumerate(self.adj):
-                if nbrs:
-                    for j, _ in nbrs:
-                        a[i, j] = 1.0 / len(nbrs)
-            self._mean = Tensor(a)
-        return self._mean
+    @cached_property
+    def weighted(self) -> Tensor:
+        """Bond-weighted neighbour sum."""
+        return self._matrix(self.dst, self.src, self.w)
 
-    def gcn_adjacency(self) -> Tensor:
-        if self._gcn is None:
-            deg = np.ones(self.n)  # self loop weight 1
-            for i, j, w in self.edges:
-                deg[i] += w
-                deg[j] += w
-            a = np.diag(1.0 / deg)  # self term e_ii = 1
-            for i, j, w in self.edges:
-                a[i, j] = w / np.sqrt(deg[i] * deg[j])
-                a[j, i] = a[i, j]
-            self._gcn = Tensor(a)
-        return self._gcn
+    @cached_property
+    def mean(self) -> Tensor:
+        """Neighbour mean; an isolated node's row is zero."""
+        indegree = np.bincount(self.dst, minlength=self.n)
+        return self._matrix(self.dst, self.src, 1.0 / indegree[self.dst])
 
-    def dmpnn_tensors(self):
-        """Directed-edge structures: source index per edge, edge features,
-        message matrix M[(i->j),(k->i)] = 1 for k != j, and the incoming
-        sum matrix S[i,(j->i)] = 1."""
-        if self._dmpnn is None:
-            directed = []
-            for i, j, w in self.edges:
-                directed.append((i, j, w))
-                directed.append((j, i, w))
-            m = len(directed)
-            index = {(i, j): e for e, (i, j, _) in enumerate(directed)}
-            src = [i for i, _, _ in directed]
-            feat = np.array([[w] for _, _, w in directed]).reshape(m, 1)
-            msg = np.zeros((m, m))
-            incoming = np.zeros((self.n, m))
-            for e, (i, j, _) in enumerate(directed):
-                incoming[j, e] = 1.0
-                for k, _ in self.adj[i]:
-                    if k != j:
-                        msg[e, index[(k, i)]] = 1.0
-            self._dmpnn = (src, Tensor(feat), Tensor(msg), Tensor(incoming))
-        return self._dmpnn
+    @cached_property
+    def gcn(self) -> Tensor:
+        """Symmetric degree normalization with a unit-weight self loop."""
+        deg = 1.0 + np.bincount(self.dst, self.w, self.n)
+        loops = np.arange(self.n)
+        return self._matrix(
+            np.concatenate([self.dst, loops]),
+            np.concatenate([self.src, loops]),
+            np.concatenate([self.w / np.sqrt(deg[self.dst] * deg[self.src]), 1.0 / deg]),
+        )
+
+    @cached_property
+    def dmpnn(self) -> tuple[Tensor, Tensor, Tensor]:
+        """Edge features (m, 1); message matrix M[e, f] = 1 where edge f ends
+        at the source of e and is not its reverse; S[i, e] = 1 where e ends at i."""
+        m = self.src.size
+        edge = np.arange(m)
+        msg = (self.src[:, None] == self.dst[None, :]).astype(np.float64)
+        msg[edge, edge ^ 1] = 0.0
+        incoming = ad.coo_to_dense(np.ones(m), self.dst, edge, (self.n, m))
+        return Tensor(self.w[:, None]), Tensor(msg), Tensor(incoming)
 
 
-def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
-    """One graph-convolution layer; returns the updated node-feature matrix."""
+def _check_input(params: ConvParams, x: Tensor) -> None:
     if x.data.shape[1] != params.input_dim:
         raise ad.DimensionError(
             f"node features have dim {x.data.shape[1]}, expected {params.input_dim}"
         )
+
+
+def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
+    """One graph-convolution layer; returns the updated node-feature matrix."""
+    _check_input(params, x)
     kind = params.kind
-    if kind == "graphconv":
-        return ad.add(
-            ad.matmul(x, params.w1),
-            ad.matmul(ad.matmul(gt.weighted_adjacency(), x), params.w2),
-        )
-    if kind == "sageconv":
-        return ad.add(
-            ad.matmul(x, params.w1),
-            ad.matmul(ad.matmul(gt.mean_adjacency(), x), params.w2),
-        )
+    if kind in ("graphconv", "sageconv"):
+        adjacency = gt.weighted if kind == "graphconv" else gt.mean
+        return ad.add(ad.matmul(x, params.w1), ad.matmul(ad.matmul(adjacency, x), params.w2))
     if kind == "gcnconv":
-        return ad.matmul(ad.matmul(gt.gcn_adjacency(), x), params.w1)
+        return ad.matmul(ad.matmul(gt.gcn, x), params.w1)
     if kind == "gatconv":
         return _gat_forward(params, x, gt)
     raise ValueError(f"conv_forward does not handle kind {kind!r}")
@@ -150,29 +133,24 @@ def _gat_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
     s1 = ad.matmul(xw1, ad.rows(a_col, range(out_dim)))  # (n, 1)
     s2 = ad.matmul(xw2, ad.rows(a_col, range(out_dim, 2 * out_dim)))  # (n, 1)
 
-    out_rows = []
-    for i in range(gt.n):
-        nbrs = [j for j, _ in gt.adj[i]]
-        members = [i] + nbrs
-        logits = ad.leaky_relu(
-            ad.add(ad.rows(s1, [i]), ad.rows(s2, members)), GAT_LEAKY_SLOPE
-        )
-        alpha = ad.softmax(ad.reshape(logits, (len(members),)))
-        values = ad.concat([ad.rows(xw1, [i]), ad.rows(xw2, nbrs)], axis=0)
-        out_rows.append(ad.matmul(ad.reshape(alpha, (1, len(members))), values))
-    return ad.concat(out_rows, axis=0)
+    # Self loops, then the directed edges. A self term reads row i of
+    # [x W1; x W2], a neighbour term row n + j.
+    loops = np.arange(gt.n)
+    dst, src = np.concatenate([loops, gt.dst]), np.concatenate([loops, gt.src])
+    logits = ad.leaky_relu(ad.add(ad.rows(s1, dst), ad.rows(s2, src)), GAT_LEAKY_SLOPE)
+    alpha = ad.segment_softmax(ad.reshape(logits, (dst.size,)), dst, gt.n)
+    value_row = np.concatenate([loops, gt.n + gt.src])
+    weights = ad.coo_matrix(alpha, dst, value_row, (gt.n, 2 * gt.n))
+    return ad.matmul(weights, ad.concat([xw1, xw2], axis=0))
 
 
 def dmpnn_forward(params: ConvParams, x: Tensor, gt: GraphTensors, iterations: int) -> Tensor:
     """Directed message passing on edge states, then a node readout."""
     if iterations < 1:
         raise ValueError("dmpnn needs at least one iteration")
-    if x.data.shape[1] != params.input_dim:
-        raise ad.DimensionError(
-            f"node features have dim {x.data.shape[1]}, expected {params.input_dim}"
-        )
-    src, edge_feat, msg, incoming = gt.dmpnn_tensors()
-    h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, src), edge_feat], axis=1), params.w_in))
+    _check_input(params, x)
+    edge_feat, msg, incoming = gt.dmpnn
+    h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, gt.src), edge_feat], axis=1), params.w_in))
     h = h0
     for _ in range(iterations):
         h = ad.relu(ad.add(h0, ad.matmul(ad.matmul(msg, h), params.w_h)))

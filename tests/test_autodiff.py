@@ -55,6 +55,30 @@ def test_softmax_properties():
         assert np.abs(y - shifted).max() <= 1e-12
 
 
+def test_segment_softmax_examples():
+    seg = [0, 1, 0, 2, 1, 0]
+    x = [0.3, -1.2, 2.0, 5.0, 0.7, -0.4]
+    y = ad.segment_softmax(Tensor(x), seg, 4).data
+    # Segment 3 has no entries, so its sum is 0; the others sum to 1.
+    assert np.abs(np.bincount(seg, y, 4) - [1.0, 1.0, 1.0, 0.0]).max() <= 1e-12
+    assert np.abs(y[[0, 2, 5]] - ad.softmax(Tensor([0.3, 2.0, -0.4])).data).max() <= 1e-15
+    assert y[3] == 1.0
+    # Each segment is shifted by its own maximum, so distant segments stay finite.
+    far = ad.segment_softmax(Tensor([-1000.0, -1001.0, 1000.0]), [0, 0, 1], 2).data
+    assert np.all(np.isfinite(far)) and far[2] == 1.0
+    assert ad.segment_softmax(Tensor(np.zeros(0)), [], 3).shape == (0,)
+    with pytest.raises(DimensionError):
+        ad.segment_softmax(Tensor([1.0, 2.0]), [0], 1)
+
+
+def test_coo_matrix_examples():
+    m = ad.coo_matrix(Tensor([1.0, 2.0, 3.0, 4.0]), [0, 1, 0, 0], [2, 0, 0, 2], (2, 3)).data
+    assert np.array_equal(m, [[3.0, 0.0, 5.0], [2.0, 0.0, 0.0]])  # repeated (0, 2) adds
+    assert np.array_equal(ad.coo_matrix(Tensor(np.zeros(0)), [], [], (2, 3)).data, np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        ad.coo_matrix(Tensor([1.0, 2.0]), [0, 1], [0], (2, 2))
+
+
 def test_reduce_examples():
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(ad.reduce_mean(m, axis=0).data, [2.0, 3.0])
@@ -153,6 +177,9 @@ def test_gradients_per_op_match_finite_differences():
     proj2 = Tensor(rng.uniform(-1, 1, (3, 2)))
     proj_vec = Tensor(rng.uniform(-1, 1, 5))
     scalar = Tensor([1.5])
+    empty = Tensor(np.zeros(0))
+    seg = [0, 1, 0, 3, 1]  # segment 2 is empty
+    coo = ([0, 2, 1, 0, 2], [3, 0, 3, 3, 1])  # (0, 3) repeats
 
     cases = [
         (lambda: ad.reduce_sum(ad.mul(ad.add(a, b), proj)), [a, b]),
@@ -167,6 +194,13 @@ def test_gradients_per_op_match_finite_differences():
         (lambda: ad.reduce_sum(ad.mul(ad.log(b), proj)), [b]),
         (lambda: ad.reduce_sum(ad.mul(ad.matmul(m1, m2), proj2)), [m1, m2]),
         (lambda: ad.reduce_sum(ad.mul(ad.softmax(vec), proj_vec)), [vec]),
+        (lambda: ad.reduce_sum(ad.mul(ad.segment_softmax(vec, seg, 4), proj_vec)), [vec]),
+        (lambda: ad.reduce_sum(ad.segment_softmax(empty, [], 2)), [empty]),
+        (lambda: ad.reduce_sum(ad.mul(ad.coo_matrix(vec, *coo, (3, 4)), proj)), [vec]),
+        (
+            lambda: ad.reduce_sum(ad.mul(ad.matmul(ad.coo_matrix(empty, [], [], (3, 4)), m2), proj2)),
+            [empty, m2],
+        ),
         (lambda: ad.reduce_sum(ad.mul(ad.reduce_mean(a, axis=0), Tensor(np.arange(4.0)))), [a]),
         (lambda: ad.reduce_sum(ad.mul(ad.reduce_sum(a, axis=1), Tensor(np.arange(3.0)))), [a]),
         (lambda: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1), Tensor(np.ones((3, 8))))), [a, b]),

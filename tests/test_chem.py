@@ -5,16 +5,15 @@ import pytest
 
 from molsets.chem import (
     Atom,
-    Bond,
     FeaturizationError,
     SmilesParseError,
     assign_implicit_hydrogens,
     atom_features,
-    bond_feature,
     build_graph,
     molecular_weight,
     parse_smiles,
 )
+from molsets.gnn import GraphTensors
 
 # Hand-verified (atoms, bonds) counts for typical electrolyte constituents.
 TABLE_CORPUS = {
@@ -183,12 +182,6 @@ def test_molecular_weight_additive_over_components():
     )
 
 
-def test_bond_feature_returns_order_code():
-    assert bond_feature(Bond(0, 1, 1.0)) == 1.0
-    assert bond_feature(Bond(0, 1, 1.5)) == 1.5
-    assert bond_feature(Bond(0, 1, 3.0)) == 3.0
-
-
 def test_build_graph_thf():
     graph = build_graph("C1CCOC1")
     assert graph.node_features.shape == (5, 13)
@@ -199,6 +192,9 @@ def test_build_graph_thf():
 def test_build_graph_weight_override():
     graph = build_graph("CCO", mol_weight_override=100000)
     assert graph.log_mol_weight == 5.0
+    for bad in (float("nan"), float("inf"), 0.0, -12.0):
+        with pytest.raises(FeaturizationError):
+            build_graph("CCO", mol_weight_override=bad)
 
 
 def test_build_graph_one_hot_block_sums():
@@ -209,13 +205,16 @@ def test_build_graph_one_hot_block_sums():
 
 
 def test_build_graph_edge_symmetry():
+    # Each bond reaches the convs as both directed edges, i -> j then j -> i.
     for smiles in TABLE_CORPUS:
         graph = build_graph(smiles)
-        nbrs = graph.neighbors()
-        for bond in graph.edges:
+        gt = GraphTensors.from_graph(graph)
+        directed = list(zip(gt.src.tolist(), gt.dst.tolist(), gt.w.tolist()))
+        assert len(directed) == 2 * len(graph.edges)
+        for k, bond in enumerate(graph.edges):
             assert bond.i != bond.j
-            assert bond.j in [j for j, _ in nbrs[bond.i]]
-            assert bond.i in [j for j, _ in nbrs[bond.j]]
+            assert directed[2 * k] == (bond.i, bond.j, bond.order_code)
+            assert directed[2 * k + 1] == (bond.j, bond.i, bond.order_code)
 
 
 def test_parsing_is_deterministic():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -212,6 +213,21 @@ def test_eval_on_empty_csv_is_data_error(tmp_path, synthetic_csv, micro_config, 
     ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
     assert cli(["eval", "--checkpoint", ckpt, "--data", empty_csv]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_eval_on_non_finite_csv_cell_is_data_error(tmp_path, synthetic_csv, micro_config, capsys):
+    ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
+    with open(synthetic_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for column, value in (("log10_conductivity_S_per_cm", "inf"), ("mol_weight_1", "nan")):
+        bad = tmp_path / f"bad-{column}.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows([{**rows[0], column: value}] + rows[1:])
+        assert cli(["eval", "--checkpoint", ckpt, "--data", str(bad)]) == 2
+        assert "data error" in capsys.readouterr().err
+
 
 def test_bad_config_key_is_usage_error(tmp_path, synthetic_csv, capsys):
     config = tmp_path / "bad.json"

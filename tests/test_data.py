@@ -140,6 +140,9 @@ def test_load_lenient_skips_bad_rows(tmp_path, caplog):
     rows = [
         'm1,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0',
         'm2,C1CCOC1,,,,not_a_number,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0',
+        'm3,C1CCOC1,,,,1.0,,,,heavy,,,,[Li+].[Cl-],1.0,300.0,-2.0',
+        'm4,C1CCOC1,,,,1.0,,,,nan,,,,[Li+].[Cl-],1.0,300.0,-2.0',
+        'm5,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,inf',
     ]
     with caplog.at_level(logging.WARNING):
         records = load_dataset(_write_csv(tmp_path, rows), strict=False)
@@ -290,3 +293,10 @@ def test_record_validation():
         MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", float("inf"))
     with pytest.raises(DataError):
         ConductivityPoint(-5.0, -2.0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(DataError):
+            ConductivityPoint(300.0, bad)
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(DataError):
+            MixtureRecord("x", ["C", "CC"], [0.5, 0.5], "[Li+].[Cl-]", 1.0, [None, bad])
+    MixtureRecord("x", ["C", "CC"], [0.5, 0.5], "[Li+].[Cl-]", 1.0, [None, 250.0])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molsets import autodiff as ad
 from molsets.autodiff import Tape, Tensor
 from molsets.gnn import (
+    CONV_KINDS,
+    GAT_LEAKY_SLOPE,
     ConvParams,
     DenseParams,
     GraphTensors,
@@ -202,3 +206,157 @@ def test_uniform_init_is_seeded_and_scaled():
     b = uniform_init(np.random.default_rng(1), (4, 4), 16)
     assert np.array_equal(a.data, b.data)
     assert np.abs(a.data).max() <= 0.25
+
+
+# Reference operators: the dense loop-built matrices and GAT's per-node loop
+# that the edge-list GraphTensors replaced. Edges are (i, j, w), undirected.
+
+
+def _reference_adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def _reference_weighted(n, edges):
+    a = np.zeros((n, n))
+    for i, j, w in edges:
+        a[i, j] = w
+        a[j, i] = w
+    return Tensor(a)
+
+
+def _reference_mean(n, edges):
+    a = np.zeros((n, n))
+    for i, nbrs in enumerate(_reference_adjacency(n, edges)):
+        if nbrs:
+            for j, _ in nbrs:
+                a[i, j] = 1.0 / len(nbrs)
+    return Tensor(a)
+
+
+def _reference_gcn(n, edges):
+    deg = np.ones(n)  # self loop weight 1
+    for i, j, w in edges:
+        deg[i] += w
+        deg[j] += w
+    a = np.diag(1.0 / deg)  # self term e_ii = 1
+    for i, j, w in edges:
+        a[i, j] = w / np.sqrt(deg[i] * deg[j])
+        a[j, i] = a[i, j]
+    return Tensor(a)
+
+
+def _reference_dmpnn_tensors(n, edges):
+    adj = _reference_adjacency(n, edges)
+    directed = []
+    for i, j, w in edges:
+        directed.append((i, j, w))
+        directed.append((j, i, w))
+    m = len(directed)
+    index = {(i, j): e for e, (i, j, _) in enumerate(directed)}
+    src = [i for i, _, _ in directed]
+    feat = np.array([[w] for _, _, w in directed]).reshape(m, 1)
+    msg = np.zeros((m, m))
+    incoming = np.zeros((n, m))
+    for e, (i, j, _) in enumerate(directed):
+        incoming[j, e] = 1.0
+        for k, _ in adj[i]:
+            if k != j:
+                msg[e, index[(k, i)]] = 1.0
+    return (src, Tensor(feat), Tensor(msg), Tensor(incoming))
+
+
+def _reference_gat(params, x, n, adj):
+    out_dim = params.output_dim
+    xw1 = ad.matmul(x, params.w1)
+    xw2 = ad.matmul(x, params.w2)
+    a_col = ad.reshape(params.att, (2 * out_dim, 1))
+    s1 = ad.matmul(xw1, ad.rows(a_col, range(out_dim)))  # (n, 1)
+    s2 = ad.matmul(xw2, ad.rows(a_col, range(out_dim, 2 * out_dim)))  # (n, 1)
+
+    out_rows = []
+    for i in range(n):
+        nbrs = [j for j, _ in adj[i]]
+        members = [i] + nbrs
+        logits = ad.leaky_relu(
+            ad.add(ad.rows(s1, [i]), ad.rows(s2, members)), GAT_LEAKY_SLOPE
+        )
+        alpha = ad.softmax(ad.reshape(logits, (len(members),)))
+        values = ad.concat([ad.rows(xw1, [i]), ad.rows(xw2, nbrs)], axis=0)
+        out_rows.append(ad.matmul(ad.reshape(alpha, (1, len(members))), values))
+    return ad.concat(out_rows, axis=0)
+
+
+def _reference_dmpnn(params, x, n, edges, iterations):
+    src, edge_feat, msg, incoming = _reference_dmpnn_tensors(n, edges)
+    h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, src), edge_feat], axis=1), params.w_in))
+    h = h0
+    for _ in range(iterations):
+        h = ad.relu(ad.add(h0, ad.matmul(ad.matmul(msg, h), params.w_h)))
+    summed = ad.matmul(incoming, h)
+    return ad.relu(ad.matmul(ad.concat([x, summed], axis=1), params.w_out))
+
+
+def _reference_forward(params, x, n, edges):
+    kind = params.kind
+    if kind == "graphconv":
+        agg = ad.matmul(ad.matmul(_reference_weighted(n, edges), x), params.w2)
+        return ad.add(ad.matmul(x, params.w1), agg)
+    if kind == "sageconv":
+        agg = ad.matmul(ad.matmul(_reference_mean(n, edges), x), params.w2)
+        return ad.add(ad.matmul(x, params.w1), agg)
+    if kind == "gcnconv":
+        return ad.matmul(ad.matmul(_reference_gcn(n, edges), x), params.w1)
+    if kind == "gatconv":
+        return _reference_gat(params, x, n, _reference_adjacency(n, edges))
+    return _reference_dmpnn(params, x, n, edges, iterations=2)
+
+
+@st.composite
+def _molecule_like_graphs(draw):
+    """1-8 nodes and a random set of distinct bonds in either orientation, so
+    isolated nodes and several components occur."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for i, j in chosen:
+        if draw(st.booleans()):
+            i, j = j, i
+        edges.append((i, j, draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))))
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    graph=_molecule_like_graphs(),
+    kind=st.sampled_from(CONV_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_list_convs_match_dense_reference(graph, kind, seed):
+    n, edges = graph
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, (n, 4)))
+    params = init_conv(kind, 4, 3, rng)
+    proj = Tensor(rng.uniform(-1, 1, (n, 3)))
+    tensors = [t for _, t in conv_param_tensors(params)]
+    gt = GraphTensors(n, edges)
+
+    def run(forward):
+        with Tape() as tape:
+            tape.watch(*tensors)
+            out = forward()
+            loss = ad.reduce_sum(ad.mul(out, proj))
+        return out.data, ad.backward(tape, loss)
+
+    if kind == "dmpnn":
+        out, grads = run(lambda: dmpnn_forward(params, x, gt, 2))
+    else:
+        out, grads = run(lambda: conv_forward(params, x, gt))
+    ref_out, ref_grads = run(lambda: _reference_forward(params, x, n, edges))
+    assert np.abs(out - ref_out).max() <= 1e-12
+    for t in tensors:
+        assert np.abs(grads[t] - ref_grads[t]).max() <= 1e-12
