@@ -40,6 +40,7 @@ from .model import (
     aggregate_mixture,
     build_model,
     embed_molecule,
+    forward_batch,
     load_checkpoint,
     mixture_from_record,
     mixture_representation,

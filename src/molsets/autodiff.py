@@ -4,13 +4,15 @@ Operations compute eagerly with numpy. While a Tape is active (used as a
 context manager), every operation is recorded so that `backward` can
 accumulate gradients in reverse order. Tapes are thread-confined: each
 thread sees only its own active tape, so independent forward/backward
-passes may run concurrently. Broadcasting is restricted to
-scalar-with-tensor (one operand of total size 1); all other shapes must
-match exactly.
+passes may run concurrently. Binary operations broadcast in three ways
+only: an operand of total size 1 against any tensor, a (k,) vector
+against the rows of a (B, k) matrix, and an (N, 1) column against the
+columns of an (N, k) matrix. All other shapes must match exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Sequence
 
@@ -68,6 +70,10 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _LOCAL.stack.pop()
 
+    def __len__(self) -> int:
+        """Number of operations recorded so far."""
+        return len(self._nodes)
+
     def watch(self, *tensors: Tensor) -> None:
         """Register parameters so backward reports them even when untouched."""
         self._watched.extend(tensors)
@@ -117,13 +123,25 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
-    return np.asarray(g.sum()).reshape(shape)
+    if np.prod(shape) == 1:
+        return np.asarray(g.sum()).reshape(shape)
+    if len(shape) == 1:
+        return g.sum(axis=0)  # a (k,) row spread over (B, k)
+    return g.sum(axis=1, keepdims=True)  # an (N, 1) column spread over (N, k)
+
+
+def _broadcasts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """b spreads over a: (k,) over the rows of (B, k), (N, 1) over (N, k)."""
+    return len(a) == 2 and (b == (a[1],) or b == (a[0], 1))
 
 
 def _binary(a: Tensor, b: Tensor, name: str, fwd, grad_fn) -> Tensor:
     av, bv = a.data, b.data
-    if av.shape != bv.shape and av.size != 1 and bv.size != 1:
-        raise DimensionError(f"{name} shapes {av.shape} and {bv.shape} do not match")
+    sa, sb = av.shape, bv.shape
+    if not (
+        sa == sb or av.size == 1 or bv.size == 1 or _broadcasts(sa, sb) or _broadcasts(sb, sa)
+    ):
+        raise DimensionError(f"{name} shapes {sa} and {sb} do not match")
     out = Tensor(fwd(av, bv))
 
     def grad(g):
@@ -233,8 +251,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 f"concat ranks differ: {values[0].shape} vs {v.shape}"
             )
     out = Tensor(np.concatenate(values, axis=axis))
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = list(itertools.accumulate(v.shape[axis] for v in values[:-1]))
 
     def grad(g):
         return tuple(np.split(g, offsets, axis=axis))
@@ -285,6 +302,19 @@ def segment_softmax(x: Tensor, segment, n_segments: int) -> Tensor:
     y = shifted / np.bincount(seg, shifted, n_segments)[seg]
     out = Tensor(y)
     return _record(out, (x,), lambda g: (y * (g - np.bincount(seg, g * y, n_segments)[seg]),))
+
+
+def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
+    """Rows of x summed within segments: row s of the (n_segments, ...)
+    result adds the rows whose id is s, in order; an empty segment is zero."""
+    xv, seg = x.data, np.asarray(segment, dtype=np.intp)
+    if xv.ndim not in (1, 2) or seg.shape != xv.shape[:1]:
+        raise DimensionError(f"segment_sum shapes {xv.shape} and {seg.shape} differ")
+    k = xv.shape[1] if xv.ndim == 2 else 1
+    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
+    summed = np.bincount(flat, xv.reshape(-1), n_segments * k)
+    out = Tensor(summed.reshape((n_segments,) + xv.shape[1:]))
+    return _record(out, (x,), lambda g: (g[seg],))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -26,10 +26,10 @@ from .model import (
     GraphStore,
     ModelConfig,
     build_model,
+    forward_batch,
     load_checkpoint,
     mixture_from_record,
     mixture_representation,
-    predict,
     save_checkpoint,
 )
 from .screening import (
@@ -250,14 +250,16 @@ def _cmd_permute_test(args) -> int:
     params = load_checkpoint(args.checkpoint)
     records = data_mod.load_dataset(args.data)
     store = GraphStore()
+    pairs = [
+        (record, permute_mixture(record, seed=args.seed + i))
+        for i, record in enumerate(records)
+        if len(record.solvent_smiles) >= 2
+    ]
     diffs = []
-    for i, record in enumerate(records):
-        if len(record.solvent_smiles) < 2:
-            continue
-        permuted = permute_mixture(record, seed=args.seed + i)
-        before = predict(params, mixture_from_record(record, store))
-        after = predict(params, mixture_from_record(permuted, store))
-        diffs.append(abs(after - before))
+    if pairs:
+        before = forward_batch(params, [mixture_from_record(a, store) for a, _ in pairs]).data
+        after = forward_batch(params, [mixture_from_record(b, store) for _, b in pairs]).data
+        diffs = np.abs(after - before).tolist()
     doc = {
         "variant": params.config.variant,
         "n_permuted": len(diffs),
@@ -274,11 +276,11 @@ def _cmd_export_reprs(args) -> int:
         raise DataError("the concat variant has no aggregated mixture representation")
     records = _load_records(args.data)
     store = GraphStore()
+    reprs = mixture_representation(params, [mixture_from_record(r, store) for r in records])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["mixture_id"] + [f"r_{i}" for i in range(params.config.representation_dim)]
         fh.write(",".join(header) + "\n")
-        for record in records:
-            vec = mixture_representation(params, mixture_from_record(record, store)).data.tolist()
+        for record, vec in zip(records, reprs.data.tolist()):
             fh.write(",".join([record.mixture_id] + [repr(v) for v in vec]) + "\n")
     print(f"wrote {len(records)} representations to {args.out}")
     return 0

@@ -165,10 +165,8 @@ def global_mean_pool(x: Tensor) -> Tensor:
 
 
 def dense_forward(params: DenseParams, x: Tensor, activation: str = "none") -> Tensor:
-    """activation(x @ W + b) for a 1-D input vector."""
-    in_dim, out_dim = params.w.data.shape
-    y = ad.matmul(ad.reshape(x, (1, in_dim)), params.w)
-    y = ad.add(ad.reshape(y, (out_dim,)), params.b)
+    """activation(x @ W + b) for each row of a (B, input_dim) matrix."""
+    y = ad.add(ad.matmul(x, params.w), params.b)
     if activation == "relu":
         return ad.relu(y)
     if activation != "none":

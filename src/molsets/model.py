@@ -8,6 +8,15 @@ molality]. Two ablations share the embedding pathway: a plain weighted
 sum in place of attention (still permutation invariant), and a
 concatenate-and-pad variant that is deliberately order-sensitive.
 
+There is one forward pass, over a batch of mixtures (`forward_batch`).
+Each distinct molecule of the batch is embedded once; the embeddings
+are stacked into one matrix per pathway. The solvent slots of all
+mixtures form one list of rows with a mixture id (segment) and a weight
+fraction each, so aggregation and head are a fixed number of array
+operations per batch: gather rows by index, segment softmax, segment
+sum (concat instead gathers a padded block of rows per mixture). A
+single mixture is a batch of one (`forward`, `predict`).
+
 Solvents are sorted by their source SMILES before aggregation so that
 repeated evaluations are bit-identical; the aggregation itself is a set
 operation, so any input order yields the same value up to floating-point
@@ -26,7 +35,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chem import MolecularGraph, NODE_FEATURE_DIM, build_graph
+from .chem import (
+    FeaturizationError,
+    MolecularGraph,
+    NODE_FEATURE_DIM,
+    SmilesParseError,
+    build_graph,
+)
 from .gnn import (
     CONV_KINDS,
     ConvParams,
@@ -241,49 +256,42 @@ def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
                 x = ad.relu(x)
     pooled = global_mean_pool(x)
     with_mass = ad.concat([pooled, Tensor([graph.log_mol_weight])])
-    return dense_forward(phi.readout, with_mass)
+    row = dense_forward(phi.readout, ad.reshape(with_mass, (1, with_mass.data.size)))
+    return ad.reshape(row, (row.data.shape[1],))
 
 
 def aggregate_mixture(
-    attention: AttentionParams, reprs_and_weights: list[tuple[Tensor, float]]
+    attention: AttentionParams, z: Tensor, weights, segment, n_sets: int
 ) -> Tensor:
-    """Attention-weighted set aggregation of molecule representations.
+    """Attention-weighted aggregation of a batch of molecule sets.
 
-    Each molecule gets a scalar logit q.k / sqrt(d_k); the softmax over
-    the whole set scales the value vectors, which are then combined in a
-    weight-fraction-weighted sum. The result is independent of the input
-    enumeration order (up to float roundoff).
+    Row i of z (N, d) belongs to set segment[i] with weight fraction
+    weights[i]. Each row gets a scalar logit q.k / sqrt(d_k); a softmax
+    within its set scales its value vector, and each set sums its scaled
+    values weighted by weight fraction. Returns (n_sets, d); every row is
+    independent of the order of its set's members (up to float roundoff).
     """
-    if not reprs_and_weights:
+    seg = np.asarray(segment, dtype=np.intp)
+    if n_sets < 1 or np.bincount(seg, minlength=n_sets).min() < 1:
         raise ValueError("cannot aggregate an empty mixture set")
-    d = attention.wq.data.shape[0]
-    inv_sqrt_dk = 1.0 / math.sqrt(attention.d_k)
-
-    logits = []
-    values = []
-    for z, _ in reprs_and_weights:
-        row = ad.reshape(z, (1, d))
-        q = ad.matmul(row, attention.wq)
-        k = ad.matmul(row, attention.wk)
-        values.append(ad.matmul(row, attention.wv))
-        logits.append(ad.reshape(ad.scale(ad.reduce_sum(ad.mul(q, k)), inv_sqrt_dk), (1,)))
-
-    scores = ad.reshape(ad.softmax(ad.concat(logits)), (len(logits), 1))
-    total = None
-    for idx, (_, w) in enumerate(reprs_and_weights):
-        term = ad.scale(ad.mul(values[idx], ad.rows(scores, [idx])), w)
-        total = term if total is None else ad.add(total, term)
-    return ad.reshape(total, (d,))
+    n = seg.size
+    q = ad.matmul(z, attention.wq)
+    k = ad.matmul(z, attention.wk)
+    v = ad.matmul(z, attention.wv)
+    logits = ad.scale(ad.reduce_sum(ad.mul(q, k), axis=1), 1.0 / math.sqrt(attention.d_k))
+    scores = ad.reshape(ad.segment_softmax(logits, seg, n_sets), (n, 1))
+    weighted = ad.mul(ad.mul(v, scores), Tensor(np.reshape(weights, (n, 1))))
+    return ad.segment_sum(weighted, seg, n_sets)
 
 
-def transform_head(
-    rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, molality: float
-) -> Tensor:
-    """Dense stack on [solvent repr, salt repr, molality]; returns a (1,) tensor."""
-    h = ad.concat([z_solvent, z_salt, Tensor([molality])])
+def transform_head(rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, molality) -> Tensor:
+    """Dense stack on the rows [solvent repr, salt repr, molality] of a
+    batch: z_solvent (B, D), z_salt (B, d), molality (B,); returns (B,)."""
+    m = np.asarray(molality, dtype=np.float64).reshape(-1, 1)
+    h = ad.concat([z_solvent, z_salt, Tensor(m)], axis=1)
     for layer in rho[:-1]:
         h = dense_forward(layer, h, "relu")
-    return dense_forward(rho[-1], h)
+    return ad.reshape(dense_forward(rho[-1], h), (m.shape[0],))
 
 
 EmbedCache = dict[tuple[int, MolecularGraph], Tensor]
@@ -300,6 +308,24 @@ def _embed(params: ModelParams, pathway: int, graph: MolecularGraph, cache: Embe
     return z
 
 
+def _embedding_table(
+    params: ModelParams,
+    pathway: int,
+    graphs: list[MolecularGraph],
+    cache: EmbedCache | None,
+    pad: bool = False,
+) -> tuple[Tensor, np.ndarray]:
+    """Embeddings of the distinct graphs stacked in first-seen order (plus
+    a zero row last when pad is set), and the row of each graph."""
+    row_of: dict[MolecularGraph, int] = {}
+    index = np.array([row_of.setdefault(g, len(row_of)) for g in graphs], dtype=np.intp)
+    parts = [_embed(params, pathway, g, cache) for g in row_of]
+    d = params.config.representation_dim
+    if pad:
+        parts.append(Tensor(np.zeros(d)))
+    return ad.reshape(ad.concat(parts), (len(parts), d)), index
+
+
 def _check_mixture(params: ModelParams, mix: MixtureInput) -> None:
     if len(mix.solvents) > params.config.max_solvents:
         raise ValueError(
@@ -313,39 +339,60 @@ def _canonical(solvents: list[tuple[MolecularGraph, float]]):
 
 
 def mixture_representation(
-    params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None
+    params: ModelParams, mixes: list[MixtureInput], cache: EmbedCache | None = None
 ) -> Tensor:
-    """Solvent part of the head input, the only place each variant differs.
+    """Solvent part of the head input, (B, D): the only place each variant differs.
 
-    molsets: attention aggregation of the canonically sorted solvents.
-    wsum: weight-fraction-weighted sum of their embeddings. concat: the
-    embeddings in the order given, zero padding up to max_solvents, then
-    the padded weight fractions (deliberately not permutation invariant).
+    molsets: attention aggregation of each mixture's canonically sorted
+    solvents. wsum: weight-fraction-weighted sum of their embeddings.
+    concat: the embeddings in the order given, zero padding up to
+    max_solvents, then the padded weight fractions (deliberately not
+    permutation invariant).
     """
-    _check_mixture(params, mix)
+    for mix in mixes:
+        _check_mixture(params, mix)
     cfg = params.config
+    n_sets = len(mixes)
     if cfg.variant == "concat":
-        pad = cfg.max_solvents - len(mix.solvents)
-        parts = [_embed(params, 0, g, cache) for g, _ in mix.solvents]
-        if pad:
-            parts.append(Tensor(np.zeros(pad * cfg.representation_dim)))
-        parts.append(Tensor(np.array([w for _, w in mix.solvents] + [0.0] * pad)))
-        return ad.concat(parts)
-    pairs = [(_embed(params, 0, g, cache), w) for g, w in _canonical(mix.solvents)]
+        slots = cfg.max_solvents
+        table, index = _embedding_table(
+            params, 0, [g for mix in mixes for g, _ in mix.solvents], cache, pad=True
+        )
+        filled = np.arange(slots) < np.array([len(mix.solvents) for mix in mixes])[:, None]
+        rows = np.full((n_sets, slots), table.data.shape[0] - 1, dtype=np.intp)
+        rows[filled] = index
+        weights = np.zeros((n_sets, slots))
+        weights[filled] = [w for mix in mixes for _, w in mix.solvents]
+        z = ad.reshape(ad.rows(table, rows.reshape(-1)), (n_sets, slots * cfg.representation_dim))
+        return ad.concat([z, Tensor(weights)], axis=1)
+    canonical = [_canonical(mix.solvents) for mix in mixes]
+    table, index = _embedding_table(params, 0, [g for gws in canonical for g, _ in gws], cache)
+    weights = np.array([w for gws in canonical for _, w in gws])
+    segment = np.repeat(np.arange(n_sets), [len(gws) for gws in canonical])
+    z = ad.rows(table, index)
     if cfg.variant == "molsets":
-        return aggregate_mixture(params.attention, pairs)
-    total = None
-    for z, w in pairs:
-        term = ad.scale(z, w)
-        total = term if total is None else ad.add(total, term)
-    return total
+        return aggregate_mixture(params.attention, z, weights, segment, n_sets)
+    return ad.segment_sum(ad.mul(z, Tensor(weights[:, None])), segment, n_sets)
+
+
+def forward_batch(
+    params: ModelParams, mixes: list[MixtureInput], cache: EmbedCache | None = None
+) -> Tensor:
+    """Predictions of a batch of mixtures as a (B,) tensor (differentiable).
+
+    Every distinct molecule of the batch is embedded once, or read from
+    cache when one is given (new embeddings are added to it).
+    """
+    if not mixes:
+        raise ValueError("forward_batch needs at least one mixture")
+    z_mix = mixture_representation(params, mixes, cache)
+    salts, index = _embedding_table(params, 1, [mix.salt for mix in mixes], cache)
+    return transform_head(params.rho, z_mix, ad.rows(salts, index), [mix.molality for mix in mixes])
 
 
 def forward(params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None) -> Tensor:
-    """Prediction of any variant as a (1,) tensor (differentiable)."""
-    z_mix = mixture_representation(params, mix, cache)
-    z_salt = _embed(params, 1, mix.salt, cache)
-    return transform_head(params.rho, z_mix, z_salt, mix.molality)
+    """Prediction of one mixture as a (1,) tensor (differentiable)."""
+    return forward_batch(params, [mix], cache)
 
 
 def predict(params: ModelParams, mix: MixtureInput) -> float:
@@ -357,17 +404,26 @@ class GraphStore:
     """Cache of built graphs keyed by (SMILES, molecular-weight override).
 
     Reusing one graph object per distinct molecule lets embedding caches
-    recognize repeats across mixtures.
+    recognize repeats across mixtures. A key that failed to build keeps
+    its exception, which every later get of that key raises again.
     """
 
     def __init__(self):
         self._graphs: dict[tuple[str, float | None], MolecularGraph] = {}
+        self._failures: dict[tuple[str, float | None], ValueError] = {}
 
     def get(self, smiles: str, mol_weight_override: float | None = None) -> MolecularGraph:
         key = (smiles, mol_weight_override)
         graph = self._graphs.get(key)
         if graph is None:
-            graph = self._graphs[key] = build_graph(smiles, mol_weight_override)
+            failure = self._failures.get(key)
+            if failure is not None:
+                raise failure.with_traceback(None)
+            try:
+                graph = self._graphs[key] = build_graph(smiles, mol_weight_override)
+            except (SmilesParseError, FeaturizationError) as exc:
+                self._failures[key] = exc
+                raise
         return graph
 
 

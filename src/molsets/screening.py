@@ -1,15 +1,18 @@
 """Combinatorial candidate enumeration and ranked virtual screening.
 
 Candidates are equal-weight binary solvent mixtures (unordered distinct
-pairs) combined with each salt at 1 mol/kg. Screening embeds every
-distinct molecule once and reuses the embedding across all candidates
-containing it, then ranks predictions in descending order.
+pairs) combined with each salt at 1 mol/kg. Screening parses every
+distinct SMILES once, predicts all parsed candidates in one batched
+forward pass that embeds every distinct molecule once, then ranks the
+predictions in descending order.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -17,7 +20,9 @@ import numpy as np
 
 from .chem import FeaturizationError, SmilesParseError
 from .data import MixtureRecord
-from .model import GraphStore, MixtureInput, ModelParams, forward
+from .model import GraphStore, MixtureInput, ModelParams, forward_batch
+
+logger = logging.getLogger(__name__)
 
 
 class ScreeningError(RuntimeError):
@@ -77,11 +82,12 @@ def run_screening(
 
     Returns (ranked results, report lines for skipped candidates).
     Unparseable candidates are skipped with a report line; ties in the
-    ranking fall back to the candidates' lexicographic order.
+    ranking fall back to the candidates' lexicographic order. With the
+    module logger at INFO, one JSON event reports the counts.
     """
     store = GraphStore()
-    cache = {}
-    results: list[ScreeningResult] = []
+    parsed: list[CandidateSpec] = []
+    mixtures: list[MixtureInput] = []
     skipped: list[str] = []
     for cand in candidates:
         try:
@@ -96,12 +102,30 @@ def run_screening(
         except (SmilesParseError, FeaturizationError) as exc:
             skipped.append(f"skipped {cand.solvent_a} | {cand.solvent_b} | {cand.salt}: {exc}")
             continue
-        value = float(forward(params, mixture, cache).data[0])
+        parsed.append(cand)
+        mixtures.append(mixture)
+
+    cache = {}
+    values = forward_batch(params, mixtures, cache).data.tolist() if mixtures else []
+    results: list[ScreeningResult] = []
+    for cand, value in zip(parsed, values):
         if not math.isfinite(value):
             raise ScreeningError(
                 f"non-finite prediction for {cand.solvent_a} | {cand.solvent_b} | {cand.salt}"
             )
         results.append(ScreeningResult(cand, value))
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            json.dumps(
+                {
+                    "event": "screening",
+                    "candidates": len(candidates),
+                    "parsed": len(parsed),
+                    "skipped": len(skipped),
+                    "molecules_embedded": len(cache),
+                }
+            )
+        )
 
     results.sort(key=lambda r: (-r.predicted_log10_sigma, r.candidate.sort_key()))
     return results, skipped

@@ -11,15 +11,17 @@ deterministic given the seed.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .model import MixtureInput, ModelParams, build_model, forward, named_parameters, predict
+from .model import MixtureInput, ModelParams, build_model, forward_batch, named_parameters
 
 logger = logging.getLogger(__name__)
 
@@ -159,9 +161,13 @@ def _copy_params(params: ModelParams) -> ModelParams:
     return clone
 
 
+def _predictions(params: ModelParams, examples: list[Example]) -> np.ndarray:
+    return forward_batch(params, [mix for mix, _ in examples]).data
+
+
 def _validation_loss(params: ModelParams, examples: list[Example]) -> float:
-    errors = [(predict(params, mix) - target) ** 2 for mix, target in examples]
-    return float(np.mean(errors))
+    targets = np.array([target for _, target in examples])
+    return float(np.mean((_predictions(params, examples) - targets) ** 2))
 
 
 def train(
@@ -172,9 +178,10 @@ def train(
 ) -> tuple[ModelParams, list[HistoryEntry]]:
     """Minibatch training; returns the best-epoch snapshot and the history.
 
-    Within a batch, each distinct molecule is embedded once and the
-    embedding is shared across the mixtures that contain it (gradients
-    accumulate through the shared subgraph).
+    Each minibatch is one forward_batch: every distinct molecule of the
+    batch is embedded once and shared by the mixtures that contain it
+    (gradients accumulate through the shared subgraph). With the module
+    logger at DEBUG, each epoch logs one JSON event.
     """
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
@@ -194,7 +201,11 @@ def train(
     best_snapshot = _copy_params(params)
     best_val = math.inf
 
+    debug = logger.isEnabledFor(logging.DEBUG)
     for epoch in range(config.max_epochs):
+        if debug:
+            epoch_start = time.perf_counter()
+            tape_nodes = []
         lr_used = optimizer.lr
         order = rng.permutation(len(train_data))
         epoch_squares = 0.0
@@ -202,10 +213,7 @@ def train(
             batch = [train_data[i] for i in order[start : start + config.batch_size]]
             with Tape() as tape:
                 tape.watch(*tensors)
-                cache = {}
-                preds = ad.concat(
-                    [forward(params, mix, cache) for mix, _ in batch]
-                )
+                preds = forward_batch(params, [mix for mix, _ in batch])
                 targets = Tensor(np.array([target for _, target in batch]))
                 loss = mse_loss(preds, targets)
             loss_value = float(loss.data)
@@ -217,11 +225,27 @@ def train(
             grads = ad.backward(tape, loss)
             optimizer.step(grads)
             epoch_squares += loss_value * len(batch)
+            if debug:
+                tape_nodes.append(len(tape))
 
         train_loss = epoch_squares / len(train_data)
         val_loss = _validation_loss(params, val_data)
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
         val_losses.append(val_loss)
+        if debug:
+            logger.debug(
+                json.dumps(
+                    {
+                        "event": "epoch",
+                        "epoch": epoch,
+                        "train_loss": train_loss,
+                        "val_loss": val_loss,
+                        "lr": lr_used,
+                        "wall_s": time.perf_counter() - epoch_start,
+                        "tape_nodes_per_step": float(np.mean(tape_nodes)),
+                    }
+                )
+            )
 
         if val_loss < best_val:
             best_val = val_loss
@@ -300,7 +324,7 @@ def spearman(targets, preds) -> float:
 
 def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
     targets = np.array([target for _, target in examples])
-    preds = np.array([predict(params, mix) for mix, _ in examples])
+    preds = _predictions(params, examples)
     return MetricsReport(
         pearson_rp=pearson(targets, preds),
         spearman_rs=spearman(targets, preds),

@@ -86,9 +86,11 @@ def test_criterion_01_permutation_invariance():
             worst = max(worst, abs(out - base))
 
         # set-level invariance of the aggregation itself, unsorted inputs
-        reprs = [(embed_molecule(params.phi_solvent, g), w) for g, w in mix.solvents]
-        z0 = aggregate_mixture(params.attention, reprs).data
-        z1 = aggregate_mixture(params.attention, list(reversed(reprs))).data
+        z = np.array([embed_molecule(params.phi_solvent, g).data for g, _ in mix.solvents])
+        w = np.array([w for _, w in mix.solvents])
+        seg = np.zeros(len(w), dtype=int)
+        z0 = aggregate_mixture(params.attention, Tensor(z), w, seg, 1).data
+        z1 = aggregate_mixture(params.attention, Tensor(z[::-1]), w[::-1], seg, 1).data
         worst = max(worst, float(np.abs(z1 - z0).max()))
     elapsed = time.perf_counter() - start
     _report(

@@ -38,6 +38,51 @@ def test_elementwise_examples():
         ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
 
+def test_row_and_column_broadcast_examples():
+    m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    row = Tensor([10.0, 20.0])
+    column = Tensor([[2.0], [0.0], [-1.0]])
+    assert np.array_equal(ad.add(m, row).data, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
+    assert np.array_equal(ad.add(row, m).data, ad.add(m, row).data)
+    assert np.array_equal(ad.mul(m, row).data, [[10.0, 40.0], [30.0, 80.0], [50.0, 120.0]])
+    assert np.array_equal(ad.mul(m, column).data, [[2.0, 4.0], [0.0, 0.0], [-5.0, -6.0]])
+    assert np.array_equal(ad.sub(column, m).data, [[1.0, 0.0], [-3.0, -4.0], [-6.0, -7.0]])
+    with Tape() as tape:
+        out = ad.reduce_sum(ad.add(ad.mul(m, column), row))
+    grads = ad.backward(tape, out)
+    assert np.array_equal(grads[row], [3.0, 3.0])  # summed over the rows
+    assert np.array_equal(grads[column], [[3.0], [7.0], [11.0]])  # summed over the columns
+    for a, b in [
+        (m, Tensor([1.0, 2.0, 3.0])),  # (B, k) with (k + 1,)
+        (m, Tensor(np.ones((3, 3)))),
+        (m, Tensor(np.ones((2, 1)))),  # a column of the wrong length
+        (m, Tensor(np.ones((1, 2)))),
+        (m, Tensor(np.ones(6))),
+        (Tensor(np.ones((2, 3, 2))), row),
+    ]:
+        with pytest.raises(DimensionError):
+            ad.add(a, b)
+        with pytest.raises(DimensionError):
+            ad.mul(b, a)
+
+
+def test_segment_sum_examples():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    out = ad.segment_sum(x, [2, 0, 2, 0], 4)  # segments 1 and 3 are empty
+    assert np.array_equal(out.data, [[10.0, 12.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
+    assert np.array_equal(ad.segment_sum(Tensor([1.0, 2.0, 4.0]), [1, 1, 0], 2).data, [4.0, 3.0])
+    assert np.array_equal(ad.segment_sum(Tensor(np.zeros((0, 3))), [], 2).data, np.zeros((2, 3)))
+    with Tape() as tape:
+        out = ad.segment_sum(x, [2, 0, 2, 0], 4)
+        total = ad.reduce_sum(ad.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])))
+    grads = ad.backward(tape, total)
+    assert np.array_equal(grads[x], [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0], [1.0, 2.0]])
+    with pytest.raises(DimensionError):
+        ad.segment_sum(x, [0, 1, 0], 2)
+    with pytest.raises(DimensionError):
+        ad.segment_sum(Tensor(np.zeros((2, 2, 2))), [0, 1], 2)
+
+
 def test_softmax_examples():
     assert np.array_equal(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
     assert np.array_equal(ad.softmax(Tensor([17.3])).data, [1.0])
@@ -179,6 +224,9 @@ def test_gradients_per_op_match_finite_differences():
     scalar = Tensor([1.5])
     empty = Tensor(np.zeros(0))
     seg = [0, 1, 0, 3, 1]  # segment 2 is empty
+    row4 = Tensor(rng.uniform(-2, 2, 4))
+    col3 = Tensor(rng.uniform(-2, 2, (3, 1)))
+    proj4 = Tensor(rng.uniform(-1, 1, (4, 4)))
     coo = ([0, 2, 1, 0, 2], [3, 0, 3, 3, 1])  # (0, 3) repeats
 
     cases = [
@@ -197,6 +245,12 @@ def test_gradients_per_op_match_finite_differences():
         (lambda: ad.reduce_sum(ad.mul(ad.segment_softmax(vec, seg, 4), proj_vec)), [vec]),
         (lambda: ad.reduce_sum(ad.segment_softmax(empty, [], 2)), [empty]),
         (lambda: ad.reduce_sum(ad.mul(ad.coo_matrix(vec, *coo, (3, 4)), proj)), [vec]),
+        (lambda: ad.reduce_sum(ad.mul(ad.add(a, row4), proj)), [a, row4]),
+        (lambda: ad.reduce_sum(ad.mul(ad.sub(row4, a), proj)), [a, row4]),
+        (lambda: ad.reduce_sum(ad.mul(ad.mul(a, row4), proj)), [a, row4]),
+        (lambda: ad.reduce_sum(ad.mul(ad.mul(col3, b), proj)), [b, col3]),
+        (lambda: ad.reduce_sum(ad.mul(ad.segment_sum(a, [2, 0, 2], 4), proj4)), [a]),
+        (lambda: ad.reduce_sum(ad.mul(ad.segment_sum(vec, seg, 4), Tensor(np.arange(4.0)))), [vec]),
         (
             lambda: ad.reduce_sum(ad.mul(ad.matmul(ad.coo_matrix(empty, [], [], (3, 4)), m2), proj2)),
             [empty, m2],

@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# 06 and 07 train models for tens of seconds; their train and screen
-# paths are covered by the unit and acceptance tests.
+# Every demo runs here; the two that train a model (06, 07) take a few
+# seconds each with batched training.
 QUICK_DEMOS = [
     "01_smiles_to_graphs.py",
     "02_autodiff_basics.py",
     "03_graph_convolutions.py",
     "04_mixture_model_invariance.py",
     "05_arrhenius_pipeline.py",
+    "06_train_and_evaluate.py",
+    "07_virtual_screening.py",
 ]
 
 

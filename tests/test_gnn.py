@@ -123,11 +123,13 @@ def test_global_mean_pool_permutation_invariant():
 
 def test_dense_forward_examples():
     identity = DenseParams(w=Tensor(np.eye(2)), b=Tensor(np.zeros(2)))
-    x = Tensor([-1.0, 1.0])
-    assert np.array_equal(dense_forward(identity, x).data, [-1.0, 1.0])
-    assert np.array_equal(dense_forward(identity, x, "relu").data, [0.0, 1.0])
+    x = Tensor([[-1.0, 1.0]])
+    assert np.array_equal(dense_forward(identity, x).data, [[-1.0, 1.0]])
+    assert np.array_equal(dense_forward(identity, x, "relu").data, [[0.0, 1.0]])
     doubler = DenseParams(w=Tensor([[2.0, 0.0], [0.0, 2.0]]), b=Tensor([1.0, 1.0]))
-    assert np.array_equal(dense_forward(doubler, Tensor([1.0, 1.0])).data, [3.0, 3.0])
+    assert np.array_equal(dense_forward(doubler, Tensor([[1.0, 1.0]])).data, [[3.0, 3.0]])
+    rows = Tensor([[1.0, 1.0], [0.0, -2.0], [0.5, 0.0]])  # the bias is added to every row
+    assert np.array_equal(dense_forward(doubler, rows).data, [[3.0, 3.0], [1.0, -3.0], [2.0, 1.0]])
 
 
 def test_conv_rejects_wrong_feature_dim():

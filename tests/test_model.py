@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from molsets import autodiff as ad
 from molsets import model as model_mod
-from molsets.autodiff import Tensor
+from molsets.autodiff import Tape, Tensor
 from molsets.chem import build_graph
 from molsets.model import (
     AttentionParams,
@@ -17,6 +20,7 @@ from molsets.model import (
     build_model,
     embed_molecule,
     forward,
+    forward_batch,
     load_checkpoint,
     mixture_from_record,
     mixture_representation,
@@ -68,55 +72,77 @@ def _random_attention(rng, d=4, dk=3):
     )
 
 
+def _one_set(att, rows, weights, segment=None, n_sets=1):
+    segment = [0] * len(rows) if segment is None else segment
+    return aggregate_mixture(att, Tensor(np.array(rows)), np.array(weights), segment, n_sets).data
+
+
 def test_aggregate_singleton_is_value_projection():
     rng = np.random.default_rng(3)
     att = _random_attention(rng)
     z = rng.uniform(-1, 1, 4)
-    out = aggregate_mixture(att, [(Tensor(z), 1.0)]).data
-    assert np.array_equal(out, z @ att.wv.data)
+    assert np.array_equal(_one_set(att, [z], [1.0]), [z @ att.wv.data])
+    # a batch of two singleton sets projects each row on its own
+    z2 = rng.uniform(-1, 1, 4)
+    out = _one_set(att, [z, z2], [1.0, 1.0], segment=[0, 1], n_sets=2)
+    assert np.array_equal(out, [z @ att.wv.data, z2 @ att.wv.data])
 
 
 def test_aggregate_two_identical_molecules():
     rng = np.random.default_rng(4)
     att = _random_attention(rng)
     z = rng.uniform(-1, 1, 4)
-    out = aggregate_mixture(att, [(Tensor(z), 0.5), (Tensor(z.copy()), 0.5)]).data
-    assert np.allclose(out, 0.5 * (z @ att.wv.data), atol=1e-15)
+    out = _one_set(att, [z, z.copy()], [0.5, 0.5])
+    assert np.allclose(out, [0.5 * (z @ att.wv.data)], atol=1e-15)
 
 
 def test_aggregate_permutation_invariance():
     rng = np.random.default_rng(5)
     att = _random_attention(rng)
-    triple = [(Tensor(rng.uniform(-1, 1, 4)), w) for w in (0.2, 0.3, 0.5)]
-    base = aggregate_mixture(att, triple).data
+    triple = [(rng.uniform(-1, 1, 4), w) for w in (0.2, 0.3, 0.5)]
+    pair = [(rng.uniform(-1, 1, 4), w) for w in (0.6, 0.4)]
+    base = _one_set(att, [z for z, _ in triple], [w for _, w in triple])
+    pair_alone = _one_set(att, [z for z, _ in pair], [w for _, w in pair])
     for perm in itertools.permutations(triple):
-        out = aggregate_mixture(att, list(perm)).data
+        out = _one_set(att, [z for z, _ in perm], [w for _, w in perm])
         assert np.abs(out - base).max() <= 1e-10
+        # the same set interleaved with another one in a batch of two
+        members = [(z, w, 0) for z, w in perm[:2]] + [(pair[1][0], pair[1][1], 1)]
+        members += [(perm[2][0], perm[2][1], 0), (pair[0][0], pair[0][1], 1)]
+        batch = _one_set(
+            att, [z for z, _, _ in members], [w for _, w, _ in members],
+            segment=[s for _, _, s in members], n_sets=2,
+        )
+        assert np.abs(batch[0] - base[0]).max() <= 1e-10
+        assert np.abs(batch[1] - pair_alone[0]).max() <= 1e-10
 
 
 def test_aggregate_rejects_empty_set():
     att = _random_attention(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        aggregate_mixture(att, [])
+        aggregate_mixture(att, Tensor(np.zeros((0, 4))), np.zeros(0), np.zeros(0, dtype=int), 1)
+    with pytest.raises(ValueError):  # set 1 of 2 has no member
+        aggregate_mixture(att, Tensor(np.ones((2, 4))), [0.5, 0.5], [0, 0], 2)
 
 
 def test_transform_head_zero_weights_returns_bias():
     rho = [DenseParams(w=Tensor(np.zeros((3, 1))), b=Tensor([0.75]))]
-    out = transform_head(rho, Tensor([1.0]), Tensor([2.0]), 3.0)
-    assert out.data[0] == 0.75
+    out = transform_head(rho, Tensor([[1.0], [4.0]]), Tensor([[2.0], [5.0]]), [3.0, 6.0])
+    assert out.data.shape == (2,)
+    assert np.array_equal(out.data, [0.75, 0.75])
 
 
 def test_transform_head_hand_arithmetic():
     rho = [DenseParams(w=Tensor([[2.0], [3.0], [5.0]]), b=Tensor([7.0]))]
-    out = transform_head(rho, Tensor([1.0]), Tensor([2.0]), 4.0)
-    assert out.data[0] == 2.0 + 6.0 + 20.0 + 7.0
+    out = transform_head(rho, Tensor([[1.0], [0.0]]), Tensor([[2.0], [1.0]]), [4.0, 1.0])
+    assert np.array_equal(out.data, [2.0 + 6.0 + 20.0 + 7.0, 0.0 + 3.0 + 5.0 + 7.0])
 
 
 def test_transform_head_dead_molality_column():
     w = np.array([[2.0], [3.0], [0.0]])  # zero weight on the molality input
     rho = [DenseParams(w=Tensor(w), b=Tensor([1.0]))]
-    a = transform_head(rho, Tensor([1.0]), Tensor([2.0]), 0.0).data[0]
-    b = transform_head(rho, Tensor([1.0]), Tensor([2.0]), 99.0).data[0]
+    a = transform_head(rho, Tensor([[1.0]]), Tensor([[2.0]]), [0.0]).data[0]
+    b = transform_head(rho, Tensor([[1.0]]), Tensor([[2.0]]), [99.0]).data[0]
     assert a == b
 
 
@@ -137,10 +163,11 @@ def test_predict_permutation_invariance():
 
 def test_predict_singleton_equals_degenerate_path():
     params = micro_model(seed=20)
-    z = embed_molecule(params.phi_solvent, THF)
-    z_mix = aggregate_mixture(params.attention, [(z, 1.0)])
-    z_salt = embed_molecule(params.phi_salt, SALT)
-    expected = transform_head(params.rho, z_mix, z_salt, 1.0).data[0]
+    d = params.config.representation_dim
+    z = ad.reshape(embed_molecule(params.phi_solvent, THF), (1, d))
+    z_mix = aggregate_mixture(params.attention, z, [1.0], [0], 1)
+    z_salt = ad.reshape(embed_molecule(params.phi_salt, SALT), (1, d))
+    expected = transform_head(params.rho, z_mix, z_salt, [1.0]).data[0]
     assert predict(params, MixtureInput([(THF, 1.0)], SALT, 1.0)) == expected
 
 
@@ -211,50 +238,51 @@ EQUIVALENCE_MIXTURES = [
 
 
 def _reference_prediction(params, mix):
-    """The head input assembled by hand from the public building blocks."""
+    """One mixture's prediction in plain numpy from embed_molecule outputs."""
     cfg = params.config
 
     def embed(graph):
-        return embed_molecule(params.phi_solvent, graph)
+        return embed_molecule(params.phi_solvent, graph).data
 
     if cfg.variant == "concat":
         pad = cfg.max_solvents - len(mix.solvents)
         weights = [w for _, w in mix.solvents] + [0.0] * pad
-        z_mix = Tensor(
-            np.concatenate(
-                [embed(g).data for g, _ in mix.solvents]
-                + [np.zeros(pad * cfg.representation_dim), weights]
-            )
+        z_mix = np.concatenate(
+            [embed(g) for g, _ in mix.solvents] + [np.zeros(pad * cfg.representation_dim), weights]
         )
     else:
-        canonical = sorted(mix.solvents, key=lambda gw: gw[0].source_smiles)
+        z = np.array([embed(g) for g, _ in mix.solvents])
+        w = np.array([w for _, w in mix.solvents])
         if cfg.variant == "molsets":
-            z_mix = aggregate_mixture(params.attention, [(embed(g), w) for g, w in canonical])
+            att = params.attention
+            logits = ((z @ att.wq.data) * (z @ att.wk.data)).sum(axis=1) / np.sqrt(att.d_k)
+            alpha = np.exp(logits - logits.max())
+            alpha /= alpha.sum()
+            z_mix = ((z @ att.wv.data) * (alpha * w)[:, None]).sum(axis=0)
         else:
-            total = None
-            for g, w in canonical:
-                term = embed(g).data * w
-                total = term if total is None else total + term
-            z_mix = Tensor(total)
-    z_salt = embed_molecule(params.phi_salt, mix.salt)
-    return transform_head(params.rho, z_mix, z_salt, mix.molality).data[0]
+            z_mix = (z * w[:, None]).sum(axis=0)
+    h = np.concatenate([z_mix, embed_molecule(params.phi_salt, mix.salt).data, [mix.molality]])
+    for layer in params.rho[:-1]:
+        h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
+    return float((h @ params.rho[-1].w.data + params.rho[-1].b.data)[0])
 
 
 @pytest.mark.parametrize("conv", CONV_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_matches_hand_assembled_reference(variant, conv):
     params = micro_model(variant, conv, seed=21)
-    for solvents in EQUIVALENCE_MIXTURES:
-        mix = MixtureInput(solvents, SALT, 1.3)
-        expected = _reference_prediction(params, mix)
-        assert predict(params, mix) == expected
-        assert forward(params, mix, {}).data[0] == expected
+    mixes = [MixtureInput(solvents, SALT, 1.3) for solvents in EQUIVALENCE_MIXTURES]
+    expected = [_reference_prediction(params, mix) for mix in mixes]
+    for mix, value in zip(mixes, expected):
+        assert abs(predict(params, mix) - value) <= 1e-12
+        assert abs(forward(params, mix, {}).data[0] - value) <= 1e-12
+    assert np.abs(forward_batch(params, mixes).data - expected).max() <= 1e-12
 
 
 def test_concat_representation_layout():
     params = micro_model("concat", seed=22)
     mix = MixtureInput([(GLYME, 0.4), (THF, 0.6)], SALT, 1.0)
-    rep = mixture_representation(params, mix).data
+    rep = mixture_representation(params, [mix]).data[0]
     d = params.config.representation_dim
     assert rep.shape == (params.config.max_solvents * (d + 1),)
     assert np.array_equal(rep[:d], embed_molecule(params.phi_solvent, GLYME).data)
@@ -266,12 +294,13 @@ def test_concat_representation_layout():
 def test_mixture_representation_dimensions():
     params = build_model(ModelConfig.for_conv("graphconv", seed=15))
     mix = MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0)
-    assert mixture_representation(params, mix).data.shape == (32,)
+    assert mixture_representation(params, [mix]).data.shape == (1, 32)
+    assert mixture_representation(params, [mix, mix, mix]).data.shape == (3, 32)
 
 
 def test_export_singleton_equals_constituent():
     params = micro_model(seed=16)
-    single = mixture_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0)).data
+    single = mixture_representation(params, [MixtureInput([(THF, 1.0)], SALT, 1.0)]).data[0]
     z = embed_molecule(params.phi_solvent, THF)
     assert np.array_equal(single, z.data @ params.attention.wv.data)
 
@@ -279,9 +308,10 @@ def test_export_singleton_equals_constituent():
 def test_export_mixture_is_not_weighted_sum_of_constituents():
     params = micro_model(seed=17)
     mix = MixtureInput([(THF, 0.5), (GLYME, 0.5)], SALT, 1.0)
-    mixture = mixture_representation(params, mix).data
-    a = mixture_representation(params, MixtureInput([(THF, 1.0)], SALT, 1.0)).data
-    b = mixture_representation(params, MixtureInput([(GLYME, 1.0)], SALT, 1.0)).data
+    mixture, a, b = mixture_representation(
+        params,
+        [mix, MixtureInput([(THF, 1.0)], SALT, 1.0), MixtureInput([(GLYME, 1.0)], SALT, 1.0)],
+    ).data
     assert np.abs(mixture - (0.5 * a + 0.5 * b)).max() > 1e-12
 
 
@@ -385,3 +415,104 @@ def test_mixture_from_record_duck_typed():
     assert len(mix.solvents) == 2
     assert mix.solvents[1][0].log_mol_weight == pytest.approx(np.log10(250.0))
     assert mix.molality == 1.5
+
+
+# Batched forward properties. Models are built once per variant x conv;
+# the pool holds repeats of one graph object so batches share embeddings.
+POOL = [THF, GLYME, BENZENE, TOLUENE, build_graph("[Li+]"), build_graph("CCO")]
+SALTS = [SALT, build_graph("[Li+].[Cl-]")]
+MAX_SOLVENTS = ModelConfig().max_solvents
+_MODELS = {}
+
+
+def _model(variant, conv):
+    key = (variant, conv)
+    if key not in _MODELS:
+        _MODELS[key] = micro_model(variant, conv, seed=40)
+    return _MODELS[key]
+
+
+@st.composite
+def mixture_batches(draw):
+    mixes = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, MAX_SOLVENTS))
+        graphs = draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))
+        raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+        weights = [w / sum(raw) for w in raw]
+        salt = draw(st.sampled_from(SALTS))
+        mixes.append(MixtureInput(list(zip(graphs, weights)), salt, draw(st.floats(0.0, 3.0))))
+    return mixes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    conv=st.sampled_from(CONV_KINDS),
+    mixes=mixture_batches(),
+)
+def test_forward_batch_matches_single_mixture_forward(variant, conv, mixes):
+    params = _model(variant, conv)
+    batch = forward_batch(params, mixes).data
+    reverse = forward_batch(params, mixes[::-1]).data[::-1]
+    single = np.array([forward(params, mix).data[0] for mix in mixes])
+    assert batch.shape == (len(mixes),)
+    assert np.abs(batch - single).max() <= 1e-12
+    assert np.abs(reverse - single).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    variant=st.sampled_from(("molsets", "wsum")),
+    conv=st.sampled_from(CONV_KINDS),
+    mixes=mixture_batches(),
+    data=st.data(),
+)
+def test_forward_batch_solvent_permutation_invariance(variant, conv, mixes, data):
+    params = _model(variant, conv)
+    which = data.draw(st.integers(0, len(mixes) - 1))
+    mix = mixes[which]
+    order = data.draw(st.permutations(range(len(mix.solvents))))
+    permuted = list(mixes)
+    permuted[which] = MixtureInput([mix.solvents[i] for i in order], mix.salt, mix.molality)
+    base = forward_batch(params, mixes).data
+    moved = forward_batch(params, permuted).data
+    assert np.abs(moved - base).max() <= 1e-12
+
+
+def _parameter_gradients(params, loss_fn):
+    named = named_parameters(params)
+    with Tape() as tape:
+        tape.watch(*[t for _, t in named])
+        loss = loss_fn()
+    grads = ad.backward(tape, loss)
+    return {name: grads[t] for name, t in named}
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_batch_gradients_match_per_mixture_losses(variant, conv):
+    params = micro_model(variant, conv, seed=41)
+    mixes = [
+        MixtureInput(solvents, SALTS[i % 2], 0.5 + i)
+        for i, solvents in enumerate(EQUIVALENCE_MIXTURES)
+    ]
+    mixes.append(MixtureInput([(GLYME, 0.5), (POOL[4], 0.5)], SALT, 1.0))
+    targets = np.linspace(-3.0, -1.0, len(mixes))
+
+    def batch_loss():
+        diff = ad.sub(forward_batch(params, mixes), Tensor(targets))
+        return ad.reduce_sum(ad.mul(diff, diff))
+
+    def summed_losses():
+        total = None
+        for mix, target in zip(mixes, targets):
+            diff = ad.sub(forward(params, mix), Tensor([target]))
+            term = ad.reduce_sum(ad.mul(diff, diff))
+            total = term if total is None else ad.add(total, term)
+        return total
+
+    batched = _parameter_gradients(params, batch_loss)
+    reference = _parameter_gradients(params, summed_losses)
+    for name, grad in batched.items():
+        assert np.abs(grad - reference[name]).max() <= 1e-12, name

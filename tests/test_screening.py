@@ -1,7 +1,8 @@
 import pytest
 
+from molsets import model as model_mod
 from molsets.data import MixtureRecord
-from molsets.chem import build_graph
+from molsets.chem import SmilesParseError, build_graph
 from molsets.model import (
     GraphStore,
     MixtureInput,
@@ -189,3 +190,32 @@ def test_permutation_effect_by_variant():
         if diff > 1e-6:
             hits += 1
     assert hits >= 18
+
+
+def test_screening_parses_a_bad_smiles_once(monkeypatch):
+    bad = "C1CC(C"
+    with pytest.raises(SmilesParseError) as err:
+        build_graph(bad)
+    calls = []
+
+    def counted_build_graph(smiles, mol_weight_override=None):
+        calls.append(smiles)
+        return build_graph(smiles, mol_weight_override)
+
+    monkeypatch.setattr(model_mod, "build_graph", counted_build_graph)
+    cands = enumerate_binary_candidates(["C1CCOC1", bad, "COCOC"], ["[Li+].[Cl-]", "[Na+].[Cl-]"])
+    results, skipped = run_screening(_micro_params(5), cands)
+    assert sorted(calls) == sorted(["C1CCOC1", bad, "COCOC", "[Li+].[Cl-]", "[Na+].[Cl-]"])
+    assert len(results) == 2
+    assert skipped == [
+        f"skipped {c.solvent_a} | {c.solvent_b} | {c.salt}: {err.value}"
+        for c in cands
+        if bad in (c.solvent_a, c.solvent_b)
+    ]
+
+    store = GraphStore()
+    for _ in range(2):  # a remembered failure raises the same type and message
+        with pytest.raises(SmilesParseError) as again:
+            store.get(bad)
+        assert str(again.value) == str(err.value)
+    assert calls.count(bad) == 2  # once for the screen, once for this store

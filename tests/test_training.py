@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from molsets.model import (
     mixture_from_record,
     named_parameters,
 )
+from molsets.screening import enumerate_binary_candidates, run_screening
 from molsets.training import (
     AdamW,
     MetricError,
@@ -306,3 +309,38 @@ def test_write_history(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr"
     assert lines[1] == "0,0.5,0.6,0.001"
+
+
+def test_telemetry_events_leave_results_unchanged(caplog):
+    examples = _examples(16, seed=29)
+    cands = enumerate_binary_candidates(["C1CCOC1", "COCOC", "CCO", "NotSmiles!"], ["[Li+].[Cl-]"])
+    runs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        caplog.set_level(level, logger="molsets")
+        caplog.clear()
+        params = build_model(ModelConfig.for_conv("graphconv", seed=8, **MICRO))
+        best, history = train(
+            params, examples[:12], examples[12:], TrainConfig(max_epochs=3, batch_size=5, seed=2)
+        )
+        results, skipped = run_screening(best, cands)
+        ranked = [(r.candidate, r.predicted_log10_sigma) for r in results]
+        runs.append((history, ranked, skipped, list(caplog.records)))
+    quiet, (history, ranked, skipped, records) = runs
+    assert (history, ranked, skipped) == quiet[:3]
+    assert not quiet[3]
+
+    epochs = [json.loads(r.getMessage()) for r in records if r.name == "molsets.training"]
+    assert [e["epoch"] for e in epochs] == [h.epoch for h in history]
+    for event, entry in zip(epochs, history):
+        assert (event["train_loss"], event["val_loss"], event["lr"]) == (
+            entry.train_loss, entry.val_loss, entry.lr
+        )
+        assert event["wall_s"] > 0 and event["tape_nodes_per_step"] > 0
+    [screen] = [json.loads(r.getMessage()) for r in records if r.name == "molsets.screening"]
+    assert screen == {
+        "event": "screening",
+        "candidates": 6,
+        "parsed": 3,
+        "skipped": 3,
+        "molecules_embedded": 4,
+    }
