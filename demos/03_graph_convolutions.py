@@ -9,7 +9,7 @@ import numpy as np
 
 from molsets import build_graph
 from molsets.autodiff import Tensor
-from molsets.gnn import GraphTensors, conv_forward, dmpnn_forward, global_mean_pool, init_conv
+from molsets.gnn import GraphTensors, conv_forward, dmpnn_forward, init_conv, mean_pool
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -32,7 +32,16 @@ print("\ndmpnn (3 iterations of directed edge states):")
 print(out.data)
 
 print("\nmean pooling collapses the node axis:")
-print(global_mean_pool(out).data)
+print(mean_pool(out, gt).data)
+
+print("\n=== Two molecules as one disjoint-union graph ===")
+water = build_graph("O")
+union = GraphTensors.union([gt, GraphTensors.from_graph(water)])
+x_union = Tensor(np.concatenate([graph.node_features, water.node_features]))
+pooled = mean_pool(dmpnn_forward(params, x_union, union, iterations=3), union).data
+alone = mean_pool(out, gt).data[0]
+print("one pass, one pooled row per molecule:", pooled.shape)
+print("acetic acid row vs its own pass, max difference:", np.abs(pooled[0] - alone).max())
 
 print("\n=== Permutation equivariance ===")
 perm = [3, 1, 0, 2]

@@ -39,6 +39,7 @@ from .model import (
     ModelParams,
     aggregate_mixture,
     build_model,
+    embed_graphs,
     embed_molecule,
     forward_batch,
     load_checkpoint,

@@ -266,13 +266,15 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
         raise DimensionError(f"rows expects a 2-D tensor, got shape {xv.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(xv[idx])
+    return _record(out, (x,), lambda g: (_scatter_rows(g, idx, xv.shape[0]),))
 
-    def grad(g):
-        gx = np.zeros_like(xv)
-        np.add.at(gx, idx, g)
-        return (gx,)
 
-    return _record(out, (x,), grad)
+def _scatter_rows(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(n, ...) array whose row s adds the rows of x with index s, in order;
+    one flat bincount, the same sums as np.add.at into zeros."""
+    k = x.shape[1] if x.ndim == 2 else 1
+    flat = (index[:, None] * k + np.arange(k)).reshape(-1)
+    return np.bincount(flat, x.reshape(-1), n * k).reshape((n,) + x.shape[1:])
 
 
 def coo_to_dense(values: np.ndarray, rows, cols, shape: tuple[int, int]) -> np.ndarray:
@@ -310,10 +312,7 @@ def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
     xv, seg = x.data, np.asarray(segment, dtype=np.intp)
     if xv.ndim not in (1, 2) or seg.shape != xv.shape[:1]:
         raise DimensionError(f"segment_sum shapes {xv.shape} and {seg.shape} differ")
-    k = xv.shape[1] if xv.ndim == 2 else 1
-    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
-    summed = np.bincount(flat, xv.reshape(-1), n_segments * k)
-    out = Tensor(summed.reshape((n_segments,) + xv.shape[1:]))
+    out = Tensor(_scatter_rows(xv, seg, n_segments))
     return _record(out, (x,), lambda g: (g[seg],))
 
 

@@ -1,11 +1,16 @@
 """Graph convolution operators, directed message passing, pooling, dense layers.
 
 A graph's topology is one directed edge list (GraphTensors): each bond
-i-j appears as i -> j and j -> i with its bond code as weight. Every conv
-reads its operator off that list as a small dense matrix filled from
-(row, col, value) entries, built once per graph; at the sizes of these
-molecules (up to ~60 heavy atoms) one dense matmul costs less than a
-scatter-add over the edges. Conventions for degenerate cases: empty
+i-j appears as i -> j and j -> i with its bond code as weight. Many
+graphs run as one disjoint union (GraphTensors.union): their node rows
+are stacked and their edge lists offset, so a conv layer is one pass
+over all of them and mean pooling is one segment sum. Graphconv,
+sageconv, gcnconv and GAT read their operator off the edge list as a
+dense matrix filled from (row, col, value) entries, built once per
+union; at the union sizes used here (a few hundred atoms at most) one
+dense matmul costs less than a scatter-add over the edges. DMPNN passes
+messages with gathers and segment sums over the edges, so it needs no
+edge-by-edge matrix. Conventions for degenerate cases: empty
 neighborhoods contribute a zero aggregate, the degree-normalized operator
 includes a self term with unit weight, and the attention operator runs
 an edge-wise softmax over each node's neighborhood plus the node itself.
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +54,18 @@ class DenseParams:
 
 
 class GraphTensors:
-    """Directed edge list of one graph and the conv operators built from it.
+    """Directed edge list of one graph, or of a disjoint union of graphs,
+    and the conv operators built from it.
 
     Bond k between i and j becomes edge 2k (i -> j) and edge 2k + 1
-    (j -> i), so the reverse of edge e is e ^ 1. Operators are built on
-    first use and kept with the graph.
+    (j -> i), so the reverse of edge e is e ^ 1. `sizes` holds the node
+    count of each member graph (one entry for a single graph). Operators
+    are built on first use and kept with the object.
     """
 
     def __init__(self, n_nodes: int, edges):
         self.n = n_nodes
+        self.sizes = np.array([n_nodes])
         bonds = np.fromiter(chain.from_iterable(edges), np.float64).reshape(-1, 3)  # (i, j, w)
         ends = bonds[:, :2].astype(np.intp)
         self.src = ends.reshape(-1)
@@ -66,6 +75,28 @@ class GraphTensors:
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "GraphTensors":
         return cls(graph.n_nodes, graph.edges)
+
+    @classmethod
+    def union(cls, parts: Sequence["GraphTensors"]) -> "GraphTensors":
+        """Disjoint union: the nodes of parts[k] follow those of parts[:k].
+        Every part has an even edge count, so e ^ 1 stays the reverse edge."""
+        if len(parts) == 1:
+            return parts[0]
+        offsets = np.repeat(
+            [0, *accumulate(p.n for p in parts[:-1])], [p.src.size for p in parts]
+        )
+        union = cls.__new__(cls)
+        union.sizes = np.concatenate([p.sizes for p in parts])
+        union.n = int(union.sizes.sum())
+        union.src = np.concatenate([p.src for p in parts]) + offsets
+        union.dst = np.concatenate([p.dst for p in parts]) + offsets
+        union.w = np.concatenate([p.w for p in parts])
+        return union
+
+    @cached_property
+    def node_graph(self) -> np.ndarray:
+        """Member graph of each node."""
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
 
     def _matrix(self, rows, cols, values) -> Tensor:
         return Tensor(ad.coo_to_dense(values, rows, cols, (self.n, self.n)))
@@ -91,17 +122,6 @@ class GraphTensors:
             np.concatenate([self.src, loops]),
             np.concatenate([self.w / np.sqrt(deg[self.dst] * deg[self.src]), 1.0 / deg]),
         )
-
-    @cached_property
-    def dmpnn(self) -> tuple[Tensor, Tensor, Tensor]:
-        """Edge features (m, 1); message matrix M[e, f] = 1 where edge f ends
-        at the source of e and is not its reverse; S[i, e] = 1 where e ends at i."""
-        m = self.src.size
-        edge = np.arange(m)
-        msg = (self.src[:, None] == self.dst[None, :]).astype(np.float64)
-        msg[edge, edge ^ 1] = 0.0
-        incoming = ad.coo_to_dense(np.ones(m), self.dst, edge, (self.n, m))
-        return Tensor(self.w[:, None]), Tensor(msg), Tensor(incoming)
 
 
 def _check_input(params: ConvParams, x: Tensor) -> None:
@@ -145,23 +165,33 @@ def _gat_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
 
 
 def dmpnn_forward(params: ConvParams, x: Tensor, gt: GraphTensors, iterations: int) -> Tensor:
-    """Directed message passing on edge states, then a node readout."""
+    """Directed message passing on edge states, then a node readout.
+
+    The message into edge e (u -> v) sums the states of the edges ending
+    at u except e's reverse: all incoming states of u, gathered at e,
+    minus the state of edge e ^ 1 (as in chemprop).
+    """
     if iterations < 1:
         raise ValueError("dmpnn needs at least one iteration")
     _check_input(params, x)
-    edge_feat, msg, incoming = gt.dmpnn
+    edge_feat = Tensor(gt.w[:, None])
+    reverse = np.arange(gt.src.size) ^ 1
     h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, gt.src), edge_feat], axis=1), params.w_in))
     h = h0
     for _ in range(iterations):
-        h = ad.relu(ad.add(h0, ad.matmul(ad.matmul(msg, h), params.w_h)))
-    summed = ad.matmul(incoming, h)  # incoming-edge state sum per node
+        incoming = ad.segment_sum(h, gt.dst, gt.n)
+        msg = ad.sub(ad.rows(incoming, gt.src), ad.rows(h, reverse))
+        h = ad.relu(ad.add(h0, ad.matmul(msg, params.w_h)))
+    summed = ad.segment_sum(h, gt.dst, gt.n)  # incoming-edge state sum per node
     return ad.relu(ad.matmul(ad.concat([x, summed], axis=1), params.w_out))
 
 
-def global_mean_pool(x: Tensor) -> Tensor:
-    if x.data.shape[0] < 1:
-        raise ad.DimensionError("mean pooling needs at least one node")
-    return ad.reduce_mean(x, axis=0)
+def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:
+    """Mean of each member graph's node rows, (graphs, k) in union order."""
+    if gt.sizes.min() < 1:
+        raise ad.DimensionError("mean pooling needs at least one node per graph")
+    inverse = Tensor(1.0 / gt.sizes[:, None])
+    return ad.mul(ad.segment_sum(x, gt.node_graph, gt.sizes.size), inverse)
 
 
 def dense_forward(params: DenseParams, x: Tensor, activation: str = "none") -> Tensor:

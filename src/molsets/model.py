@@ -9,8 +9,12 @@ sum in place of attention (still permutation invariant), and a
 concatenate-and-pad variant that is deliberately order-sensitive.
 
 There is one forward pass, over a batch of mixtures (`forward_batch`).
-Each distinct molecule of the batch is embedded once; the embeddings
-are stacked into one matrix per pathway. The solvent slots of all
+Each distinct molecule of the batch is embedded once, and all of them
+in one GNN pass per pathway: the molecules are packed, in first-seen
+order, into disjoint-union graphs of at most a few hundred atoms, each
+conv layer runs once per union, each molecule's node rows are mean
+pooled by a segment sum, and the readout runs on one row per molecule.
+The result is one embedding matrix per pathway. The solvent slots of all
 mixtures form one list of rows with a mixture id (segment) and a weight
 fraction each, so aggregation and head are a fixed number of array
 operations per batch: gather rows by index, segment softmax, segment
@@ -51,12 +55,17 @@ from .gnn import (
     conv_param_tensors,
     dense_forward,
     dmpnn_forward,
-    global_mean_pool,
     init_conv,
     init_dense,
+    mean_pool,
 )
 
 FEATURE_SCHEMA_VERSION = 1
+
+# Most atoms in one disjoint-union graph. Graphconv, sageconv, gcnconv and
+# GAT build an n x n (GAT: n x 2n) operator per union, so this bounds
+# their memory however many molecules a forward embeds.
+_UNION_ATOMS = 192
 
 VARIANTS = ("molsets", "wsum", "concat")
 
@@ -237,15 +246,23 @@ def _topology(graph: MolecularGraph) -> GraphTensors:
     return gt
 
 
-def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
-    """Molecule representation: conv stack, mean pool, concat log M, dense."""
-    if graph.node_features.shape[1] != NODE_FEATURE_DIM:
-        raise ad.DimensionError(
-            f"graph features have dim {graph.node_features.shape[1]}, "
-            f"expected {NODE_FEATURE_DIM}"
-        )
-    gt = _topology(graph)
-    x = Tensor(graph.node_features)
+def _unions(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
+    """Graphs packed greedily, in order, into runs of at most _UNION_ATOMS
+    atoms; a larger graph forms a union of its own."""
+    unions: list[list[MolecularGraph]] = []
+    atoms = _UNION_ATOMS
+    for graph in graphs:
+        if atoms + graph.n_nodes > _UNION_ATOMS:
+            unions.append([])
+            atoms = 0
+        unions[-1].append(graph)
+        atoms += graph.n_nodes
+    return unions
+
+
+def _embed_union(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
+    gt = GraphTensors.union([_topology(g) for g in graphs])
+    x = Tensor(np.concatenate([g.node_features for g in graphs]))
     convs = phi.convs
     if convs[0].kind == "dmpnn":
         x = dmpnn_forward(convs[0], x, gt, iterations=phi.num_layers)
@@ -254,9 +271,26 @@ def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
             x = conv_forward(conv, x, gt)
             if idx < len(convs) - 1:
                 x = ad.relu(x)
-    pooled = global_mean_pool(x)
-    with_mass = ad.concat([pooled, Tensor([graph.log_mol_weight])])
-    row = dense_forward(phi.readout, ad.reshape(with_mass, (1, with_mass.data.size)))
+    log_mass = Tensor(np.array([[g.log_mol_weight] for g in graphs]))
+    return dense_forward(phi.readout, ad.concat([mean_pool(x, gt), log_mass], axis=1))
+
+
+def embed_graphs(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
+    """Molecule representations, one row per graph, (G, d): conv stack,
+    mean pool, concat log M, dense; one pass per disjoint union."""
+    for graph in graphs:
+        if graph.node_features.shape[1] != NODE_FEATURE_DIM:
+            raise ad.DimensionError(
+                f"graph features have dim {graph.node_features.shape[1]}, "
+                f"expected {NODE_FEATURE_DIM}"
+            )
+    tables = [_embed_union(phi, union) for union in _unions(graphs)]
+    return tables[0] if len(tables) == 1 else ad.concat(tables)
+
+
+def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
+    """Representation of one molecule, (d,): embed_graphs of one graph."""
+    row = embed_graphs(phi, [graph])
     return ad.reshape(row, (row.data.shape[1],))
 
 
@@ -297,17 +331,6 @@ def transform_head(rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, mo
 EmbedCache = dict[tuple[int, MolecularGraph], Tensor]
 
 
-def _embed(params: ModelParams, pathway: int, graph: MolecularGraph, cache: EmbedCache | None) -> Tensor:
-    phi = params.phi_solvent if pathway == 0 else params.phi_salt
-    if cache is None:
-        return embed_molecule(phi, graph)
-    key = (pathway, graph)
-    z = cache.get(key)
-    if z is None:
-        z = cache[key] = embed_molecule(phi, graph)
-    return z
-
-
 def _embedding_table(
     params: ModelParams,
     pathway: int,
@@ -316,14 +339,25 @@ def _embedding_table(
     pad: bool = False,
 ) -> tuple[Tensor, np.ndarray]:
     """Embeddings of the distinct graphs stacked in first-seen order (plus
-    a zero row last when pad is set), and the row of each graph."""
+    a zero row last when pad is set), and the row of each graph.
+
+    The graphs not in cache are embedded together by embed_graphs; with a
+    cache, each new (1, d) row is added to it under (pathway, graph).
+    """
+    phi = params.phi_solvent if pathway == 0 else params.phi_salt
     row_of: dict[MolecularGraph, int] = {}
     index = np.array([row_of.setdefault(g, len(row_of)) for g in graphs], dtype=np.intp)
-    parts = [_embed(params, pathway, g, cache) for g in row_of]
     d = params.config.representation_dim
-    if pad:
-        parts.append(Tensor(np.zeros(d)))
-    return ad.reshape(ad.concat(parts), (len(parts), d)), index
+    zero = [Tensor(np.zeros((1, d)))] if pad else []
+    if cache is None:
+        table = embed_graphs(phi, list(row_of))
+        return (ad.concat([table, *zero]) if pad else table), index
+    new = [g for g in row_of if (pathway, g) not in cache]
+    if new:
+        table = embed_graphs(phi, new)
+        for i, graph in enumerate(new):
+            cache[(pathway, graph)] = ad.rows(table, [i])
+    return ad.concat([cache[(pathway, g)] for g in row_of] + zero), index
 
 
 def _check_mixture(params: ModelParams, mix: MixtureInput) -> None:
@@ -381,7 +415,8 @@ def forward_batch(
     """Predictions of a batch of mixtures as a (B,) tensor (differentiable).
 
     Every distinct molecule of the batch is embedded once, or read from
-    cache when one is given (new embeddings are added to it).
+    cache when one is given (new embeddings are added to it); the
+    molecules to embed run as one GNN pass per pathway (embed_graphs).
     """
     if not mixes:
         raise ValueError("forward_batch needs at least one mixture")

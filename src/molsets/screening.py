@@ -2,9 +2,10 @@
 
 Candidates are equal-weight binary solvent mixtures (unordered distinct
 pairs) combined with each salt at 1 mol/kg. Screening parses every
-distinct SMILES once, predicts all parsed candidates in one batched
-forward pass that embeds every distinct molecule once, then ranks the
-predictions in descending order.
+distinct SMILES once, predicts the parsed candidates in batched forward
+passes over consecutive chunks that share one embedding cache (so every
+distinct molecule is embedded once), then ranks the predictions in
+descending order.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ import numpy as np
 
 from .chem import FeaturizationError, SmilesParseError
 from .data import MixtureRecord
-from .model import GraphStore, MixtureInput, ModelParams, forward_batch
+from .model import EmbedCache, GraphStore, MixtureInput, ModelParams, forward_batch
 
 logger = logging.getLogger(__name__)
+
+# Parsed candidates per forward_batch. A chunk's inputs are dropped before
+# the next chunk is built, so they die young instead of reaching the
+# garbage collector's oldest generation, where every full collection
+# would walk them again.
+_CHUNK = 512
 
 
 class ScreeningError(RuntimeError):
@@ -86,9 +93,10 @@ def run_screening(
     module logger at INFO, one JSON event reports the counts.
     """
     store = GraphStore()
-    parsed: list[CandidateSpec] = []
-    mixtures: list[MixtureInput] = []
+    cache: EmbedCache = {}
+    results: list[ScreeningResult] = []
     skipped: list[str] = []
+    chunk: list[tuple[CandidateSpec, MixtureInput]] = []
     for cand in candidates:
         try:
             mixture = MixtureInput(
@@ -102,25 +110,19 @@ def run_screening(
         except (SmilesParseError, FeaturizationError) as exc:
             skipped.append(f"skipped {cand.solvent_a} | {cand.solvent_b} | {cand.salt}: {exc}")
             continue
-        parsed.append(cand)
-        mixtures.append(mixture)
-
-    cache = {}
-    values = forward_batch(params, mixtures, cache).data.tolist() if mixtures else []
-    results: list[ScreeningResult] = []
-    for cand, value in zip(parsed, values):
-        if not math.isfinite(value):
-            raise ScreeningError(
-                f"non-finite prediction for {cand.solvent_a} | {cand.solvent_b} | {cand.salt}"
-            )
-        results.append(ScreeningResult(cand, value))
+        chunk.append((cand, mixture))
+        if len(chunk) == _CHUNK:
+            results += _predict_chunk(params, chunk, cache)
+            chunk = []
+    if chunk:
+        results += _predict_chunk(params, chunk, cache)
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             json.dumps(
                 {
                     "event": "screening",
                     "candidates": len(candidates),
-                    "parsed": len(parsed),
+                    "parsed": len(results),
                     "skipped": len(skipped),
                     "molecules_embedded": len(cache),
                 }
@@ -129,6 +131,20 @@ def run_screening(
 
     results.sort(key=lambda r: (-r.predicted_log10_sigma, r.candidate.sort_key()))
     return results, skipped
+
+
+def _predict_chunk(
+    params: ModelParams, chunk: list[tuple[CandidateSpec, MixtureInput]], cache: EmbedCache
+) -> list[ScreeningResult]:
+    values = forward_batch(params, [mix for _, mix in chunk], cache).data.tolist()
+    results = []
+    for (cand, _), value in zip(chunk, values):
+        if not math.isfinite(value):
+            raise ScreeningError(
+                f"non-finite prediction for {cand.solvent_a} | {cand.solvent_b} | {cand.salt}"
+            )
+        results.append(ScreeningResult(cand, value))
+    return results
 
 
 SCREENING_COLUMNS = ("solvent_1", "solvent_2", "salt", "molality", "predicted_log10_conductivity")

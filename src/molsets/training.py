@@ -179,9 +179,12 @@ def train(
     """Minibatch training; returns the best-epoch snapshot and the history.
 
     Each minibatch is one forward_batch: every distinct molecule of the
-    batch is embedded once and shared by the mixtures that contain it
-    (gradients accumulate through the shared subgraph). With the module
-    logger at DEBUG, each epoch logs one JSON event.
+    batch is embedded once, in one disjoint-union GNN pass per pathway,
+    and shared by the mixtures that contain it (gradients accumulate
+    through the shared subgraph). With the module logger at DEBUG, each
+    epoch logs one JSON event: losses, lr, wall seconds, and per-step
+    means of tape nodes, the global L2 norm of the parameter gradients
+    and the number of distinct molecules embedded.
     """
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
@@ -205,7 +208,7 @@ def train(
     for epoch in range(config.max_epochs):
         if debug:
             epoch_start = time.perf_counter()
-            tape_nodes = []
+            tape_nodes, grad_norms, embedded = [], [], []
         lr_used = optimizer.lr
         order = rng.permutation(len(train_data))
         epoch_squares = 0.0
@@ -227,6 +230,12 @@ def train(
             epoch_squares += loss_value * len(batch)
             if debug:
                 tape_nodes.append(len(tape))
+                squares = sum(float(np.vdot(grads[t], grads[t])) for t in tensors)
+                grad_norms.append(math.sqrt(squares))
+                embedded.append(
+                    len({g for mix, _ in batch for g, _ in mix.solvents})
+                    + len({mix.salt for mix, _ in batch})
+                )
 
         train_loss = epoch_squares / len(train_data)
         val_loss = _validation_loss(params, val_data)
@@ -243,6 +252,8 @@ def train(
                         "lr": lr_used,
                         "wall_s": time.perf_counter() - epoch_start,
                         "tape_nodes_per_step": float(np.mean(tape_nodes)),
+                        "grad_norm": float(np.mean(grad_norms)),
+                        "molecules_embedded_per_step": float(np.mean(embedded)),
                     }
                 )
             )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molsets import autodiff as ad
 from molsets.autodiff import DimensionError, Tape, TapeError, Tensor
@@ -81,6 +83,33 @@ def test_segment_sum_examples():
         ad.segment_sum(x, [0, 1, 0], 2)
     with pytest.raises(DimensionError):
         ad.segment_sum(Tensor(np.zeros((2, 2, 2))), [0, 1], 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_row_scatter_matches_add_at(n, k, data):
+    """The rows gradient and segment_sum add rows in index order, bit for
+    bit as np.add.at into zeros, for repeated and empty index lists."""
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.intp)
+    values = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    flat = data.draw(st.lists(values, min_size=idx.size * k, max_size=idx.size * k))
+    g = np.array(flat, dtype=np.float64).reshape(idx.size, k)
+    expected = np.zeros((n, k))
+    np.add.at(expected, idx, g)
+
+    x = Tensor(np.zeros((n, k)))
+    with Tape() as tape:
+        tape.watch(x)
+        loss = ad.reduce_sum(ad.mul(ad.rows(x, idx), Tensor(g)))
+    assert np.array_equal(ad.backward(tape, loss)[x], expected)
+    assert np.array_equal(ad.segment_sum(Tensor(g), idx, n).data, expected)
+    column = np.zeros(n)
+    np.add.at(column, idx, g[:, 0])
+    assert np.array_equal(ad.segment_sum(Tensor(g[:, 0]), idx, n).data, column)
 
 
 def test_softmax_examples():

@@ -1,7 +1,11 @@
 import logging
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molsets.data import (
     ConductivityPoint,
@@ -185,6 +189,53 @@ def test_write_then_load_is_idempotent(tmp_path):
     write_dataset(loaded_once, str(second))
     assert load_dataset(str(second)) == loaded_once
     assert first.read_bytes() == second.read_bytes()
+
+
+SMILES_POOL = ["C1CCOC1", "COCOC", "CC#N", "[Li+].[Cl-]", "F[P-](F)(F)(F)(F)F.[Li+]", "O=C(OC)OC"]
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _csv_records(draw):
+    """Records in the domain the CSV holds: distinct ids, 1-4 solvents,
+    at least one temperature point, overrides absent or with at least one
+    value (an all-blank override row loads as None), no target."""
+    ids = st.from_regex(r"[A-Za-z0-9_\-]{1,8}", fullmatch=True)
+    records = []
+    for mixture_id in draw(st.lists(ids, unique=True, max_size=5)):
+        n = draw(st.integers(1, 4))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        weights = [w / sum(raw) for w in raw]
+        overrides = None
+        if draw(st.booleans()):
+            overrides = draw(st.lists(st.none() | _positive, min_size=n, max_size=n))
+            if all(o is None for o in overrides):
+                overrides[0] = draw(_positive)
+        points = draw(
+            st.lists(st.builds(ConductivityPoint, _positive, _finite), min_size=1, max_size=3)
+        )
+        records.append(
+            MixtureRecord(
+                mixture_id=mixture_id,
+                solvent_smiles=draw(st.lists(st.sampled_from(SMILES_POOL), min_size=n, max_size=n)),
+                weight_fractions=weights,
+                salt_smiles=draw(st.sampled_from(SMILES_POOL)),
+                molality=draw(st.floats(0.0, 10.0)),
+                mol_weight_overrides=overrides,
+                points=points,
+            )
+        )
+    return records
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(records=_csv_records())
+def test_write_then_load_returns_equal_records(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        write_dataset(records, path)
+        assert load_dataset(path) == records
 
 
 def test_prepared_records_single_point_at_298(tmp_path):

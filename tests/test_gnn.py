@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molsets import autodiff as ad
+from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
+from molsets.chem import NODE_FEATURE_DIM, Bond, MolecularGraph
 from molsets.gnn import (
     CONV_KINDS,
     GAT_LEAKY_SLOPE,
@@ -15,10 +17,11 @@ from molsets.gnn import (
     conv_param_tensors,
     dense_forward,
     dmpnn_forward,
-    global_mean_pool,
     init_conv,
+    mean_pool,
     uniform_init,
 )
+from molsets.model import ModelConfig, build_model, embed_graphs
 
 
 def _scalar_conv(kind):
@@ -108,17 +111,55 @@ def test_dmpnn_isolated_node_readout():
 
 
 def test_global_mean_pool():
-    assert np.array_equal(global_mean_pool(Tensor([[1.0, 2.0], [3.0, 4.0]])).data, [2.0, 3.0])
-    assert np.array_equal(global_mean_pool(Tensor([[7.0, 8.0]])).data, [7.0, 8.0])
+    pair = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(mean_pool(pair, GraphTensors(2, [])).data, [[2.0, 3.0]])
+    assert np.array_equal(mean_pool(Tensor([[7.0, 8.0]]), GraphTensors(1, [])).data, [[7.0, 8.0]])
+    # a union pools each member graph on its own, in union order
+    union = GraphTensors.union([GraphTensors(1, []), GraphTensors(2, [(0, 1, 1.0)])])
+    x = Tensor([[7.0, 8.0], [1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(mean_pool(x, union).data, [[7.0, 8.0], [2.0, 3.0]])
+    with pytest.raises(ad.DimensionError):
+        mean_pool(Tensor(np.zeros((0, 2))), GraphTensors(0, []))
 
 
 def test_global_mean_pool_permutation_invariant():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, (6, 4))
     perm = rng.permutation(6)
-    assert np.allclose(
-        global_mean_pool(Tensor(x)).data, global_mean_pool(Tensor(x[perm])).data
-    )
+    gt = GraphTensors(6, [])
+    assert np.allclose(mean_pool(Tensor(x), gt).data, mean_pool(Tensor(x[perm]), gt).data)
+
+
+def test_union_offsets_edges_and_keeps_reverse_pairs():
+    a = GraphTensors(2, [(0, 1, 2.0)])
+    b = GraphTensors(1, [])
+    c = GraphTensors(3, [(0, 2, 1.5), (1, 2, 1.0)])
+    union = GraphTensors.union([a, b, c])
+    assert union.n == 6 and union.sizes.tolist() == [2, 1, 3]
+    assert union.node_graph.tolist() == [0, 0, 1, 2, 2, 2]
+    assert union.src.tolist() == [0, 1, 3, 5, 4, 5]
+    assert union.dst.tolist() == [1, 0, 5, 3, 5, 4]
+    assert union.w.tolist() == [2.0, 2.0, 1.5, 1.5, 1.0, 1.0]
+    e = np.arange(union.src.size)
+    assert np.array_equal(union.src[e ^ 1], union.dst)
+    assert GraphTensors.union([a]) is a
+    # the dense operators are block diagonal
+    blocks = np.zeros((6, 6))
+    blocks[:2, :2] = a.gcn.data
+    blocks[2:3, 2:3] = b.gcn.data
+    blocks[3:, 3:] = c.gcn.data
+    assert np.array_equal(union.gcn.data, blocks)
+
+
+def test_dmpnn_builds_no_edge_by_edge_matrix():
+    rng = np.random.default_rng(8)
+    gt = GraphTensors.union([GraphTensors(5, _random_graph(rng, 5)) for _ in range(3)])
+    m = gt.src.size
+    params = init_conv("dmpnn", 4, 3, rng)
+    dmpnn_forward(params, Tensor(rng.uniform(-1, 1, (gt.n, 4))), gt, 3)
+    for name, value in vars(gt).items():
+        shape = np.shape(value.data if isinstance(value, Tensor) else value)
+        assert len(shape) < 2 or m not in shape, name
 
 
 def test_dense_forward_examples():
@@ -362,3 +403,87 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
     assert np.abs(out - ref_out).max() <= 1e-12
     for t in tensors:
         assert np.abs(grads[t] - ref_grads[t]).max() <= 1e-12
+
+
+# Disjoint-union embedding against the per-molecule path it replaced: each
+# graph on its own through the loop-built operators above, mean pooled
+# with reduce_mean, log M appended, then the readout on one row.
+
+
+def _reference_embedding(phi, graph):
+    n, edges = graph.n_nodes, [tuple(bond) for bond in graph.edges]
+    x = Tensor(graph.node_features)
+    convs = phi.convs
+    if convs[0].kind == "dmpnn":
+        x = _reference_dmpnn(convs[0], x, n, edges, iterations=phi.num_layers)
+    else:
+        for idx, conv in enumerate(convs):
+            x = _reference_forward(conv, x, n, edges)
+            if idx < len(convs) - 1:
+                x = ad.relu(x)
+    with_mass = ad.concat([ad.reduce_mean(x, axis=0), Tensor([graph.log_mol_weight])])
+    return dense_forward(phi.readout, ad.reshape(with_mass, (1, with_mass.data.size)))
+
+
+def _random_molecule(n, seed):
+    """n atoms; each atom after the first bonds to an earlier one with
+    probability 0.8 (so isolated atoms and several components occur),
+    plus a few ring closures."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n) if rng.random() < 0.8}
+    for _ in range(n // 6):
+        i, j = sorted(int(v) for v in rng.integers(0, n, 2))
+        if i != j:
+            pairs.add((i, j))
+    bonds = tuple(
+        Bond(i, j, float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for i, j in sorted(pairs)
+    )
+    features = rng.uniform(-1, 1, (n, NODE_FEATURE_DIM))
+    return MolecularGraph(features, bonds, float(rng.uniform(1, 3)), f"random-{n}-{seed}")
+
+
+_molecule_sizes = st.one_of(st.integers(1, 8), st.integers(60, 140))
+LIMIT = model_mod._UNION_ATOMS
+UNION_MICRO = dict(num_layers=2, hidden_dim=3, representation_dim=4, attention_dim=2)
+
+
+@pytest.mark.parametrize("kind", CONV_KINDS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(_molecule_sizes, min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[1, 140, 3, 130, 120, 1], seed=1)  # at least two unions for every conv
+def test_union_embedding_matches_per_graph_reference(kind, sizes, seed):
+    graphs = [_random_molecule(n, seed + k) for k, n in enumerate(sizes)]
+    phi = build_model(ModelConfig.for_conv(kind, seed=seed % 1000, **UNION_MICRO)).phi_solvent
+    tensors = [t for conv in phi.convs for _, t in conv_param_tensors(conv)]
+    tensors += [phi.readout.w, phi.readout.b]
+    proj = Tensor(np.random.default_rng(seed).uniform(-1, 1, (len(graphs), 4)))
+    if sum(sizes) > LIMIT:
+        assert len(model_mod._unions(graphs)) >= 2
+
+    def run(forward):
+        with Tape() as tape:
+            tape.watch(*tensors)
+            out = forward()
+            loss = ad.reduce_sum(ad.mul(out, proj))
+        return out.data, ad.backward(tape, loss)
+
+    out, grads = run(lambda: embed_graphs(phi, graphs))
+    ref_out, ref_grads = run(lambda: ad.concat([_reference_embedding(phi, g) for g in graphs]))
+    assert out.shape == (len(graphs), 4)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    for t in tensors:
+        assert np.abs(grads[t] - ref_grads[t]).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, LIMIT + 40), max_size=30))
+@example(sizes=[LIMIT - 1, 1, LIMIT, 1])  # a union may hold exactly LIMIT atoms
+def test_unions_respect_the_atom_limit(sizes):
+    graphs = [_random_molecule(n, 0) for n in sizes]
+    unions = model_mod._unions(graphs)
+    assert [g for union in unions for g in union] == graphs  # first-seen order kept
+    for k, union in enumerate(unions):
+        atoms = sum(g.n_nodes for g in union)
+        assert atoms <= LIMIT or len(union) == 1  # only a lone oversized graph exceeds it
+        if k + 1 < len(unions):  # greedy: the next graph did not fit
+            assert atoms + unions[k + 1][0].n_nodes > LIMIT

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from molsets.model import (
     GraphStore,
     aggregate_mixture,
     build_model,
+    embed_graphs,
     embed_molecule,
     forward,
     forward_batch,
@@ -183,9 +186,14 @@ def test_predict_split_solvent_order_independent():
 
 def test_wsum_singleton_and_zero_weight():
     params = micro_model("wsum", seed=9)
-    single = predict(params, MixtureInput([(THF, 1.0)], SALT, 1.0))
-    padded = predict(params, MixtureInput([(THF, 1.0), (GLYME, 0.0)], SALT, 1.0))
-    assert single == padded
+    single_mix = MixtureInput([(THF, 1.0)], SALT, 1.0)
+    padded_mix = MixtureInput([(THF, 1.0), (GLYME, 0.0)], SALT, 1.0)
+    # With THF's embedding shared through a cache the zero-weight solvent
+    # adds exactly nothing. Uncached, THF is embedded alone in one and in
+    # a union with GLYME in the other, which may round differently.
+    cache = {}
+    assert forward(params, single_mix, cache).data[0] == forward(params, padded_mix, cache).data[0]
+    assert abs(predict(params, single_mix) - predict(params, padded_mix)) <= 1e-12
 
 
 def test_wsum_permutation_invariance():
@@ -285,8 +293,9 @@ def test_concat_representation_layout():
     rep = mixture_representation(params, [mix]).data[0]
     d = params.config.representation_dim
     assert rep.shape == (params.config.max_solvents * (d + 1),)
-    assert np.array_equal(rep[:d], embed_molecule(params.phi_solvent, GLYME).data)
-    assert np.array_equal(rep[d : 2 * d], embed_molecule(params.phi_solvent, THF).data)
+    glyme, thf = embed_graphs(params.phi_solvent, [GLYME, THF]).data  # the same union
+    assert np.array_equal(rep[:d], glyme)
+    assert np.array_equal(rep[d : 2 * d], thf)
     assert not rep[2 * d : 4 * d].any()
     assert np.array_equal(rep[4 * d :], [0.4, 0.6, 0.0, 0.0])
 
@@ -350,6 +359,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"config", "feature_schema_version", "params"}
     assert doc["feature_schema_version"] == model_mod.FEATURE_SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 1e3))
+def test_checkpoint_roundtrip_property(variant, conv, seed, scale):
+    params = micro_model(variant, conv, seed=seed)
+    for _, tensor in named_parameters(params):
+        tensor.data = tensor.data * scale  # values off the initializer's grid
+    mixes = [MixtureInput(solvents, SALT, 1.3) for solvents in EQUIVALENCE_MIXTURES]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+    assert loaded.config == params.config
+    for (name_a, ta), (name_b, tb) in zip(named_parameters(params), named_parameters(loaded)):
+        assert name_a == name_b
+        assert ta.data.tobytes() == tb.data.tobytes(), name_a
+    before, after = forward_batch(params, mixes).data, forward_batch(loaded, mixes).data
+    assert after.tobytes() == before.tobytes()
 
 
 def _saved_checkpoint_doc(tmp_path):

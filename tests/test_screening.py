@@ -1,6 +1,13 @@
+import json
+import logging
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from molsets import model as model_mod
+from molsets import screening as screening_mod
+from molsets.autodiff import Tensor
 from molsets.data import MixtureRecord
 from molsets.chem import SmilesParseError, build_graph
 from molsets.model import (
@@ -13,6 +20,7 @@ from molsets.model import (
 )
 from molsets.screening import (
     CandidateSpec,
+    ScreeningError,
     enumerate_binary_candidates,
     permute_mixture,
     run_screening,
@@ -219,3 +227,76 @@ def test_screening_parses_a_bad_smiles_once(monkeypatch):
             store.get(bad)
         assert str(again.value) == str(err.value)
     assert calls.count(bad) == 2  # once for the screen, once for this store
+
+
+CHUNK_SOLVENTS = [
+    "C1CCOC1", "COCOC", "CCO", "CCCO", "CCOC(=O)OCC", "COC(=O)OC", "C1COC(=O)O1", "CC#N",
+    "CCSC", "OCCO", "CCOCCOCC", "O=C1OCCC1", "CC(C)=O", "CCCC#N", "COCCOC",
+]
+CHUNK_SALTS = [
+    "[Li+].[Cl-]", "[Na+].[Cl-]", "[K+].[Cl-]", "[Li+].[Br-]", "[Na+].[Br-]", "[K+].[Br-]",
+    "[Li+].[I-]", "[Na+].[I-]", "[K+].[I-]", "F[B-](F)(F)F.[Li+]", "F[P-](F)(F)(F)(F)F.[Li+]",
+]
+
+
+def test_screening_in_chunks_matches_uncached_forward(caplog):
+    bad = "CC(C"  # sorts among the valid solvents, so its candidates sit mid-list
+    cands = enumerate_binary_candidates(CHUNK_SOLVENTS + [bad], CHUNK_SALTS)
+    with pytest.raises(SmilesParseError) as err:
+        build_graph(bad)
+    bad_at = [i for i, c in enumerate(cands) if bad in (c.solvent_a, c.solvent_b)]
+    assert 0 < bad_at[0] and bad_at[-1] < len(cands) - 1
+    expected_skips = [
+        f"skipped {cands[i].solvent_a} | {cands[i].solvent_b} | {cands[i].salt}: {err.value}"
+        for i in bad_at
+    ]
+    parsed = [c for c in cands if bad not in (c.solvent_a, c.solvent_b)]
+    assert len(parsed) > 2 * screening_mod._CHUNK  # at least three chunks
+
+    params = _micro_params(6)
+    caplog.set_level(logging.INFO, logger="molsets.screening")
+    results, skipped = run_screening(params, cands)
+    assert skipped == expected_skips
+    [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == screening_mod.logger.name]
+    assert event == {
+        "event": "screening",
+        "candidates": len(cands),
+        "parsed": len(parsed),
+        "skipped": len(expected_skips),
+        "molecules_embedded": len(CHUNK_SOLVENTS) + len(CHUNK_SALTS),
+    }
+    store = GraphStore()
+    uncached = {
+        c: float(
+            forward(
+                params,
+                MixtureInput(
+                    [(store.get(c.solvent_a), c.weights[0]), (store.get(c.solvent_b), c.weights[1])],
+                    store.get(c.salt),
+                    c.molality,
+                ),
+            ).data[0]
+        )
+        for c in parsed
+    }
+    assert sorted(r.candidate.sort_key() for r in results) == [c.sort_key() for c in parsed]
+    assert max(abs(r.predicted_log10_sigma - uncached[r.candidate]) for r in results) <= 1e-12
+
+
+def test_screening_error_names_first_non_finite_candidate(monkeypatch):
+    cands = enumerate_binary_candidates(CHUNK_SOLVENTS, CHUNK_SALTS)
+    poisoned = [700, 1100, 40 + 2 * screening_mod._CHUNK]  # chunks 2 and 3, not in order
+    for i in poisoned:
+        cands[i] = replace(cands[i], molality=2.5)
+    real_forward_batch = screening_mod.forward_batch
+
+    def poisoning_forward_batch(params, mixes, cache=None):
+        values = real_forward_batch(params, mixes, cache).data.copy()
+        values[[mix.molality == 2.5 for mix in mixes]] = np.nan
+        return Tensor(values)
+
+    monkeypatch.setattr(screening_mod, "forward_batch", poisoning_forward_batch)
+    first = cands[min(poisoned)]
+    with pytest.raises(ScreeningError, match="non-finite") as err:
+        run_screening(_micro_params(7), cands)
+    assert str(err.value).endswith(f"{first.solvent_a} | {first.solvent_b} | {first.salt}")

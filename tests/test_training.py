@@ -13,6 +13,7 @@ from molsets.model import (
     ModelConfig,
     build_model,
     forward,
+    forward_batch,
     mixture_from_record,
     named_parameters,
 )
@@ -336,6 +337,33 @@ def test_telemetry_events_leave_results_unchanged(caplog):
             entry.train_loss, entry.val_loss, entry.lr
         )
         assert event["wall_s"] > 0 and event["tape_nodes_per_step"] > 0
+        assert math.isfinite(event["grad_norm"]) and event["grad_norm"] > 0
+    # Replay the epoch shuffles (seed 2, batches of 5) and count the distinct
+    # solvent and salt graphs of each minibatch.
+    rng = np.random.default_rng(2)
+    for event in epochs:
+        order = rng.permutation(12)
+        counts = []
+        for start in range(0, 12, 5):
+            mixes = [examples[i][0] for i in order[start : start + 5]]
+            solvents = {g for mix in mixes for g, _ in mix.solvents}
+            counts.append(len(solvents) + len({mix.salt for mix in mixes}))
+        assert event["molecules_embedded_per_step"] == np.mean(counts)
+
+    # One full-batch step: grad_norm is the L2 norm of the initial gradient.
+    train_part = examples[:12]
+    params = build_model(ModelConfig.for_conv("graphconv", seed=8, **MICRO))
+    tensors = [t for _, t in named_parameters(params)]
+    with Tape() as tape:
+        tape.watch(*tensors)
+        preds = forward_batch(params, [mix for mix, _ in train_part])
+        loss = mse_loss(preds, Tensor([target for _, target in train_part]))
+    grads = ad.backward(tape, loss)
+    expected = math.sqrt(sum(float((grads[t] ** 2).sum()) for t in tensors))
+    caplog.clear()
+    train(params, train_part, examples[12:], TrainConfig(max_epochs=1, batch_size=12, seed=2))
+    [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == "molsets.training"]
+    assert abs(event["grad_norm"] - expected) <= 1e-9 * expected
     [screen] = [json.loads(r.getMessage()) for r in records if r.name == "molsets.screening"]
     assert screen == {
         "event": "screening",
