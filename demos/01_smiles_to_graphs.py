@@ -8,7 +8,6 @@ with placeholder connection sites.
 import numpy as np
 
 from molsets import build_graph, parse_smiles
-from molsets.chem import assign_implicit_hydrogens
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -45,6 +44,7 @@ print(f"reported molecular weight overrides the computed one: log10 M = {monomer
 
 print()
 print("=== Implicit hydrogens follow the standard valence model ===")
-atoms, bonds = parse_smiles("CC(=O)C")[0]
-for atom in assign_implicit_hydrogens(atoms, bonds):
-    print(f"  {atom.element}: {atom.implicit_h} implicit H")
+atoms, _ = parse_smiles("CC(=O)C")[0]
+acetone = build_graph("CC(=O)C")
+for atom, hydrogens in zip(atoms, acetone.node_features[:, 12]):
+    print(f"  {atom.element}: {hydrogens:.0f} implicit H")

@@ -181,18 +181,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _record(out, (a,), lambda g: (g * np.where(av > 0.0, 1.0, slope),))
 
 
-def exp(a: Tensor) -> Tensor:
-    ev = np.exp(a.data)
-    out = Tensor(ev)
-    return _record(out, (a,), lambda g: (g * ev,))
-
-
-def log(a: Tensor) -> Tensor:
-    av = a.data
-    out = Tensor(np.log(av))
-    return _record(out, (a,), lambda g: (g / av,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.data, b.data
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:

@@ -9,11 +9,17 @@ atoms are rejected with a diagnostic. ``Cu`` and ``Au`` placeholder atoms
 (marking monomer connection sites in polymer inputs) are replaced by
 carbon at parse time.
 
-Graphs carry a 13-dimensional node feature vector per heavy atom: a
-one-hot block over (B, C, N, O, F, S, Cl) followed by atomic number,
-atomic mass, formal charge, Pauling electronegativity, van der Waals
-radius, and attached-hydrogen count. Each bond carries a single scalar
-feature: 1, 2, 3 for single/double/triple, 1.5 for aromatic.
+``build_graph`` merges the components into one graph and featurizes it
+in a single pass. Graphs carry a 13-dimensional node feature vector per
+heavy atom: a one-hot block over (B, C, N, O, F, S, Cl) followed by
+atomic number, atomic mass, formal charge, Pauling electronegativity,
+van der Waals radius, and attached-hydrogen count. The element columns
+are one row of a per-element table. Bracket atoms take their explicit H
+count; every other atom gets its default valence plus formal charge
+minus the rounded-up sum of its bond orders, clamped at zero with a
+warning. The molecular weight counts each hydrogen at 1.008 Da. Each
+bond carries a single scalar feature: 1, 2, 3 for single/double/triple,
+1.5 for aromatic.
 """
 
 from __future__ import annotations
@@ -21,18 +27,12 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .elements import (
-    ELEMENTS,
-    HYDROGEN_MASS,
-    ONE_HOT_ORDER,
-    SUPPORTED_ELEMENTS,
-    element_data,
-)
+from .elements import ELEMENTS, HYDROGEN_MASS, ONE_HOT_ORDER, SUPPORTED_ELEMENTS
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +41,18 @@ NODE_FEATURE_DIM = 13
 AROMATIC_SYMBOLS = frozenset("bcnos")
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "F", "S", "P", "I")
 PLACEHOLDER_ELEMENTS = frozenset({"Cu", "Au"})
+
+# One node-feature row per supported element; build_graph fills the
+# charge (9) and hydrogen-count (12) columns per atom.
+_ELEMENT_ROW = {symbol: k for k, symbol in enumerate(ELEMENTS)}
+_FEATURE_ROWS = np.array(
+    [
+        [float(symbol == one_hot) for one_hot in ONE_HOT_ORDER]
+        + [e.atomic_number, e.atomic_mass, 0.0, e.electronegativity, e.vdw_radius, 0.0]
+        for symbol, e in ELEMENTS.items()
+    ]
+)
+_VALENCES = np.array([e.default_valence for e in ELEMENTS.values()])
 
 _BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5}
 
@@ -70,7 +82,6 @@ class Atom:
     formal_charge: int = 0
     aromatic: bool = False
     explicit_h: int | None = None  # from bracket notation, None otherwise
-    implicit_h: int = 0  # filled by assign_implicit_hydrogens
 
 
 class Bond(NamedTuple):
@@ -261,63 +272,6 @@ def parse_smiles(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
     return components
 
 
-def assign_implicit_hydrogens(atoms: list[Atom], bonds: list[Bond]) -> list[Atom]:
-    """Fill implicit hydrogen counts from the standard valence model.
-
-    Bracket atoms take their explicit H count verbatim (0 if absent).
-    Other atoms get default_valence (sign-adjusted by formal charge) minus
-    the rounded-up sum of incident bond orders, clamped at zero.
-    """
-    order_sums = [0.0] * len(atoms)
-    for bond in bonds:
-        order_sums[bond.i] += bond.order_code
-        order_sums[bond.j] += bond.order_code
-
-    assigned = []
-    for atom, total in zip(atoms, order_sums):
-        if atom.explicit_h is not None:
-            h = atom.explicit_h
-        else:
-            valence = ELEMENTS[atom.element].default_valence + atom.formal_charge
-            h = valence - math.ceil(total)
-            if h < 0:
-                logger.warning(
-                    "%s exceeds its default valence (%d bonds vs %d); clamping H count to 0",
-                    atom.element,
-                    math.ceil(total),
-                    valence,
-                )
-                h = 0
-        assigned.append(replace(atom, implicit_h=h))
-    return assigned
-
-
-def atom_features(atom: Atom) -> np.ndarray:
-    """13-dim feature vector: 7-way one-hot then numeric atomic descriptors."""
-    try:
-        data = element_data(atom.element)
-    except KeyError as exc:
-        raise FeaturizationError(str(exc)) from exc
-
-    vec = np.zeros(NODE_FEATURE_DIM)
-    if atom.element in ONE_HOT_ORDER:
-        vec[ONE_HOT_ORDER.index(atom.element)] = 1.0
-    vec[7] = data.atomic_number
-    vec[8] = data.atomic_mass
-    vec[9] = atom.formal_charge
-    vec[10] = data.electronegativity
-    vec[11] = data.vdw_radius
-    vec[12] = atom.implicit_h
-    return vec
-
-
-def molecular_weight(atoms: list[Atom]) -> float:
-    """Total mass in Dalton, counting implicit hydrogens at 1.008 Da each."""
-    return sum(
-        ELEMENTS[a.element].atomic_mass + a.implicit_h * HYDROGEN_MASS for a in atoms
-    )
-
-
 def build_graph(smiles: str, mol_weight_override: float | None = None) -> MolecularGraph:
     """Parse and featurize a molecule (all components merged into one graph).
 
@@ -325,23 +279,47 @@ def build_graph(smiles: str, mol_weight_override: float | None = None) -> Molecu
     for polymers, where the graph covers only the capped monomer); when
     absent, the weight is computed from the parsed atoms.
     """
-    components = parse_smiles(smiles)
-
-    all_atoms: list[Atom] = []
+    atoms: list[Atom] = []
+    ends: list[int] = []  # both ends of every bond, duplicates included
+    orders: list[float] = []
     edges: list[Bond] = []
     seen: set[tuple[int, int]] = set()
-    for atoms, bonds in components:
-        offset = len(all_atoms)
-        all_atoms.extend(assign_implicit_hydrogens(atoms, bonds))
+    for component_atoms, bonds in parse_smiles(smiles):
+        offset = len(atoms)
+        atoms.extend(component_atoms)
         for bond in bonds:
             i, j = sorted((bond.i + offset, bond.j + offset))
+            ends += (i, j)
+            orders += (bond.order_code, bond.order_code)
             if (i, j) in seen:
                 continue
             seen.add((i, j))
             edges.append(Bond(i, j, bond.order_code))
 
-    features = np.stack([atom_features(a) for a in all_atoms])
-    weight = mol_weight_override if mol_weight_override is not None else molecular_weight(all_atoms)
+    element = np.array([_ELEMENT_ROW[a.element] for a in atoms])
+    charge = np.array([a.formal_charge for a in atoms])
+    # -1 marks an atom written without brackets, whose H count is implicit.
+    explicit_h = np.array([-1 if a.explicit_h is None else a.explicit_h for a in atoms])
+    bonded = np.ceil(np.bincount(np.array(ends, dtype=np.intp), orders, minlength=len(atoms)))
+    valence = _VALENCES[element] + charge
+    spare_valence = valence - bonded
+    for k in np.flatnonzero((explicit_h < 0) & (spare_valence < 0)).tolist():
+        logger.warning(
+            "%s exceeds its default valence (%d bonds vs %d); clamping H count to 0",
+            atoms[k].element,
+            bonded[k],
+            valence[k],
+        )
+    hydrogens = np.where(explicit_h < 0, np.maximum(spare_valence, 0.0), explicit_h)
+
+    features = _FEATURE_ROWS[element]
+    features[:, 9] = charge
+    features[:, 12] = hydrogens
+    if mol_weight_override is not None:
+        weight = mol_weight_override
+    else:
+        # Python's left-to-right sum; numpy's pairwise sum rounds differently.
+        weight = sum((features[:, 8] + features[:, 12] * HYDROGEN_MASS).tolist())
     if not (math.isfinite(weight) and weight > 0):
         raise FeaturizationError(f"molecular weight must be finite and positive, got {weight!r}")
 

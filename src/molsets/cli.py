@@ -22,7 +22,9 @@ from . import data as data_mod
 from .autodiff import DimensionError, TapeError
 from .chem import FeaturizationError, SmilesParseError, build_graph
 from .data import DataError
+from .gnn import CONV_KINDS
 from .model import (
+    VARIANTS,
     GraphStore,
     ModelConfig,
     build_model,
@@ -86,12 +88,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model variant")
     p.add_argument("--config", help="JSON with optional 'train' and 'model' sections")
-    p.add_argument("--variant", choices=["molsets", "wsum", "concat"], default="molsets")
-    p.add_argument(
-        "--conv",
-        choices=["graphconv", "sageconv", "gcnconv", "gatconv", "dmpnn"],
-        default="graphconv",
-    )
+    p.add_argument("--variant", choices=VARIANTS, default="molsets")
+    p.add_argument("--conv", choices=CONV_KINDS, default="graphconv")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--val", required=True, help="validation CSV")
     p.add_argument("--out", required=True, help="checkpoint JSON path")
@@ -184,11 +182,8 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             sections = json.load(fh)
-    model_overrides = dict(sections.get("model", {}))
-    if "rho_hidden_dims" in model_overrides:
-        model_overrides["rho_hidden_dims"] = tuple(model_overrides["rho_hidden_dims"])
     try:
-        config = ModelConfig.for_conv(args.conv, variant=args.variant, **model_overrides)
+        config = ModelConfig.for_conv(args.conv, variant=args.variant, **sections.get("model", {}))
         train_config = TrainConfig(**sections.get("train", {}))
     except TypeError as exc:
         raise UsageError(f"bad config file {args.config}: {exc}") from exc

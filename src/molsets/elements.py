@@ -49,10 +49,3 @@ SUPPORTED_ELEMENTS = frozenset(ELEMENTS)
 # First 7 node-feature dimensions are a one-hot over these elements, in
 # this order; all other supported elements get an all-zero one-hot block.
 ONE_HOT_ORDER = ("B", "C", "N", "O", "F", "S", "Cl")
-
-
-def element_data(symbol: str) -> ElementData:
-    try:
-        return ELEMENTS[symbol]
-    except KeyError:
-        raise KeyError(f"no reference data for element {symbol!r}") from None

@@ -33,7 +33,7 @@ import json
 import math
 import os
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .gnn import (
 )
 
 FEATURE_SCHEMA_VERSION = 1
+_CHECKPOINT_KEYS = frozenset({"config", "feature_schema_version", "params"})
 
 # Most atoms in one disjoint-union graph. Graphconv, sageconv, gcnconv and
 # GAT build an n x n (GAT: n x 2n) operator per union, so this bounds
@@ -77,6 +78,9 @@ DEFAULT_HPARAMS = {
     "gatconv": (2, 16, 32, 8),
     "dmpnn": (3, 32, 16, 16),
 }
+
+
+_SIZE_FIELDS = ("num_layers", "hidden_dim", "representation_dim", "attention_dim", "max_solvents")
 
 
 @dataclass
@@ -96,7 +100,13 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.conv not in CONV_KINDS:
             raise ValueError(f"unknown convolution kind {self.conv!r}")
-        self.rho_hidden_dims = tuple(int(d) for d in self.rho_hidden_dims)
+        if not isinstance(self.rho_hidden_dims, (list, tuple)):
+            raise ValueError(f"rho_hidden_dims must be a list, got {self.rho_hidden_dims!r}")
+        self.rho_hidden_dims = tuple(self.rho_hidden_dims)
+        sizes = [(name, getattr(self, name)) for name in _SIZE_FIELDS]
+        for name, value in sizes + [("rho_hidden_dims", d) for d in self.rho_hidden_dims]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @classmethod
     def for_conv(cls, conv: str, variant: str = "molsets", seed: int = 0, **overrides) -> "ModelConfig":
@@ -510,16 +520,25 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
+        raise ValueError(
+            f"{path} is not a checkpoint: expected a JSON object with keys {sorted(_CHECKPOINT_KEYS)}"
+        )
     version = doc["feature_schema_version"]
     if version != FEATURE_SCHEMA_VERSION:
         raise ValueError(
             f"checkpoint has feature schema version {version!r}, "
             f"this build reads {FEATURE_SCHEMA_VERSION}"
         )
-    config_fields = dict(doc["config"])
-    config_fields["rho_hidden_dims"] = tuple(config_fields["rho_hidden_dims"])
-    config = ModelConfig(**config_fields)
-    params = build_model(config)
+    if not isinstance(doc["config"], dict) or not isinstance(doc["params"], dict):
+        raise ValueError("checkpoint 'config' and 'params' must be JSON objects")
+    config_keys = {f.name for f in fields(ModelConfig)}
+    if set(doc["config"]) != config_keys:
+        raise ValueError(
+            f"checkpoint config has unknown keys {sorted(set(doc['config']) - config_keys)} "
+            f"and lacks keys {sorted(config_keys - set(doc['config']))}"
+        )
+    params = build_model(ModelConfig(**doc["config"]))
     stored = doc["params"]
     named = named_parameters(params)
     unknown = sorted(set(stored) - {name for name, _ in named})
@@ -529,7 +548,16 @@ def load_checkpoint(path: str) -> ModelParams:
         if name not in stored:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
         entry = stored[name]
-        values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+            raise ValueError(
+                f"checkpoint parameter {name!r} must be an object with 'shape' and 'values'"
+            )
+        try:
+            values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        except TypeError as exc:
+            raise ValueError(f"checkpoint parameter {name!r} is malformed: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"checkpoint parameter {name!r} has non-finite values")
         if values.shape != tensor.data.shape:
             raise ValueError(
                 f"checkpoint parameter {name!r} has shape {values.shape}, "

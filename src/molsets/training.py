@@ -336,6 +336,12 @@ def spearman(targets, preds) -> float:
 def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
     targets = np.array([target for _, target in examples])
     preds = _predictions(params, examples)
+    bad = np.flatnonzero(~np.isfinite(preds))
+    if bad.size:
+        raise MetricError(
+            f"model made {bad.size} non-finite predictions of {len(examples)}, "
+            f"the first for example {bad[0]}"
+        )
     return MetricsReport(
         pearson_rp=pearson(targets, preds),
         spearman_rs=spearman(targets, preds),

@@ -1,19 +1,28 @@
+import ast
+import contextlib
+import importlib.util
+import logging
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molsets.chem import (
-    Atom,
+    Bond,
     FeaturizationError,
     SmilesParseError,
-    assign_implicit_hydrogens,
-    atom_features,
     build_graph,
-    molecular_weight,
     parse_smiles,
 )
+from molsets.data import SYNTHETIC_SALTS, SYNTHETIC_SOLVENTS
+from molsets.elements import ELEMENTS, HYDROGEN_MASS, ONE_HOT_ORDER, SUPPORTED_ELEMENTS
 from molsets.gnn import GraphTensors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Hand-verified (atoms, bonds) counts for typical electrolyte constituents.
 TABLE_CORPUS = {
@@ -122,55 +131,54 @@ def test_table_corpus_counts():
 
 
 def test_implicit_h_methane():
-    atoms, bonds = parse_smiles("C")[0]
-    assigned = assign_implicit_hydrogens(atoms, bonds)
-    assert assigned[0].implicit_h == 4
+    assert build_graph("C").node_features[0, 12] == 4
 
 
 def test_implicit_h_ring_oxygen():
-    atoms, bonds = parse_smiles("C1CCOC1")[0]
-    assigned = assign_implicit_hydrogens(atoms, bonds)
-    oxygen = next(a for a in assigned if a.element == "O")
-    assert oxygen.implicit_h == 0
+    graph = build_graph("C1CCOC1")
+    oxygen = graph.node_features[:, 3] == 1.0
+    assert graph.node_features[oxygen, 12].tolist() == [0]
 
 
 def test_implicit_h_bracket_atoms_take_explicit():
-    atoms, bonds = parse_smiles("[Li+]")[0]
-    assert assign_implicit_hydrogens(atoms, bonds)[0].implicit_h == 0
-    atoms, bonds = parse_smiles("[nH]")[0]
-    assert assign_implicit_hydrogens(atoms, bonds)[0].implicit_h == 1
+    assert build_graph("[Li+]").node_features[0, 12] == 0
+    assert build_graph("[nH]").node_features[0, 12] == 1
+    # An explicit count wins even where the valence model would add more.
+    assert build_graph("[CH2]C").node_features[:, 12].tolist() == [2, 3]
 
 
 def test_implicit_h_aromatic_carbon():
-    atoms, bonds = parse_smiles("c1ccccc1")[0]
-    assert all(a.implicit_h == 1 for a in assign_implicit_hydrogens(atoms, bonds))
+    assert build_graph("c1ccccc1").node_features[:, 12].tolist() == [1] * 6
 
 
 def test_atom_features_oxygen():
-    vec = atom_features(Atom("O"))
+    vec = build_graph("O").node_features[0]
     assert vec[3] == 1.0 and vec[:7].sum() == 1.0
-    assert list(vec[7:]) == [8, 15.999, 0, 3.44, 1.52, 0]
+    assert list(vec[7:]) == [8, 15.999, 0, 3.44, 1.52, 2]
 
 
 def test_atom_features_lithium_cation():
-    vec = atom_features(Atom("Li", formal_charge=1))
+    vec = build_graph("[Li+]").node_features[0]
     assert vec[:7].sum() == 0.0  # outside the one-hot element set
     assert list(vec[7:]) == [3, 6.94, 1, 0.98, 1.82, 0]
 
 
 def test_atom_features_carbon_with_hydrogens():
-    vec = atom_features(Atom("C", implicit_h=4))
-    assert vec[1] == 1.0
-    assert vec[12] == 4
+    vec = build_graph("C").node_features[0]
+    assert vec[1] == 1.0 and vec[:7].sum() == 1.0
+    assert list(vec[7:]) == [6, 12.011, 0, 2.55, 1.70, 4]
+
+
+def test_formal_charge_column():
+    graph = build_graph("F[P-](F)(F)(F)(F)F.[Li+]")
+    assert graph.node_features[:, 9].tolist() == [0, -1, 0, 0, 0, 0, 0, 1]
+    assert build_graph("[N+2]").node_features[0, 9] == 2
 
 
 def test_molecular_weight_examples():
-    atoms, bonds = parse_smiles("C")[0]
-    assert molecular_weight(assign_implicit_hydrogens(atoms, bonds)) == pytest.approx(16.043)
-    atoms, bonds = parse_smiles("[Li+]")[0]
-    assert molecular_weight(assign_implicit_hydrogens(atoms, bonds)) == pytest.approx(6.94)
-    atoms, bonds = parse_smiles("O")[0]
-    assert molecular_weight(assign_implicit_hydrogens(atoms, bonds)) == pytest.approx(18.015)
+    assert 10 ** build_graph("C").log_mol_weight == pytest.approx(16.043)
+    assert 10 ** build_graph("[Li+]").log_mol_weight == pytest.approx(6.94)
+    assert 10 ** build_graph("O").log_mol_weight == pytest.approx(18.015)
 
 
 def test_molecular_weight_additive_over_components():
@@ -226,10 +234,6 @@ def test_parsing_is_deterministic():
         assert a.log_mol_weight == b.log_mol_weight
 
 
-def test_featurization_rejects_unknown_element():
-    with pytest.raises(FeaturizationError):
-        atom_features(Atom("Xx"))
-
 def test_duplicate_ring_closure_edge_is_deduplicated():
     # "C12CC12" closes two ring bonds between the same atom pair; the
     # graph stores that undirected edge once (plus the two chain bonds).
@@ -244,12 +248,214 @@ def test_self_ring_closure_rejected():
     with pytest.raises(SmilesParseError):
         parse_smiles("C11")
 
-def test_over_bonded_atom_clamps_with_warning(caplog):
-    import logging
+def test_over_bonded_atom_clamps_with_warning():
+    with _chem_warnings() as messages:
+        graph = build_graph("C(C)(C)(C)(C)C")  # central C with 5 bonds
+    assert graph.node_features[:, 12].tolist() == [0, 3, 3, 3, 3, 3]
+    assert messages == ["C exceeds its default valence (5 bonds vs 4); clamping H count to 0"]
 
-    atoms, bonds = parse_smiles("C(C)(C)(C)(C)C")[0]  # central C with 5 bonds
-    with caplog.at_level(logging.WARNING):
-        assigned = assign_implicit_hydrogens(atoms, bonds)
-    assert assigned[0].implicit_h == 0
-    assert any("valence" in m for m in caplog.messages)
 
+def test_duplicate_ring_closure_counts_toward_valence():
+    # The repeated 0-2 bond is one edge, but both closures count as bonds:
+    # each end carbon has three bonds and so one hydrogen, not two.
+    assert build_graph("C12CC12").node_features[:, 12].tolist() == [1, 2, 1]
+
+
+# --------------------------------------------------------------------------
+# build_graph against the per-atom featurization it replaced. The reference
+# below fills hydrogen counts atom by atom, builds one 13-vector per atom,
+# stacks them and sums the weight; build_graph must match it exactly.
+
+
+def _reference_hydrogens(atoms, bonds, warnings: list[str]) -> list[int]:
+    order_sums = [0.0] * len(atoms)
+    for bond in bonds:
+        order_sums[bond.i] += bond.order_code
+        order_sums[bond.j] += bond.order_code
+    counts = []
+    for atom, total in zip(atoms, order_sums):
+        if atom.explicit_h is not None:
+            h = atom.explicit_h
+        else:
+            valence = ELEMENTS[atom.element].default_valence + atom.formal_charge
+            h = valence - math.ceil(total)
+            if h < 0:
+                warnings.append(
+                    f"{atom.element} exceeds its default valence "
+                    f"({math.ceil(total)} bonds vs {valence}); clamping H count to 0"
+                )
+                h = 0
+        counts.append(h)
+    return counts
+
+
+def _reference_atom_features(atom, hydrogens: int) -> np.ndarray:
+    data = ELEMENTS[atom.element]
+    vec = np.zeros(13)
+    if atom.element in ONE_HOT_ORDER:
+        vec[ONE_HOT_ORDER.index(atom.element)] = 1.0
+    vec[7] = data.atomic_number
+    vec[8] = data.atomic_mass
+    vec[9] = atom.formal_charge
+    vec[10] = data.electronegativity
+    vec[11] = data.vdw_radius
+    vec[12] = hydrogens
+    return vec
+
+
+def _reference_graph(smiles: str):
+    """(node features, edges, log10 weight, valence warnings) of the per-atom path."""
+    warnings: list[str] = []
+    atoms, hydrogens, edges, seen = [], [], [], set()
+    for component_atoms, bonds in parse_smiles(smiles):
+        offset = len(atoms)
+        atoms.extend(component_atoms)
+        hydrogens.extend(_reference_hydrogens(component_atoms, bonds, warnings))
+        for bond in bonds:
+            i, j = sorted((bond.i + offset, bond.j + offset))
+            if (i, j) not in seen:
+                seen.add((i, j))
+                edges.append(Bond(i, j, bond.order_code))
+    features = np.stack([_reference_atom_features(a, h) for a, h in zip(atoms, hydrogens)])
+    weight = sum(
+        ELEMENTS[a.element].atomic_mass + h * HYDROGEN_MASS for a, h in zip(atoms, hydrogens)
+    )
+    return features, tuple(edges), math.log10(weight), warnings
+
+
+@contextlib.contextmanager
+def _chem_warnings():
+    messages: list[str] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    chem_logger = logging.getLogger("molsets.chem")
+    chem_logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        chem_logger.removeHandler(handler)
+
+
+def _assert_matches_reference(smiles: str) -> None:
+    try:
+        features, edges, log_weight, warnings = _reference_graph(smiles)
+    except SmilesParseError as expected:
+        with pytest.raises(SmilesParseError) as err:
+            build_graph(smiles)
+        assert (str(err.value), err.value.position) == (str(expected), expected.position)
+        return
+    with _chem_warnings() as messages:
+        graph = build_graph(smiles)
+    assert graph.node_features.dtype == features.dtype, smiles
+    assert np.array_equal(graph.node_features, features), smiles
+    assert graph.edges == edges, smiles
+    assert graph.log_mol_weight == log_weight, smiles
+    assert messages == warnings, smiles
+
+
+def _string_literals(paths) -> set[str]:
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and len(node.value) < 200:
+                found.add(node.value)
+    return found
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_build_graph_matches_reference_on_test_and_demo_strings():
+    # Every string literal of the tests and demos: the SMILES among them
+    # must featurize identically, the rest must fail with the same error.
+    paths = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    literals = _string_literals(paths) | set(SYNTHETIC_SOLVENTS) | set(SYNTHETIC_SALTS)
+    assert {"C1CCOC1", "F[P-](F)(F)(F)(F)F.[Li+]", "C12CC12"} <= literals
+    for smiles in sorted(literals):
+        _assert_matches_reference(smiles)
+
+
+def test_build_graph_matches_reference_on_benchmark_generators():
+    workloads = _perfbench_workloads()
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        smiles = workloads.seeded_solvents(rng, 30) + workloads.seeded_salts(rng, 30)
+        smiles += [workloads._solvent(rng, large=True) for _ in range(10)]
+        for s in smiles:
+            _assert_matches_reference(s)
+
+
+_BRACKET_SYMBOLS = sorted(SUPPORTED_ELEMENTS) + ["b", "c", "n", "o", "s", "Cu", "Au"]
+_bracket_atoms = st.builds(
+    lambda symbol, h, charge: f"[{symbol}{h}{charge}]",
+    st.sampled_from(_BRACKET_SYMBOLS),
+    st.sampled_from(["", "H", "H2", "H3"]),
+    st.sampled_from(["", "+", "-", "++", "--", "+2", "-1", "+3"]),
+)
+_atoms = st.one_of(
+    st.sampled_from(["B", "C", "N", "O", "F", "S", "Cl", "P", "Br", "I"]),
+    st.sampled_from(["b", "c", "n", "o", "s"]),
+    _bracket_atoms,
+)
+_bonds = st.sampled_from(["", "", "", "-", "=", "#", ":"])
+
+
+_RING_NUMBERS = (1, 2, 3, 11, 12)
+
+
+def _ring_label(number: int) -> str:
+    return str(number) if number < 10 else f"%{number}"
+
+
+@st.composite
+def _components(draw) -> str:
+    """One connected component: a chain with branches and ring closures,
+    where a closure may repeat an existing bond (a duplicate ring edge)."""
+    out: list[str] = []
+    open_rings: list[int] = []
+    depth = 0
+    n_atoms = draw(st.integers(1, 10))
+    for k in range(n_atoms):
+        if k > 0:
+            move = draw(st.integers(0, 4))
+            if move == 0 and depth:
+                out.append(")")
+                depth -= 1
+            elif move == 1:
+                out.append("(")
+                depth += 1
+            out.append(draw(_bonds))
+        out.append(draw(_atoms))
+        if k > 0 and open_rings and draw(st.booleans()):
+            for _ in range(draw(st.integers(1, len(open_rings)))):
+                out.append(_ring_label(open_rings.pop()))
+        if k < n_atoms - 1:
+            for _ in range(draw(st.integers(0, min(2, len(_RING_NUMBERS) - len(open_rings))))):
+                number = draw(st.sampled_from([n for n in _RING_NUMBERS if n not in open_rings]))
+                out.append(draw(_bonds) + _ring_label(number))
+                open_rings.append(number)
+    out.extend(_ring_label(n) for n in reversed(open_rings))
+    out.append(")" * depth)
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(components=st.lists(_components(), min_size=1, max_size=3))
+def test_build_graph_matches_reference_on_generated_smiles(components):
+    # Bracket H counts and charges, aromatic rings, duplicate ring
+    # closures, over-bonded atoms and multi-component salts.
+    _assert_matches_reference(".".join(components))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(smiles=st.text(alphabet="CNOcnoFSl()[]=#-:12%+H.Li*@", max_size=16))
+def test_build_graph_matches_reference_on_arbitrary_text(smiles):
+    _assert_matches_reference(smiles)

@@ -5,6 +5,7 @@ import pytest
 
 from molsets.cli import cli
 from molsets.data import generate_synthetic, load_dataset, write_dataset
+from molsets.model import ModelConfig, build_model, save_checkpoint
 
 
 @pytest.fixture()
@@ -250,3 +251,48 @@ def test_malformed_checkpoint_is_data_error(tmp_path, synthetic_csv, capsys):
     ckpt.write_text(json.dumps({"not_a_checkpoint": True}), encoding="utf-8")
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 2
 
+
+def _micro_checkpoint_doc(tmp_path):
+    path = tmp_path / "micro.json"
+    config = ModelConfig(
+        num_layers=2, hidden_dim=4, representation_dim=6, attention_dim=3, rho_hidden_dims=(4,)
+    )
+    save_checkpoint(build_model(config), str(path))
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _nan_first_value(doc):
+    doc["params"]["rho0.b"]["values"][0] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "config": {**doc["config"], "dropout": 0.1}},
+        lambda doc: {**doc, "config": {**doc["config"], "hidden_dim": 0}},
+        lambda doc: {**doc, "config": {**doc["config"], "max_solvents": 0}},
+        _nan_first_value,
+    ],
+    ids=["json-list", "unknown-config-key", "zero-hidden-dim", "zero-max-solvents", "nan-parameter"],
+)
+def test_bad_checkpoint_document_is_data_error(tmp_path, synthetic_csv, capsys, corrupt):
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(corrupt(_micro_checkpoint_doc(tmp_path))), encoding="utf-8")
+    assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert captured.out == ""
+
+
+def test_non_finite_prediction_is_numeric_failure(tmp_path, synthetic_csv, capsys):
+    doc = _micro_checkpoint_doc(tmp_path)
+    for name in ("rho1.w", "rho1.b"):  # finite, but the head overflows to inf
+        doc["params"][name]["values"] = [1e308] * len(doc["params"][name]["values"])
+    ckpt = tmp_path / "huge.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 3
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""

@@ -404,6 +404,67 @@ def test_checkpoint_rejects_unknown_parameter(tmp_path):
         load_checkpoint(str(path))
 
 
+def _with_config(doc, **changes):
+    return {**doc, "config": {**doc["config"], **changes}}
+
+
+def _with_param_value(doc, name, value):
+    params = json.loads(json.dumps(doc["params"]))
+    params[name]["values"][0] = value
+    return {**doc, "params": params}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {**doc, "config": [1, 2]}, "config"),
+        (lambda doc: {key: doc[key] for key in ("config", "feature_schema_version")}, "params"),
+        (lambda doc: _with_config(doc, dropout=0.1), "dropout"),
+        (lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "seed"}}, "seed"),
+        (lambda doc: _with_config(doc, hidden_dim=0), "hidden_dim"),
+        (lambda doc: _with_config(doc, max_solvents=0), "max_solvents"),
+        (lambda doc: _with_param_value(doc, "rho0.b", float("nan")), "rho0.b"),
+        (lambda doc: _with_param_value(doc, "attention.wq", float("-inf")), "attention.wq"),
+        (lambda doc: {**doc, "params": {**doc["params"], "rho0.w": [0.0]}}, "rho0.w"),
+    ],
+    ids=[
+        "json-list",
+        "config-not-object",
+        "no-params",
+        "unknown-config-key",
+        "missing-config-key",
+        "zero-hidden-dim",
+        "zero-max-solvents",
+        "nan-parameter",
+        "inf-parameter",
+        "parameter-not-object",
+    ],
+)
+def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
+    path, doc = _saved_checkpoint_doc(tmp_path)
+    path.write_text(json.dumps(corrupt(doc)))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_layers", 0),
+        ("hidden_dim", 0),
+        ("hidden_dim", -4),
+        ("representation_dim", 0),
+        ("attention_dim", 0),
+        ("max_solvents", 0),
+        ("rho_hidden_dims", (3, 0)),
+    ],
+)
+def test_model_config_rejects_non_positive_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{field: value})
+
+
 def test_failed_checkpoint_save_leaves_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_checkpoint(micro_model(seed=24), str(path))

@@ -302,6 +302,16 @@ def test_evaluate_report_fields():
     assert report.mse >= 0.0
 
 
+def test_evaluate_rejects_non_finite_predictions():
+    examples = _examples(6, seed=28)
+    params = build_model(ModelConfig.for_conv("graphconv", seed=9, **MICRO))
+    head = params.rho[-1]
+    head.w.data = np.full_like(head.w.data, 1e308)  # finite weights, overflowing outputs
+    head.b.data = np.full_like(head.b.data, 1e308)
+    with pytest.raises(MetricError, match="non-finite"):
+        evaluate(params, examples)
+
+
 def test_write_history(tmp_path):
     from molsets.training import HistoryEntry
 
