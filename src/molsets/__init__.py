@@ -34,6 +34,7 @@ from .data import (
 from .gnn import ConvParams, DenseParams, GraphTensors, conv_forward, dmpnn_forward
 from .model import (
     AttentionParams,
+    MixtureBatch,
     MixtureInput,
     ModelConfig,
     ModelParams,
@@ -42,6 +43,7 @@ from .model import (
     embed_graphs,
     embed_molecule,
     forward_batch,
+    forward_columns,
     load_checkpoint,
     mixture_from_record,
     mixture_representation,

@@ -182,6 +182,11 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             sections = json.load(fh)
+        if not isinstance(sections, dict):
+            raise UsageError(
+                f"bad config file {args.config}: expected a JSON object with optional "
+                f"'train' and 'model' sections, got {type(sections).__name__}"
+            )
     try:
         config = ModelConfig.for_conv(args.conv, variant=args.variant, **sections.get("model", {}))
         train_config = TrainConfig(**sections.get("train", {}))

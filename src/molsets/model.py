@@ -8,18 +8,22 @@ molality]. Two ablations share the embedding pathway: a plain weighted
 sum in place of attention (still permutation invariant), and a
 concatenate-and-pad variant that is deliberately order-sensitive.
 
-There is one forward pass, over a batch of mixtures (`forward_batch`).
-Each distinct molecule of the batch is embedded once, and all of them
-in one GNN pass per pathway: the molecules are packed, in first-seen
-order, into disjoint-union graphs of at most a few hundred atoms, each
-conv layer runs once per union, each molecule's node rows are mean
-pooled by a segment sum, and the readout runs on one row per molecule.
-The result is one embedding matrix per pathway. The solvent slots of all
-mixtures form one list of rows with a mixture id (segment) and a weight
-fraction each, so aggregation and head are a fixed number of array
-operations per batch: gather rows by index, segment softmax, segment
-sum (concat instead gathers a padded block of rows per mixture). A
-single mixture is a batch of one (`forward`, `predict`).
+There is one forward pass, over a columnar batch (`MixtureBatch`,
+`forward_columns`): each pathway's distinct molecules, the distinct
+solvent sets as slots (graph row, weight fraction), and per mixture a
+set row, a salt row and a molality. The distinct molecules are embedded
+in one GNN pass per pathway: they are packed, in first-seen order, into
+disjoint-union graphs of at most a few hundred atoms, each conv layer
+runs once per union, each molecule's node rows are mean pooled by a
+segment sum, and the readout runs on one row per molecule. Each distinct
+solvent set is aggregated once, with a fixed number of array operations
+per batch: gather rows by index, segment softmax, segment sum (concat
+instead gathers a padded block of rows per set). The head then runs on
+the gathered set and salt rows of the mixtures, in blocks of bounded
+size. A list of mixtures (`forward_batch`) is the batch in which each
+mixture is its own set; a single mixture is a batch of one (`forward`,
+`predict`). Screening builds its batch directly, so candidates that
+share a solvent set share its aggregation.
 
 Solvents are sorted by their source SMILES before aggregation so that
 repeated evaluations are bit-identical; the aggregation itself is a set
@@ -62,6 +66,12 @@ from .gnn import (
 
 FEATURE_SCHEMA_VERSION = 1
 _CHECKPOINT_KEYS = frozenset({"config", "feature_schema_version", "params"})
+
+# Mixture rows per transform_head call. Blocks start at multiples of
+# _CHUNK, which keeps each row's BLAS tiling, and so its rounding, that of
+# one product over the whole batch; a one-row product takes another BLAS
+# path, so a last block of one row joins the block before it.
+_CHUNK = 512
 
 # Most atoms in one disjoint-union graph. Graphconv, sageconv, gcnconv and
 # GAT build an n x n (GAT: n x 2n) operator per union, so this bounds
@@ -338,106 +348,130 @@ def transform_head(rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, mo
     return ad.reshape(dense_forward(rho[-1], h), (m.shape[0],))
 
 
-EmbedCache = dict[tuple[int, MolecularGraph], Tensor]
+@dataclass
+class MixtureBatch:
+    """A batch of mixtures as index arrays over distinct molecules and
+    distinct solvent sets.
 
-
-def _embedding_table(
-    params: ModelParams,
-    pathway: int,
-    graphs: list[MolecularGraph],
-    cache: EmbedCache | None,
-    pad: bool = False,
-) -> tuple[Tensor, np.ndarray]:
-    """Embeddings of the distinct graphs stacked in first-seen order (plus
-    a zero row last when pad is set), and the row of each graph.
-
-    The graphs not in cache are embedded together by embed_graphs; with a
-    cache, each new (1, d) row is added to it under (pathway, graph).
+    solvent_graphs and salt_graphs hold each pathway's distinct graphs in
+    the order they are embedded. Solvent set s is the next set_sizes[s]
+    slots (sets follow each other in order); slot k is the solvent graph
+    slot_graph[k] at weight fraction slot_weight[k]. Mixture i is solvent
+    set set_of[i] with salt graph salt_of[i] at molality[i].
     """
-    phi = params.phi_solvent if pathway == 0 else params.phi_salt
-    row_of: dict[MolecularGraph, int] = {}
-    index = np.array([row_of.setdefault(g, len(row_of)) for g in graphs], dtype=np.intp)
-    d = params.config.representation_dim
-    zero = [Tensor(np.zeros((1, d)))] if pad else []
-    if cache is None:
-        table = embed_graphs(phi, list(row_of))
-        return (ad.concat([table, *zero]) if pad else table), index
-    new = [g for g in row_of if (pathway, g) not in cache]
-    if new:
-        table = embed_graphs(phi, new)
-        for i, graph in enumerate(new):
-            cache[(pathway, graph)] = ad.rows(table, [i])
-    return ad.concat([cache[(pathway, g)] for g in row_of] + zero), index
 
-
-def _check_mixture(params: ModelParams, mix: MixtureInput) -> None:
-    if len(mix.solvents) > params.config.max_solvents:
-        raise ValueError(
-            f"mixture has {len(mix.solvents)} solvents, "
-            f"model accepts at most {params.config.max_solvents}"
-        )
+    solvent_graphs: list[MolecularGraph]
+    salt_graphs: list[MolecularGraph]
+    slot_graph: np.ndarray
+    slot_weight: np.ndarray
+    set_sizes: np.ndarray
+    set_of: np.ndarray
+    salt_of: np.ndarray
+    molality: np.ndarray
 
 
 def _canonical(solvents: list[tuple[MolecularGraph, float]]):
     return sorted(solvents, key=lambda gw: gw[0].source_smiles)
 
 
-def mixture_representation(
-    params: ModelParams, mixes: list[MixtureInput], cache: EmbedCache | None = None
-) -> Tensor:
-    """Solvent part of the head input, (B, D): the only place each variant differs.
+def _batch_of(params: ModelParams, mixes: list[MixtureInput]) -> MixtureBatch:
+    """Each mixture as its own solvent set (canonically sorted unless the
+    variant is concat); graphs are numbered in first-seen order."""
+    sets = [
+        mix.solvents if params.config.variant == "concat" else _canonical(mix.solvents)
+        for mix in mixes
+    ]
+    solvent_row: dict[MolecularGraph, int] = {}
+    salt_row: dict[MolecularGraph, int] = {}
+    slot_graph = [solvent_row.setdefault(g, len(solvent_row)) for gws in sets for g, _ in gws]
+    salt_of = [salt_row.setdefault(mix.salt, len(salt_row)) for mix in mixes]
+    return MixtureBatch(
+        solvent_graphs=list(solvent_row),
+        salt_graphs=list(salt_row),
+        slot_graph=np.array(slot_graph, dtype=np.intp),
+        slot_weight=np.array([w for gws in sets for _, w in gws], dtype=np.float64),
+        set_sizes=np.array([len(gws) for gws in sets], dtype=np.intp),
+        set_of=np.arange(len(mixes)),
+        salt_of=np.array(salt_of, dtype=np.intp),
+        molality=np.array([mix.molality for mix in mixes], dtype=np.float64),
+    )
 
-    molsets: attention aggregation of each mixture's canonically sorted
-    solvents. wsum: weight-fraction-weighted sum of their embeddings.
-    concat: the embeddings in the order given, zero padding up to
-    max_solvents, then the padded weight fractions (deliberately not
-    permutation invariant).
+
+def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
+    """Solvent part of the head input, one row per solvent set, (S, D):
+    the only place each variant differs. The distinct solvent graphs are
+    embedded in one embed_graphs call.
+
+    molsets: attention aggregation of each set's slots. wsum:
+    weight-fraction-weighted sum of their embeddings. concat: the
+    embeddings in slot order, zero padding up to max_solvents, then the
+    padded weight fractions (deliberately not permutation invariant).
     """
-    for mix in mixes:
-        _check_mixture(params, mix)
     cfg = params.config
-    n_sets = len(mixes)
+    sizes = batch.set_sizes
+    n_sets = sizes.size
+    if sizes.max() > cfg.max_solvents:
+        raise ValueError(
+            f"mixture has {sizes.max()} solvents, model accepts at most {cfg.max_solvents}"
+        )
+    solvents = embed_graphs(params.phi_solvent, batch.solvent_graphs)
     if cfg.variant == "concat":
         slots = cfg.max_solvents
-        table, index = _embedding_table(
-            params, 0, [g for mix in mixes for g, _ in mix.solvents], cache, pad=True
-        )
-        filled = np.arange(slots) < np.array([len(mix.solvents) for mix in mixes])[:, None]
+        table = ad.concat([solvents, Tensor(np.zeros((1, cfg.representation_dim)))])
+        filled = np.arange(slots) < sizes[:, None]
         rows = np.full((n_sets, slots), table.data.shape[0] - 1, dtype=np.intp)
-        rows[filled] = index
+        rows[filled] = batch.slot_graph
         weights = np.zeros((n_sets, slots))
-        weights[filled] = [w for mix in mixes for _, w in mix.solvents]
+        weights[filled] = batch.slot_weight
         z = ad.reshape(ad.rows(table, rows.reshape(-1)), (n_sets, slots * cfg.representation_dim))
         return ad.concat([z, Tensor(weights)], axis=1)
-    canonical = [_canonical(mix.solvents) for mix in mixes]
-    table, index = _embedding_table(params, 0, [g for gws in canonical for g, _ in gws], cache)
-    weights = np.array([w for gws in canonical for _, w in gws])
-    segment = np.repeat(np.arange(n_sets), [len(gws) for gws in canonical])
-    z = ad.rows(table, index)
+    segment = np.repeat(np.arange(n_sets), sizes)
+    z = ad.rows(solvents, batch.slot_graph)
     if cfg.variant == "molsets":
-        return aggregate_mixture(params.attention, z, weights, segment, n_sets)
-    return ad.segment_sum(ad.mul(z, Tensor(weights[:, None])), segment, n_sets)
+        return aggregate_mixture(params.attention, z, batch.slot_weight, segment, n_sets)
+    return ad.segment_sum(ad.mul(z, Tensor(batch.slot_weight[:, None])), segment, n_sets)
 
 
-def forward_batch(
-    params: ModelParams, mixes: list[MixtureInput], cache: EmbedCache | None = None
-) -> Tensor:
-    """Predictions of a batch of mixtures as a (B,) tensor (differentiable).
+def mixture_representation(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
+    """Solvent part of the head input of each mixture, (B, D)."""
+    return _set_representation(params, _batch_of(params, mixes))
 
-    Every distinct molecule of the batch is embedded once, or read from
-    cache when one is given (new embeddings are added to it); the
-    molecules to embed run as one GNN pass per pathway (embed_graphs).
+
+def forward_columns(params: ModelParams, batch: MixtureBatch) -> Tensor:
+    """Predictions of a columnar batch as a (B,) tensor (differentiable).
+
+    Each pathway's distinct graphs are embedded in one embed_graphs call
+    and each distinct solvent set is aggregated once; the head then runs
+    on the gathered [set, salt, molality] rows of the mixtures in blocks
+    of about _CHUNK rows, so its working memory does not grow with B.
     """
+    z_set = _set_representation(params, batch)
+    salts = embed_graphs(params.phi_salt, batch.salt_graphs)
+    n = batch.set_of.size
+    starts = (list(range(0, n - 1, _CHUNK)) or [0]) + [n]
+    blocks = [
+        transform_head(
+            params.rho,
+            ad.rows(z_set, batch.set_of[lo:hi]),
+            ad.rows(salts, batch.salt_of[lo:hi]),
+            batch.molality[lo:hi],
+        )
+        for lo, hi in zip(starts, starts[1:])
+    ]
+    return blocks[0] if len(blocks) == 1 else ad.concat(blocks)
+
+
+def forward_batch(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
+    """Predictions of a batch of mixtures as a (B,) tensor (differentiable):
+    forward_columns with each mixture as its own solvent set."""
     if not mixes:
         raise ValueError("forward_batch needs at least one mixture")
-    z_mix = mixture_representation(params, mixes, cache)
-    salts, index = _embedding_table(params, 1, [mix.salt for mix in mixes], cache)
-    return transform_head(params.rho, z_mix, ad.rows(salts, index), [mix.molality for mix in mixes])
+    return forward_columns(params, _batch_of(params, mixes))
 
 
-def forward(params: ModelParams, mix: MixtureInput, cache: EmbedCache | None = None) -> Tensor:
+def forward(params: ModelParams, mix: MixtureInput) -> Tensor:
     """Prediction of one mixture as a (1,) tensor (differentiable)."""
-    return forward_batch(params, [mix], cache)
+    return forward_batch(params, [mix])
 
 
 def predict(params: ModelParams, mix: MixtureInput) -> float:
@@ -448,8 +482,8 @@ def predict(params: ModelParams, mix: MixtureInput) -> float:
 class GraphStore:
     """Cache of built graphs keyed by (SMILES, molecular-weight override).
 
-    Reusing one graph object per distinct molecule lets embedding caches
-    recognize repeats across mixtures. A key that failed to build keeps
+    Reusing one graph object per distinct molecule lets a batch embed it
+    once however many mixtures contain it. A key that failed to build keeps
     its exception, which every later get of that key raises again.
     """
 

@@ -1,11 +1,13 @@
 """Combinatorial candidate enumeration and ranked virtual screening.
 
 Candidates are equal-weight binary solvent mixtures (unordered distinct
-pairs) combined with each salt at 1 mol/kg. Screening parses every
-distinct SMILES once, predicts the parsed candidates in batched forward
-passes over consecutive chunks that share one embedding cache (so every
-distinct molecule is embedded once), then ranks the predictions in
-descending order.
+pairs) combined with each salt at 1 mol/kg. Screening makes one pass over
+the candidates: it parses every distinct SMILES once, numbers the
+distinct solvent sets (pair and weights) and salts, and records per
+candidate a set row, a salt row and a molality. One forward over that
+columnar batch embeds every distinct molecule once and aggregates every
+distinct solvent set once, however many candidates share it; the head
+runs per candidate. The predictions are then ranked in descending order.
 """
 
 from __future__ import annotations
@@ -19,17 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chem import FeaturizationError, SmilesParseError
+from .chem import FeaturizationError, MolecularGraph, SmilesParseError
 from .data import MixtureRecord
-from .model import EmbedCache, GraphStore, MixtureInput, ModelParams, forward_batch
+from .model import GraphStore, MixtureBatch, ModelParams, forward_columns
 
 logger = logging.getLogger(__name__)
-
-# Parsed candidates per forward_batch. A chunk's inputs are dropped before
-# the next chunk is built, so they die young instead of reaching the
-# garbage collector's oldest generation, where every full collection
-# would walk them again.
-_CHUNK = 512
 
 
 class ScreeningError(RuntimeError):
@@ -49,9 +45,34 @@ class CandidateSpec:
     def __post_init__(self):
         if self.solvent_a == self.solvent_b:
             raise ValueError(f"candidate needs two distinct solvents, got {self.solvent_a!r}")
-        a, b = sorted((self.solvent_a, self.solvent_b))
-        object.__setattr__(self, "solvent_a", a)
-        object.__setattr__(self, "solvent_b", b)
+        if self.solvent_b < self.solvent_a:
+            a, b = self.solvent_b, self.solvent_a
+            object.__setattr__(self, "solvent_a", a)
+            object.__setattr__(self, "solvent_b", b)
+        try:
+            w0, w1 = self.weights
+            weights_ok = 0 <= w0 <= 1 and 0 <= w1 <= 1 and abs(w0 + w1 - 1.0) <= 1e-6
+        except (TypeError, ValueError):
+            weights_ok = False
+        if not weights_ok:
+            raise ValueError(
+                f"candidate {self.describe()}: weight fractions must be two values in [0, 1] "
+                f"summing to 1, got {self.weights!r}"
+            )
+        if type(self.weights) is not tuple:
+            object.__setattr__(self, "weights", (w0, w1))
+        try:
+            molality_ok = math.isfinite(self.molality) and self.molality >= 0
+        except TypeError:
+            molality_ok = False
+        if not molality_ok:
+            raise ValueError(
+                f"candidate {self.describe()}: molality must be finite and >= 0, "
+                f"got {self.molality!r}"
+            )
+
+    def describe(self) -> str:
+        return f"{self.solvent_a} | {self.solvent_b} | {self.salt}"
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.solvent_a, self.solvent_b, self.salt)
@@ -93,58 +114,91 @@ def run_screening(
     module logger at INFO, one JSON event reports the counts.
     """
     store = GraphStore()
-    cache: EmbedCache = {}
-    results: list[ScreeningResult] = []
     skipped: list[str] = []
-    chunk: list[tuple[CandidateSpec, MixtureInput]] = []
+    kept: list[CandidateSpec] = []
+    set_of: list[int] = []
+    salt_of: list[int] = []
+    # A solvent set (pair and weights), a salt and a solvent are numbered at
+    # the first candidate whose three SMILES all parse; later candidates
+    # that share its set and salt are two dict lookups.
+    sets: dict[tuple[str, str, tuple[float, float]], int] = {}
+    salts: dict[str, int] = {}
+    solvents: dict[str, int] = {}
+    solvent_graphs: list[MolecularGraph] = []
+    salt_graphs: list[MolecularGraph] = []
+    slot_graph: list[int] = []
+    slot_weight: list[float] = []
     for cand in candidates:
-        try:
-            mixture = MixtureInput(
-                solvents=[
-                    (store.get(cand.solvent_a), cand.weights[0]),
-                    (store.get(cand.solvent_b), cand.weights[1]),
-                ],
-                salt=store.get(cand.salt),
-                molality=cand.molality,
-            )
-        except (SmilesParseError, FeaturizationError) as exc:
-            skipped.append(f"skipped {cand.solvent_a} | {cand.solvent_b} | {cand.salt}: {exc}")
-            continue
-        chunk.append((cand, mixture))
-        if len(chunk) == _CHUNK:
-            results += _predict_chunk(params, chunk, cache)
-            chunk = []
-    if chunk:
-        results += _predict_chunk(params, chunk, cache)
+        key = (cand.solvent_a, cand.solvent_b, cand.weights)
+        set_id = sets.get(key)
+        salt_id = salts.get(cand.salt)
+        if set_id is None or salt_id is None:
+            try:
+                a, b = store.get(cand.solvent_a), store.get(cand.solvent_b)
+                salt = store.get(cand.salt)
+            except (SmilesParseError, FeaturizationError) as exc:
+                skipped.append(f"skipped {cand.describe()}: {exc}")
+                continue
+            if set_id is None:
+                set_id = sets[key] = len(sets)
+                for smiles, graph in ((cand.solvent_a, a), (cand.solvent_b, b)):
+                    if smiles not in solvents:
+                        solvents[smiles] = len(solvent_graphs)
+                        solvent_graphs.append(graph)
+                    slot_graph.append(solvents[smiles])
+                slot_weight.extend(cand.weights)
+            if salt_id is None:
+                salt_id = salts[cand.salt] = len(salt_graphs)
+                salt_graphs.append(salt)
+        kept.append(cand)
+        set_of.append(set_id)
+        salt_of.append(salt_id)
+
+    results: list[ScreeningResult] = []
+    if kept:
+        batch = MixtureBatch(
+            solvent_graphs=solvent_graphs,
+            salt_graphs=salt_graphs,
+            slot_graph=np.array(slot_graph, dtype=np.intp),
+            slot_weight=np.array(slot_weight, dtype=np.float64),
+            set_sizes=np.full(len(sets), 2, dtype=np.intp),
+            set_of=np.array(set_of, dtype=np.intp),
+            salt_of=np.array(salt_of, dtype=np.intp),
+            molality=np.array([cand.molality for cand in kept], dtype=np.float64),
+        )
+        values = forward_columns(params, batch).data
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ScreeningError(f"non-finite prediction for {kept[bad[0]].describe()}")
+        # Rank by (-value, solvent pair, salt): the same order as sorting on
+        # (-value, sort_key()), and stable, so equal keys keep input order.
+        pair_rank = _dense_rank([(a, b) for a, b, _ in sets])
+        salt_rank = _dense_rank(list(salts))
+        order = np.lexsort((salt_rank[batch.salt_of], pair_rank[batch.set_of], -values))
+        results = [
+            ScreeningResult(kept[i], value)
+            for i, value in zip(order.tolist(), values[order].tolist())
+        ]
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             json.dumps(
                 {
                     "event": "screening",
                     "candidates": len(candidates),
-                    "parsed": len(results),
+                    "parsed": len(kept),
                     "skipped": len(skipped),
-                    "molecules_embedded": len(cache),
+                    "molecules_embedded": len(solvent_graphs) + len(salt_graphs),
+                    "solvent_sets": len(sets),
                 }
             )
         )
-
-    results.sort(key=lambda r: (-r.predicted_log10_sigma, r.candidate.sort_key()))
     return results, skipped
 
 
-def _predict_chunk(
-    params: ModelParams, chunk: list[tuple[CandidateSpec, MixtureInput]], cache: EmbedCache
-) -> list[ScreeningResult]:
-    values = forward_batch(params, [mix for _, mix in chunk], cache).data.tolist()
-    results = []
-    for (cand, _), value in zip(chunk, values):
-        if not math.isfinite(value):
-            raise ScreeningError(
-                f"non-finite prediction for {cand.solvent_a} | {cand.solvent_b} | {cand.salt}"
-            )
-        results.append(ScreeningResult(cand, value))
-    return results
+def _dense_rank(keys: list) -> np.ndarray:
+    """Rank of each key among the distinct keys in sorted order."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.intp)
 
 
 SCREENING_COLUMNS = ("solvent_1", "solvent_2", "salt", "molality", "predicted_log10_conductivity")

@@ -15,13 +15,14 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .model import MixtureInput, ModelParams, build_model, forward_batch, named_parameters
+from .gnn import DenseParams, conv_param_tensors
+from .model import GnnParams, MixtureInput, ModelParams, forward_batch, named_parameters
 
 logger = logging.getLogger(__name__)
 
@@ -50,10 +51,31 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr0, self.weight_decay, self.eps, self.scheduler_factor) < 0:
-            raise ValueError("rates and factors must be non-negative")
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs and batch_size must be >= 1")
+        for name, least in (
+            ("max_epochs", 1),
+            ("batch_size", 1),
+            ("scheduler_patience", 0),
+            ("early_stop_patience", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("lr0", "weight_decay", "eps", "scheduler_factor"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        betas = self.betas
+        if not (
+            isinstance(betas, (list, tuple))
+            and len(betas) == 2
+            and all(_is_number(b) and 0 <= b < 1 for b in betas)
+        ):
+            raise ValueError(f"betas must be a pair of numbers in [0, 1), got {betas!r}")
+        self.betas = tuple(betas)
+
+
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 @dataclass
@@ -155,10 +177,29 @@ def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[b
 
 
 def _copy_params(params: ModelParams) -> ModelParams:
-    clone = build_model(params.config)
-    for (_, src), (_, dst) in zip(named_parameters(params), named_parameters(clone)):
-        dst.data = src.data.copy()
-    return clone
+    """params with a copy of every parameter tensor (the config is shared)."""
+
+    def tensor(t: Tensor) -> Tensor:
+        return Tensor(t.data.copy())
+
+    def dense(layer: DenseParams) -> DenseParams:
+        return DenseParams(tensor(layer.w), tensor(layer.b))
+
+    def gnn(phi: GnnParams) -> GnnParams:
+        convs = [
+            replace(conv, **{name: tensor(t) for name, t in conv_param_tensors(conv)})
+            for conv in phi.convs
+        ]
+        return replace(phi, convs=convs, readout=dense(phi.readout))
+
+    att = params.attention
+    return replace(
+        params,
+        phi_solvent=gnn(params.phi_solvent),
+        phi_salt=gnn(params.phi_salt),
+        attention=att and replace(att, wq=tensor(att.wq), wk=tensor(att.wk), wv=tensor(att.wv)),
+        rho=[dense(layer) for layer in params.rho],
+    )
 
 
 def _predictions(params: ModelParams, examples: list[Example]) -> np.ndarray:

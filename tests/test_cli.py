@@ -246,6 +246,51 @@ def test_bad_config_key_is_usage_error(tmp_path, synthetic_csv, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, synthetic_csv, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps([{"train": {"max_epochs": 1}}]), encoding="utf-8")
+    code = cli(
+        [
+            "train",
+            "--config", str(config),
+            "--data", synthetic_csv,
+            "--val", synthetic_csv,
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "train_section",
+    [
+        {"max_epochs": 2.5},
+        {"batch_size": 2.5},
+        {"lr0": float("nan")},
+        {"betas": [0.9]},
+        {"scheduler_patience": -1},
+    ],
+    ids=["float-epochs", "float-batch", "nan-lr", "one-beta", "negative-patience"],
+)
+def test_bad_train_config_value_is_data_error(tmp_path, synthetic_csv, train_section, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"train": {"max_epochs": 2, **train_section}}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = cli(
+        [
+            "train",
+            "--config", str(config),
+            "--data", synthetic_csv,
+            "--val", synthetic_csv,
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert f"data error: {next(iter(train_section))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_checkpoint_is_data_error(tmp_path, synthetic_csv, capsys):
     ckpt = tmp_path / "broken.json"
     ckpt.write_text(json.dumps({"not_a_checkpoint": True}), encoding="utf-8")

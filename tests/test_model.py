@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,11 +189,11 @@ def test_wsum_singleton_and_zero_weight():
     params = micro_model("wsum", seed=9)
     single_mix = MixtureInput([(THF, 1.0)], SALT, 1.0)
     padded_mix = MixtureInput([(THF, 1.0), (GLYME, 0.0)], SALT, 1.0)
-    # With THF's embedding shared through a cache the zero-weight solvent
-    # adds exactly nothing. Uncached, THF is embedded alone in one and in
-    # a union with GLYME in the other, which may round differently.
-    cache = {}
-    assert forward(params, single_mix, cache).data[0] == forward(params, padded_mix, cache).data[0]
+    # Inside one batch both mixtures read THF's one embedding, so the
+    # zero-weight solvent adds exactly nothing. Apart, THF is embedded alone
+    # in one and in a union with GLYME in the other, which may round differently.
+    single, padded = forward_batch(params, [single_mix, padded_mix]).data
+    assert single == padded
     assert abs(predict(params, single_mix) - predict(params, padded_mix)) <= 1e-12
 
 
@@ -283,8 +284,25 @@ def test_forward_matches_hand_assembled_reference(variant, conv):
     expected = [_reference_prediction(params, mix) for mix in mixes]
     for mix, value in zip(mixes, expected):
         assert abs(predict(params, mix) - value) <= 1e-12
-        assert abs(forward(params, mix, {}).data[0] - value) <= 1e-12
+        assert np.abs(forward_batch(params, [mix, mix]).data - value).max() <= 1e-12
     assert np.abs(forward_batch(params, mixes).data - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 512, 513, 514, 1025, 1100])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_head_blocks_match_one_head_over_the_batch(variant, n):
+    params = micro_model(variant, seed=23)
+    pool = [MixtureInput(gws, salt, 0.5) for gws in EQUIVALENCE_MIXTURES for salt in SALTS]
+    mixes = [replace(pool[i % len(pool)], molality=0.01 * (i % 97)) for i in range(n)]
+    batch = model_mod._batch_of(params, mixes)
+    salts = embed_graphs(params.phi_salt, batch.salt_graphs)
+    whole = transform_head(
+        params.rho,
+        mixture_representation(params, mixes),
+        ad.rows(salts, batch.salt_of),
+        batch.molality,
+    ).data
+    assert np.array_equal(forward_batch(params, mixes).data, whole)
 
 
 def test_concat_representation_layout():

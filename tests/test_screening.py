@@ -1,16 +1,20 @@
 import json
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from molsets import model as model_mod
 from molsets import screening as screening_mod
 from molsets.autodiff import Tensor
 from molsets.data import MixtureRecord
-from molsets.chem import SmilesParseError, build_graph
+from molsets.chem import FeaturizationError, SmilesParseError, build_graph
 from molsets.model import (
+    VARIANTS,
     GraphStore,
     MixtureInput,
     ModelConfig,
@@ -43,6 +47,33 @@ def test_candidate_rejects_self_pair():
         CandidateSpec("C", "C", "S")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(weights=(0.7, 0.7)),
+        dict(weights=(1.2, -0.2)),
+        dict(weights=(float("nan"), 0.5)),
+        dict(weights=(0.5,)),
+        dict(weights=(0.2, 0.3, 0.5)),
+        dict(weights=("half", "half")),
+        dict(molality=-0.5),
+        dict(molality=float("nan")),
+        dict(molality=float("inf")),
+    ],
+    ids=["sum-1.4", "out-of-range", "nan-weight", "one-weight", "three-weights", "text-weights",
+         "negative-molality", "nan-molality", "inf-molality"],
+)
+def test_candidate_rejects_bad_weights_and_molality(fields):
+    with pytest.raises(ValueError, match=r"candidate C1CCOC1 \| COCOC \| \[Li\+\]\.\[Cl-\]"):
+        CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]", **fields)
+
+
+def test_candidate_accepts_weights_within_rounding():
+    spec = CandidateSpec("A", "B", "S", weights=[0.1, 0.9000000001], molality=0)
+    assert spec.weights == (0.1, 0.9000000001) and spec.molality == 0.0
+    assert hash(spec) == hash(CandidateSpec("A", "B", "S", (0.1, 0.9000000001), 0.0))
+
+
 def test_enumeration_examples():
     assert len(enumerate_binary_candidates(["a", "b", "c"], ["s", "t"])) == 6
     assert len(enumerate_binary_candidates(["a", "b"], ["s"])) == 1
@@ -73,8 +104,8 @@ def test_enumeration_is_canonically_ordered():
     assert keys == sorted(keys)
 
 
-def _micro_params(seed=0):
-    return build_model(ModelConfig.for_conv("graphconv", seed=seed, **MICRO))
+def _micro_params(seed=0, variant="molsets"):
+    return build_model(ModelConfig.for_conv("graphconv", variant=variant, seed=seed, **MICRO))
 
 
 def test_screening_ranks_descending_and_reruns_identically(tmp_path):
@@ -251,7 +282,7 @@ def test_screening_in_chunks_matches_uncached_forward(caplog):
         for i in bad_at
     ]
     parsed = [c for c in cands if bad not in (c.solvent_a, c.solvent_b)]
-    assert len(parsed) > 2 * screening_mod._CHUNK  # at least three chunks
+    assert len(parsed) > 2 * model_mod._CHUNK  # at least three head blocks
 
     params = _micro_params(6)
     caplog.set_level(logging.INFO, logger="molsets.screening")
@@ -264,6 +295,7 @@ def test_screening_in_chunks_matches_uncached_forward(caplog):
         "parsed": len(parsed),
         "skipped": len(expected_skips),
         "molecules_embedded": len(CHUNK_SOLVENTS) + len(CHUNK_SALTS),
+        "solvent_sets": len(CHUNK_SOLVENTS) * (len(CHUNK_SOLVENTS) - 1) // 2,
     }
     store = GraphStore()
     uncached = {
@@ -285,18 +317,151 @@ def test_screening_in_chunks_matches_uncached_forward(caplog):
 
 def test_screening_error_names_first_non_finite_candidate(monkeypatch):
     cands = enumerate_binary_candidates(CHUNK_SOLVENTS, CHUNK_SALTS)
-    poisoned = [700, 1100, 40 + 2 * screening_mod._CHUNK]  # chunks 2 and 3, not in order
+    poisoned = [700, 1100, 40 + 2 * model_mod._CHUNK]  # head blocks 2 and 3, not in order
     for i in poisoned:
         cands[i] = replace(cands[i], molality=2.5)
-    real_forward_batch = screening_mod.forward_batch
+    real_forward_columns = screening_mod.forward_columns
 
-    def poisoning_forward_batch(params, mixes, cache=None):
-        values = real_forward_batch(params, mixes, cache).data.copy()
-        values[[mix.molality == 2.5 for mix in mixes]] = np.nan
+    def poisoning_forward_columns(params, batch):
+        values = real_forward_columns(params, batch).data.copy()
+        values[batch.molality == 2.5] = np.nan
         return Tensor(values)
 
-    monkeypatch.setattr(screening_mod, "forward_batch", poisoning_forward_batch)
+    monkeypatch.setattr(screening_mod, "forward_columns", poisoning_forward_columns)
     first = cands[min(poisoned)]
     with pytest.raises(ScreeningError, match="non-finite") as err:
         run_screening(_micro_params(7), cands)
     assert str(err.value).endswith(f"{first.solvent_a} | {first.solvent_b} | {first.salt}")
+
+
+def _reference_screen(params, candidates):
+    """The per-candidate screen the columnar one replaced: a MixtureInput
+    and an uncached forward per parsed candidate, then a sort on
+    (-value, sort_key()). Returns (ranked (candidate, value) pairs, skip
+    lines, JSON counts)."""
+    store = GraphStore()
+    scored, skipped, embedded, sets = [], [], set(), set()
+    for cand in candidates:
+        try:
+            a, b, salt = store.get(cand.solvent_a), store.get(cand.solvent_b), store.get(cand.salt)
+        except (SmilesParseError, FeaturizationError) as exc:
+            skipped.append(f"skipped {cand.solvent_a} | {cand.solvent_b} | {cand.salt}: {exc}")
+            continue
+        mix = MixtureInput([(a, cand.weights[0]), (b, cand.weights[1])], salt, cand.molality)
+        value = float(forward(params, mix).data[0])
+        if not math.isfinite(value):
+            raise ScreeningError(
+                f"non-finite prediction for {cand.solvent_a} | {cand.solvent_b} | {cand.salt}"
+            )
+        scored.append((cand, value))
+        embedded |= {(0, a), (0, b), (1, salt)}
+        sets.add((cand.solvent_a, cand.solvent_b, cand.weights))
+    counts = {
+        "event": "screening",
+        "candidates": len(candidates),
+        "parsed": len(scored),
+        "skipped": len(skipped),
+        "molecules_embedded": len(embedded),
+        "solvent_sets": len(sets),
+    }
+    return sorted(scored, key=lambda cv: (-cv[1], cv[0].sort_key())), skipped, counts
+
+
+def _flat_params(variant):
+    """A model whose last layer has zero weights: every prediction is an
+    exact tie, so the ranking is the tie order alone."""
+    params = _micro_params(30, variant)
+    params.rho[-1].w.data[:] = 0.0
+    return params
+
+
+SCREEN_PARAMS = {
+    (variant, flat): _flat_params(variant) if flat else _micro_params(30, variant)
+    for variant in VARIANTS
+    for flat in (False, True)
+}
+# The last solvent and the last salt do not parse.
+POOL_SOLVENTS = ["C1CCOC1", "COCOC", "CCO", "C1CC1", "CC#N", "C1CC(C"]
+POOL_SALTS = ["[Li+].[Cl-]", "F[B-](F)(F)F.[Li+]", "[Na+].[Br-]", "[Na+].[Q-]"]
+
+
+@st.composite
+def candidate_lists(draw):
+    pairs = st.lists(st.sampled_from(POOL_SOLVENTS), min_size=2, max_size=2, unique=True)
+    weight = st.sampled_from([0.5, 0.25, 0.1, 0.0, 1.0])
+    molality = st.sampled_from([1.0, 0.5, 2.0, 0.0])
+    specs = st.builds(
+        lambda pair, w, salt, m: CandidateSpec(pair[0], pair[1], salt, (w, 1.0 - w), m),
+        pairs, weight, st.sampled_from(POOL_SALTS), molality,
+    )
+    distinct = draw(st.lists(specs, min_size=1, max_size=8))
+    # Repeat specs so that candidates share solvent sets and salts; a
+    # repeat is the same object or an equal copy.
+    repeat = st.sampled_from(distinct).flatmap(lambda c: st.sampled_from([c, replace(c)]))
+    return draw(st.lists(repeat, min_size=1, max_size=24))
+
+
+TIE_CASE = [
+    CandidateSpec("C1CCOC1", "COCOC", "[Na+].[Br-]"),
+    CandidateSpec("C1CCOC1", "CCO", "[Li+].[Cl-]"),
+    CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cands=candidate_lists(), variant=st.sampled_from(VARIANTS), flat=st.booleans())
+@example(cands=TIE_CASE + [replace(TIE_CASE[0]), TIE_CASE[2]], variant="wsum", flat=True)
+def test_columnar_screen_matches_per_candidate_reference(cands, variant, flat):
+    params = SCREEN_PARAMS[(variant, flat)]
+    expected, expected_skips, expected_counts = _reference_screen(params, cands)
+    logger = screening_mod.logger
+    events = []
+    handler = logging.Handler()
+    handler.emit = lambda record: events.append(json.loads(record.getMessage()))
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    try:
+        results, skipped = run_screening(params, cands)
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+    assert skipped == expected_skips
+    assert events == [expected_counts]
+    keys = [(-r.predicted_log10_sigma, r.candidate.sort_key()) for r in results]
+    assert keys == sorted(keys)
+    if flat:  # ties rank by sort_key(), then in input order
+        assert [id(r.candidate) for r in results] == [id(c) for c, _ in expected]
+
+    def by_spec(pairs):
+        return sorted(pairs, key=lambda cv: (cv[0].sort_key(), cv[0].weights, cv[0].molality))
+
+    got = by_spec([(r.candidate, r.predicted_log10_sigma) for r in results])
+    want = by_spec(expected)
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert all(abs(v - w) <= 1e-12 for (_, v), (_, w) in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "cands",
+    [[], enumerate_binary_candidates(["C1CC(C", "CC(C"], ["[Li+].[Cl-]"]),
+     [CandidateSpec("C1CCOC1", "COCOC", "[Li+]Q")]],
+    ids=["empty", "no-solvent-parses", "salt-does-not-parse"],
+)
+def test_screening_without_parsed_candidates_runs_no_forward(cands, monkeypatch, caplog):
+    def no_forward(params, batch):
+        raise AssertionError("forward_columns called")
+
+    monkeypatch.setattr(screening_mod, "forward_columns", no_forward)
+    caplog.set_level(logging.INFO, logger="molsets.screening")
+    results, skipped = run_screening(_micro_params(8), cands)
+    assert results == [] and len(skipped) == len(cands)
+    [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == screening_mod.logger.name]
+    assert event == {
+        "event": "screening",
+        "candidates": len(cands),
+        "parsed": 0,
+        "skipped": len(cands),
+        "molecules_embedded": 0,
+        "solvent_sets": 0,
+    }

@@ -24,6 +24,7 @@ from molsets.training import (
     PlateauScheduler,
     TrainConfig,
     TrainingError,
+    _copy_params,
     early_stopping,
     evaluate,
     mse_loss,
@@ -207,6 +208,47 @@ def test_train_rejects_empty_sets():
         train(params, [], examples, TrainConfig(max_epochs=1))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(max_epochs=2.5),
+        dict(max_epochs=0),
+        dict(batch_size=2.5),
+        dict(max_epochs=True),
+        dict(lr0=float("nan")),
+        dict(weight_decay=float("inf")),
+        dict(eps="1e-8"),
+        dict(betas=(0.9,)),
+        dict(betas=(0.9, 1.0)),
+        dict(betas=0.9),
+        dict(scheduler_patience=-1),
+        dict(early_stop_patience=-1),
+    ],
+    ids=["float-epochs", "zero-epochs", "float-batch", "bool-epochs", "nan-lr", "inf-decay", "text-eps",
+         "one-beta", "beta-one", "scalar-betas", "negative-scheduler-patience",
+         "negative-early-stop-patience"],
+)
+def test_train_config_rejects_bad_values(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        TrainConfig(**fields)
+
+
+def test_train_config_accepts_json_numbers():
+    config = TrainConfig(lr0=0, betas=[0.0, 0.5], scheduler_patience=0, early_stop_patience=0)
+    assert config.betas == (0.0, 0.5)
+
+
+def test_best_snapshot_copy_is_independent():
+    params = build_model(ModelConfig.for_conv("gatconv", seed=3, **MICRO))
+    clone = _copy_params(params)
+    for (name, src), (clone_name, dst) in zip(named_parameters(params), named_parameters(clone)):
+        assert name == clone_name and np.array_equal(src.data, dst.data)
+        assert not np.shares_memory(src.data, dst.data)
+    assert len(named_parameters(clone)) == len(named_parameters(params))
+    mixes = [mix for mix, _ in _examples(4, seed=5)]
+    assert np.array_equal(forward_batch(params, mixes).data, forward_batch(clone, mixes).data)
+
+
 def test_train_aborts_on_non_finite_loss():
     examples = _examples(4, seed=26)
     params = build_model(ModelConfig.for_conv("graphconv", seed=7, **MICRO))
@@ -229,7 +271,7 @@ def test_batch_loss_gradient_matches_finite_differences():
     targets = Tensor(np.array([y for _, y in examples]))
 
     def run():
-        preds = ad.concat([forward(params, mix, {}) for mix, _ in examples])
+        preds = ad.concat([forward(params, mix) for mix, _ in examples])
         return mse_loss(preds, targets)
 
     with Tape() as tape:
@@ -381,4 +423,5 @@ def test_telemetry_events_leave_results_unchanged(caplog):
         "parsed": 3,
         "skipped": 3,
         "molecules_embedded": 4,
+        "solvent_sets": 3,
     }
