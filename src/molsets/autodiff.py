@@ -98,26 +98,21 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     if output.tape is not tape:
         raise TapeError("output was not recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    by_id: dict[int, Tensor] = {id(output): output}
-
+    grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     for out, inputs, grad_fn in reversed(tape._nodes):
-        g = grads.get(id(out))
+        g = grads.get(out)
         if g is None:
             continue
         for inp, gi in zip(inputs, grad_fn(g)):
             if gi is None:
                 continue
-            key = id(inp)
-            by_id[key] = inp
-            prev = grads.get(key)
-            grads[key] = gi if prev is None else prev + gi
+            prev = grads.get(inp)
+            grads[inp] = gi if prev is None else prev + gi
 
-    result = {by_id[key]: val for key, val in grads.items()}
     for tensor in tape._watched:
-        if tensor not in result:
-            result[tensor] = np.zeros_like(tensor.data)
-    return result
+        if tensor not in grads:
+            grads[tensor] = np.zeros_like(tensor.data)
+    return grads
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

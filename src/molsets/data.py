@@ -85,8 +85,8 @@ class MixtureRecord:
             raise DataError(
                 f"{n} solvents but {len(self.weight_fractions)} weight fractions"
             )
-        if not all(math.isfinite(w) for w in self.weight_fractions):
-            raise DataError(f"weight fractions must be finite, got {self.weight_fractions}")
+        if not all(0 <= w <= 1 for w in self.weight_fractions):
+            raise DataError(f"weight fractions must lie in [0, 1], got {self.weight_fractions}")
         if abs(sum(self.weight_fractions) - 1.0) > 1e-6:
             raise DataError(
                 f"weight fractions sum to {sum(self.weight_fractions)!r}, expected 1"

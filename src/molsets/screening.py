@@ -34,7 +34,11 @@ class ScreeningError(RuntimeError):
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """An unordered solvent pair plus a salt; (a, b) and (b, a) are equal."""
+    """An unordered solvent pair plus a salt; (a, b) and (b, a) are equal.
+
+    The pair is stored in lexicographic order and each weight fraction
+    moves with its solvent.
+    """
 
     solvent_a: str
     solvent_b: str
@@ -45,7 +49,8 @@ class CandidateSpec:
     def __post_init__(self):
         if self.solvent_a == self.solvent_b:
             raise ValueError(f"candidate needs two distinct solvents, got {self.solvent_a!r}")
-        if self.solvent_b < self.solvent_a:
+        swapped = self.solvent_b < self.solvent_a
+        if swapped:
             a, b = self.solvent_b, self.solvent_a
             object.__setattr__(self, "solvent_a", a)
             object.__setattr__(self, "solvent_b", b)
@@ -59,8 +64,8 @@ class CandidateSpec:
                 f"candidate {self.describe()}: weight fractions must be two values in [0, 1] "
                 f"summing to 1, got {self.weights!r}"
             )
-        if type(self.weights) is not tuple:
-            object.__setattr__(self, "weights", (w0, w1))
+        if swapped or type(self.weights) is not tuple:
+            object.__setattr__(self, "weights", (w1, w0) if swapped else (w0, w1))
         try:
             molality_ok = math.isfinite(self.molality) and self.molality >= 0
         except TypeError:

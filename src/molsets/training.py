@@ -4,8 +4,9 @@ The protocol: AdamW (decoupled weight decay) from an initial learning
 rate of 1e-3 with weight decay 1e-4, a plateau scheduler that halves the
 learning rate after 10 epochs without validation improvement, and early
 stopping after 20 such epochs, restoring the parameters from the epoch
-with the lowest validation loss. The loop is single-threaded and
-deterministic given the seed.
+with the lowest validation loss. Training updates the given parameters
+in place and returns them restored to that epoch. The loop is
+single-threaded and deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .gnn import DenseParams, conv_param_tensors
-from .model import GnnParams, MixtureInput, ModelParams, forward_batch, named_parameters
+from .model import MixtureInput, ModelParams, forward_batch, named_parameters
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +109,10 @@ def mse_loss(preds: Tensor, targets: Tensor) -> Tensor:
 class AdamW:
     """Adam with decoupled weight decay:
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
+
+    The tensors' data is gathered, in the order given, into one float64
+    vector `values`, and each tensor's `.data` becomes a view of its
+    slice, so one element-wise update of `values` steps them all.
     """
 
     def __init__(
@@ -120,26 +124,31 @@ class AdamW:
         eps: float = 1e-8,
     ):
         self.params = list(params)
+        self.values = np.concatenate([p.data for p in self.params], axis=None)
+        offset = 0
+        for p in self.params:
+            p.data = self.values[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = grads[p]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+        g = np.concatenate([grads[p] for p in self.params], axis=None)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self.values -= self.lr * (update + self.weight_decay * self.values)
 
 
 class PlateauScheduler:
@@ -176,32 +185,6 @@ def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[b
     return since_best >= max(patience, 1), best_epoch
 
 
-def _copy_params(params: ModelParams) -> ModelParams:
-    """params with a copy of every parameter tensor (the config is shared)."""
-
-    def tensor(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy())
-
-    def dense(layer: DenseParams) -> DenseParams:
-        return DenseParams(tensor(layer.w), tensor(layer.b))
-
-    def gnn(phi: GnnParams) -> GnnParams:
-        convs = [
-            replace(conv, **{name: tensor(t) for name, t in conv_param_tensors(conv)})
-            for conv in phi.convs
-        ]
-        return replace(phi, convs=convs, readout=dense(phi.readout))
-
-    att = params.attention
-    return replace(
-        params,
-        phi_solvent=gnn(params.phi_solvent),
-        phi_salt=gnn(params.phi_salt),
-        attention=att and replace(att, wq=tensor(att.wq), wk=tensor(att.wk), wv=tensor(att.wv)),
-        rho=[dense(layer) for layer in params.rho],
-    )
-
-
 def _predictions(params: ModelParams, examples: list[Example]) -> np.ndarray:
     return forward_batch(params, [mix for mix, _ in examples]).data
 
@@ -217,7 +200,9 @@ def train(
     val_data: list[Example],
     config: TrainConfig,
 ) -> tuple[ModelParams, list[HistoryEntry]]:
-    """Minibatch training; returns the best-epoch snapshot and the history.
+    """Minibatch training; trains `params` in place and returns it, restored
+    to the best epoch (kept as a copy of the optimizer's parameter vector),
+    with the history.
 
     Each minibatch is one forward_batch: every distinct molecule of the
     batch is embedded once, in one disjoint-union GNN pass per pathway,
@@ -242,7 +227,7 @@ def train(
 
     history: list[HistoryEntry] = []
     val_losses: list[float] = []
-    best_snapshot = _copy_params(params)
+    best_values = optimizer.values.copy()
     best_val = math.inf
 
     debug = logger.isEnabledFor(logging.DEBUG)
@@ -301,7 +286,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = _copy_params(params)
+            best_values = optimizer.values.copy()
 
         scheduler.step(val_loss)
         stop, best_epoch = early_stopping(val_losses, config.early_stop_patience)
@@ -314,7 +299,8 @@ def train(
             )
             break
 
-    return best_snapshot, history
+    optimizer.values[...] = best_values
+    return params, history
 
 
 def write_history(history: list[HistoryEntry], path: str) -> None:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from molsets.cli import cli
-from molsets.data import generate_synthetic, load_dataset, write_dataset
+from molsets.data import CSV_COLUMNS, generate_synthetic, load_dataset, write_dataset
 from molsets.model import ModelConfig, build_model, save_checkpoint
 
 
@@ -125,6 +125,26 @@ def test_prepare_lenient_skips_bad_rows(tmp_path, capsys):
     assert cli(["prepare", "--in", str(src), "--out", str(out)]) == 2  # strict aborts
     assert cli(["prepare", "--in", str(src), "--out", str(out), "--lenient"]) == 0
     assert [r.mixture_id for r in load_dataset(str(out))] == ["m1"]
+
+
+def test_weights_outside_unit_interval_are_data_error(tmp_path, capsys):
+    rows = [f"m{i},C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,298.0,-2.0" for i in range(4)]
+    rows.append("bad,C1CCOC1,COCOC,,,1.5,-0.5,,,,,,,[Li+].[Cl-],1.0,298.0,-2.0")
+    src = tmp_path / "raw.csv"
+    src.write_text("\n".join([",".join(CSV_COLUMNS)] + rows) + "\n", encoding="utf-8")
+    outs = [
+        "--out-train", str(tmp_path / "train.csv"),
+        "--out-val", str(tmp_path / "val.csv"),
+        "--out-test", str(tmp_path / "test.csv"),
+    ]
+    capsys.readouterr()
+    assert cli(["split", "--in", str(src), *outs]) == 2
+    assert "line 6" in capsys.readouterr().err
+    prepared = tmp_path / "prepared.csv"
+    assert cli(["prepare", "--in", str(src), "--out", str(prepared)]) == 2
+    assert "line 6" in capsys.readouterr().err
+    assert cli(["prepare", "--in", str(src), "--out", str(prepared), "--lenient"]) == 0
+    assert [r.mixture_id for r in load_dataset(str(prepared))] == ["m0", "m1", "m2", "m3"]
 
 
 def test_train_and_eval(tmp_path, synthetic_csv, micro_config, capsys):

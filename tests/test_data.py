@@ -140,6 +140,20 @@ def test_load_rejects_bad_weights_with_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_rejects_weights_outside_unit_interval_with_line(tmp_path, caplog):
+    rows = [
+        'm1,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0',
+        'm2,C1CCOC1,COCOC,,,1.5,-0.5,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0',
+    ]
+    path = _write_csv(tmp_path, rows)
+    with pytest.raises(DataError, match=r"line 3: .*\[0, 1\]"):
+        load_dataset(path)
+    with caplog.at_level(logging.WARNING):
+        records = load_dataset(path, strict=False)
+    assert [r.mixture_id for r in records] == ["m1"]
+    assert any("skipping" in m and "line 3" in m for m in caplog.messages)
+
+
 def test_load_lenient_skips_bad_rows(tmp_path, caplog):
     rows = [
         'm1,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0',

@@ -74,6 +74,25 @@ def test_candidate_accepts_weights_within_rounding():
     assert hash(spec) == hash(CandidateSpec("A", "B", "S", (0.1, 0.9000000001), 0.0))
 
 
+def test_candidate_weights_follow_their_solvents():
+    spec = CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]", weights=(0.3, 0.7))
+    assert (spec.solvent_a, spec.solvent_b, spec.weights) == ("C1CCOC1", "COCOC", (0.7, 0.3))
+    assert spec == CandidateSpec("C1CCOC1", "COCOC", "[Li+].[Cl-]", weights=(0.7, 0.3))
+    assert spec != CandidateSpec("C1CCOC1", "COCOC", "[Li+].[Cl-]", weights=(0.3, 0.7))
+
+
+@pytest.mark.parametrize("variant", ["molsets", "wsum"])
+def test_screening_custom_weights_follow_their_solvents(variant):
+    params = build_model(ModelConfig.for_conv("graphconv", variant=variant, seed=12, **MICRO))
+    spec = CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]", weights=(0.3, 0.7))
+    [result], skipped = run_screening(params, [spec])
+    mix = MixtureInput(
+        [(build_graph("COCOC"), 0.3), (build_graph("C1CCOC1"), 0.7)], build_graph("[Li+].[Cl-]"), 1.0
+    )
+    assert not skipped
+    assert abs(result.predicted_log10_sigma - float(forward(params, mix).data[0])) <= 1e-12
+
+
 def test_enumeration_examples():
     assert len(enumerate_binary_candidates(["a", "b", "c"], ["s", "t"])) == 6
     assert len(enumerate_binary_candidates(["a", "b"], ["s"])) == 1

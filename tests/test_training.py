@@ -24,7 +24,6 @@ from molsets.training import (
     PlateauScheduler,
     TrainConfig,
     TrainingError,
-    _copy_params,
     early_stopping,
     evaluate,
     mse_loss,
@@ -238,15 +237,51 @@ def test_train_config_accepts_json_numbers():
     assert config.betas == (0.0, 0.5)
 
 
-def test_best_snapshot_copy_is_independent():
+def test_adamw_tensors_are_views_of_one_vector():
     params = build_model(ModelConfig.for_conv("gatconv", seed=3, **MICRO))
-    clone = _copy_params(params)
-    for (name, src), (clone_name, dst) in zip(named_parameters(params), named_parameters(clone)):
-        assert name == clone_name and np.array_equal(src.data, dst.data)
-        assert not np.shares_memory(src.data, dst.data)
-    assert len(named_parameters(clone)) == len(named_parameters(params))
-    mixes = [mix for mix, _ in _examples(4, seed=5)]
-    assert np.array_equal(forward_batch(params, mixes).data, forward_batch(clone, mixes).data)
+    tensors = [t for _, t in named_parameters(params)]
+    before = [t.data.copy() for t in tensors]
+    optimizer = AdamW(tensors, lr=0.01)
+    assert optimizer.values.shape == (sum(b.size for b in before),)
+    optimizer.step({t: np.ones_like(t.data) for t in tensors})
+    offset = 0
+    for tensor, old in zip(tensors, before):
+        assert tensor.data.shape == old.shape
+        assert np.shares_memory(tensor.data, optimizer.values)
+        assert np.array_equal(tensor.data.ravel(), optimizer.values[offset : offset + old.size])
+        assert not np.array_equal(tensor.data, old)
+        offset += old.size
+    assert offset == optimizer.values.size
+
+
+def _plateau_run(max_epochs):
+    """graphconv on 30 + 10 mixtures; with 8 epochs allowed, the lr halves
+    and early stopping ends the run after epoch 4, two epochs past the best."""
+    examples = _examples(40, seed=11)
+    params = build_model(ModelConfig.for_conv("graphconv", seed=3, **MICRO))
+    config = TrainConfig(
+        lr0=0.05, max_epochs=max_epochs, batch_size=8, scheduler_patience=1,
+        early_stop_patience=2, seed=3,
+    )
+    returned, history = train(params, examples[:30], examples[30:], config)
+    return params, returned, history, examples[30:]
+
+
+def test_train_returns_its_params_restored_to_the_best_epoch():
+    params, returned, history, val = _plateau_run(8)
+    assert returned is params
+    best_epoch = int(np.argmin([h.val_loss for h in history]))
+    assert (best_epoch, len(history)) == (2, 5)
+    assert len({h.lr for h in history}) > 1
+
+    targets = np.array([target for _, target in val])
+    preds = forward_batch(returned, [mix for mix, _ in val]).data
+    assert float(np.mean((preds - targets) ** 2)) == min(h.val_loss for h in history)
+
+    cut, _, cut_history, _ = _plateau_run(best_epoch + 1)
+    assert cut_history == history[: best_epoch + 1]
+    for (name, tensor), (cut_name, cut_tensor) in zip(named_parameters(params), named_parameters(cut)):
+        assert name == cut_name and np.array_equal(tensor.data, cut_tensor.data)
 
 
 def test_train_aborts_on_non_finite_loss():
