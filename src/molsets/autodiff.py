@@ -8,6 +8,13 @@ passes may run concurrently. Binary operations broadcast in three ways
 only: an operand of total size 1 against any tensor, a (k,) vector
 against the rows of a (B, k) matrix, and an (N, 1) column against the
 columns of an (N, k) matrix. All other shapes must match exactly.
+
+The layers every training step runs are single nodes with hand-written
+backward closures (`affine`, `graph_conv`, `segment_mean`, `mse`), so a
+step records one node per layer, not one per primitive. Each evaluates
+the numpy expressions of the primitive composition it stands for, in the
+same order, so its value and gradients are bit-identical to that
+composition's.
 """
 
 from __future__ import annotations
@@ -184,6 +191,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, b a (k,) row added to each row, then max(., 0) if relu."""
+    xv, wv, bv = x.data, w.data, b.data
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise DimensionError(f"affine shapes {xv.shape}, {wv.shape} and {bv.shape} are incompatible")
+    yv = xv @ wv + bv
+    if relu:
+        np.maximum(yv, 0.0, out=yv)
+
+    def grad(g):
+        if relu:
+            g = g * (yv > 0.0)  # an output above 0 is a pre-activation above 0
+        return g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+
+    return _record(Tensor(yv), (x, w, b), grad)
+
+
+def graph_conv(
+    x: Tensor, op: np.ndarray, w_neigh: Tensor, w_self: Tensor | None = None, relu: bool = False
+) -> Tensor:
+    """x @ w_self + (op @ x) @ w_neigh, or (op @ x) @ w_neigh without
+    w_self, then max(., 0) if relu. The operator op is a constant
+    ndarray, not a tape input, so backward forms no gradient for it."""
+    xv, wn = x.data, w_neigh.data
+    ws = None if w_self is None else w_self.data
+    if (
+        xv.ndim != 2
+        or op.shape != (xv.shape[0], xv.shape[0])
+        or wn.ndim != 2
+        or wn.shape[0] != xv.shape[1]
+        or (ws is not None and ws.shape != wn.shape)
+    ):
+        raise DimensionError(
+            f"graph_conv shapes {xv.shape}, {op.shape}, {wn.shape} and "
+            f"{None if ws is None else ws.shape} are incompatible"
+        )
+    ax = op @ xv
+    yv = ax @ wn if ws is None else xv @ ws + ax @ wn
+    if relu:
+        np.maximum(yv, 0.0, out=yv)
+
+    def grad(g):
+        if relu:
+            g = g * (yv > 0.0)
+        gx = op.T @ (g @ wn.T)
+        if ws is None:
+            return gx, ax.T @ g
+        return g @ ws.T + gx, ax.T @ g, xv.T @ g
+
+    inputs = (x, w_neigh) if w_self is None else (x, w_neigh, w_self)
+    return _record(Tensor(yv), inputs, grad)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax of a 1-D tensor."""
     xv = x.data
@@ -297,6 +357,34 @@ def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
         raise DimensionError(f"segment_sum shapes {xv.shape} and {seg.shape} differ")
     out = Tensor(_scatter_rows(xv, seg, n_segments))
     return _record(out, (x,), lambda g: (g[seg],))
+
+
+def segment_mean(x: Tensor, segment, sizes) -> Tensor:
+    """Rows of a 2-D x averaged within segments: the segment_sum over
+    len(sizes) segments times 1 / sizes, where sizes[s] >= 1 is the row
+    count of segment s."""
+    xv, seg = x.data, np.asarray(segment, dtype=np.intp)
+    inverse = 1.0 / np.asarray(sizes)[:, None]
+    if xv.ndim != 2 or seg.shape != xv.shape[:1]:
+        raise DimensionError(f"segment_mean shapes {xv.shape} and {seg.shape} differ")
+    out = Tensor(_scatter_rows(xv, seg, inverse.shape[0]) * inverse)
+    return _record(out, (x,), lambda g: ((g * inverse)[seg],))
+
+
+def mse(preds: Tensor, targets: Tensor) -> Tensor:
+    """Mean of (preds - targets) ** 2 over two tensors of one shape."""
+    pv, tv = preds.data, targets.data
+    if pv.shape != tv.shape:
+        raise DimensionError(f"mse shapes {pv.shape} and {tv.shape} differ")
+    diff = pv - tv
+    out = Tensor((diff * diff).mean())
+
+    def grad(g):
+        h = (g / diff.size) * diff
+        gd = h + h
+        return gd, -gd
+
+    return _record(out, (preds, targets), grad)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

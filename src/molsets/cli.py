@@ -187,6 +187,12 @@ def _cmd_train(args) -> int:
                 f"bad config file {args.config}: expected a JSON object with optional "
                 f"'train' and 'model' sections, got {type(sections).__name__}"
             )
+        unknown = sorted(set(sections) - {"train", "model"})
+        if unknown:
+            raise UsageError(
+                f"bad config file {args.config}: unknown sections {unknown}, "
+                f"expected only 'train' and 'model'"
+            )
     try:
         config = ModelConfig.for_conv(args.conv, variant=args.variant, **sections.get("model", {}))
         train_config = TrainConfig(**sections.get("train", {}))

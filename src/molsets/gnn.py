@@ -8,7 +8,9 @@ over all of them and mean pooling is one segment sum. Graphconv,
 sageconv, gcnconv and GAT read their operator off the edge list as a
 dense matrix filled from (row, col, value) entries, built once per
 union; at the union sizes used here (a few hundred atoms at most) one
-dense matmul costs less than a scatter-add over the edges. DMPNN passes
+dense matmul costs less than a scatter-add over the edges. The operator
+is a constant ndarray, so a graphconv, sageconv or gcnconv layer, its
+ReLU included, is one tape node (`ad.graph_conv`). DMPNN passes
 messages with gathers and segment sums over the edges, so it needs no
 edge-by-edge matrix. Conventions for degenerate cases: empty
 neighborhoods contribute a zero aggregate, the degree-normalized operator
@@ -98,22 +100,22 @@ class GraphTensors:
         """Member graph of each node."""
         return np.repeat(np.arange(self.sizes.size), self.sizes)
 
-    def _matrix(self, rows, cols, values) -> Tensor:
-        return Tensor(ad.coo_to_dense(values, rows, cols, (self.n, self.n)))
+    def _matrix(self, rows, cols, values) -> np.ndarray:
+        return ad.coo_to_dense(values, rows, cols, (self.n, self.n))
 
     @cached_property
-    def weighted(self) -> Tensor:
+    def weighted(self) -> np.ndarray:
         """Bond-weighted neighbour sum."""
         return self._matrix(self.dst, self.src, self.w)
 
     @cached_property
-    def mean(self) -> Tensor:
+    def mean(self) -> np.ndarray:
         """Neighbour mean; an isolated node's row is zero."""
         indegree = np.bincount(self.dst, minlength=self.n)
         return self._matrix(self.dst, self.src, 1.0 / indegree[self.dst])
 
     @cached_property
-    def gcn(self) -> Tensor:
+    def gcn(self) -> np.ndarray:
         """Symmetric degree normalization with a unit-weight self loop."""
         deg = 1.0 + np.bincount(self.dst, self.w, self.n)
         loops = np.arange(self.n)
@@ -131,17 +133,19 @@ def _check_input(params: ConvParams, x: Tensor) -> None:
         )
 
 
-def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
-    """One graph-convolution layer; returns the updated node-feature matrix."""
+def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors, relu: bool = False) -> Tensor:
+    """One graph-convolution layer, then max(., 0) if relu; returns the
+    updated node-feature matrix."""
     _check_input(params, x)
     kind = params.kind
     if kind in ("graphconv", "sageconv"):
         adjacency = gt.weighted if kind == "graphconv" else gt.mean
-        return ad.add(ad.matmul(x, params.w1), ad.matmul(ad.matmul(adjacency, x), params.w2))
+        return ad.graph_conv(x, adjacency, params.w2, params.w1, relu=relu)
     if kind == "gcnconv":
-        return ad.matmul(ad.matmul(gt.gcn, x), params.w1)
+        return ad.graph_conv(x, gt.gcn, params.w1, relu=relu)
     if kind == "gatconv":
-        return _gat_forward(params, x, gt)
+        out = _gat_forward(params, x, gt)
+        return ad.relu(out) if relu else out
     raise ValueError(f"conv_forward does not handle kind {kind!r}")
 
 
@@ -190,18 +194,14 @@ def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:
     """Mean of each member graph's node rows, (graphs, k) in union order."""
     if gt.sizes.min() < 1:
         raise ad.DimensionError("mean pooling needs at least one node per graph")
-    inverse = Tensor(1.0 / gt.sizes[:, None])
-    return ad.mul(ad.segment_sum(x, gt.node_graph, gt.sizes.size), inverse)
+    return ad.segment_mean(x, gt.node_graph, gt.sizes)
 
 
 def dense_forward(params: DenseParams, x: Tensor, activation: str = "none") -> Tensor:
     """activation(x @ W + b) for each row of a (B, input_dim) matrix."""
-    y = ad.add(ad.matmul(x, params.w), params.b)
-    if activation == "relu":
-        return ad.relu(y)
-    if activation != "none":
+    if activation not in ("none", "relu"):
         raise ValueError(f"unknown activation {activation!r}")
-    return y
+    return ad.affine(x, params.w, params.b, relu=activation == "relu")
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

@@ -288,9 +288,7 @@ def _embed_union(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
         x = dmpnn_forward(convs[0], x, gt, iterations=phi.num_layers)
     else:
         for idx, conv in enumerate(convs):
-            x = conv_forward(conv, x, gt)
-            if idx < len(convs) - 1:
-                x = ad.relu(x)
+            x = conv_forward(conv, x, gt, relu=idx < len(convs) - 1)
     log_mass = Tensor(np.array([[g.log_mol_weight] for g in graphs]))
     return dense_forward(phi.readout, ad.concat([mean_pool(x, gt), log_mass], axis=1))
 

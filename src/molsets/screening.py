@@ -206,7 +206,15 @@ def _dense_rank(keys: list) -> np.ndarray:
     return np.array([rank[key] for key in keys], dtype=np.intp)
 
 
-SCREENING_COLUMNS = ("solvent_1", "solvent_2", "salt", "molality", "predicted_log10_conductivity")
+SCREENING_COLUMNS = (
+    "solvent_1",
+    "solvent_2",
+    "weight_1",
+    "weight_2",
+    "salt",
+    "molality",
+    "predicted_log10_conductivity",
+)
 
 
 def write_screening_csv(results: list[ScreeningResult], path: str) -> None:
@@ -219,6 +227,8 @@ def write_screening_csv(results: list[ScreeningResult], path: str) -> None:
                 [
                     cand.solvent_a,
                     cand.solvent_b,
+                    repr(float(cand.weights[0])),
+                    repr(float(cand.weights[1])),
                     cand.salt,
                     repr(float(cand.molality)),
                     repr(res.predicted_log10_sigma),

@@ -102,8 +102,7 @@ def mse_loss(preds: Tensor, targets: Tensor) -> Tensor:
         )
     if preds.data.size < 1:
         raise ad.DimensionError("mse_loss of empty vectors")
-    diff = ad.sub(preds, targets)
-    return ad.reduce_mean(ad.mul(diff, diff))
+    return ad.mse(preds, targets)
 
 
 class AdamW:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molsets import autodiff as ad
@@ -110,6 +110,138 @@ def test_row_scatter_matches_add_at(n, k, data):
     column = np.zeros(n)
     np.add.at(column, idx, g[:, 0])
     assert np.array_equal(ad.segment_sum(Tensor(g[:, 0]), idx, n).data, column)
+
+
+# Fused layer nodes against the primitive compositions they replace: the
+# value and the gradient of every input must be bit-identical.
+
+
+def _draw(rng, shape, exact):
+    """Uniform values, or multiples of 1/2 in [-1, 1], whose sums of
+    products are often exactly 0 (a ReLU input on the kink)."""
+    return rng.integers(-2, 3, shape) / 2.0 if exact else rng.uniform(-1, 1, shape)
+
+
+def _assert_same_node(fused, composed, inputs, proj=None):
+    """fused() and composed() give equal values and equal gradients for
+    every input, under the loss sum(out * proj) (out itself if proj is None)."""
+    results = []
+    for build in (fused, composed):
+        with Tape() as tape:
+            out = build()
+            loss = out if proj is None else ad.reduce_sum(ad.mul(out, proj))
+        grads = ad.backward(tape, loss)
+        results.append((out.data, [grads[t] for t in inputs]))
+    (value, grads), (ref_value, ref_grads) = results
+    assert value.shape == ref_value.shape and np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 5), k_in=st.integers(1, 4), k_out=st.integers(1, 4),
+       relu=st.booleans(), exact=st.booleans(), seed=_SEEDS)
+@example(rows=1, k_in=2, k_out=1, relu=True, exact=True, seed=0)
+def test_affine_matches_matmul_add_relu(rows, k_in, k_out, relu, exact, seed):
+    rng = np.random.default_rng(seed)
+    x, w, b = (Tensor(_draw(rng, s, exact)) for s in ((rows, k_in), (k_in, k_out), (k_out,)))
+
+    def composed():
+        y = ad.add(ad.matmul(x, w), b)
+        return ad.relu(y) if relu else y
+
+    proj = Tensor(rng.uniform(-1, 1, (rows, k_out)))
+    _assert_same_node(lambda: ad.affine(x, w, b, relu), composed, [x, w, b], proj)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), k_in=st.integers(1, 4), k_out=st.integers(1, 4),
+       with_self=st.booleans(), relu=st.booleans(), exact=st.booleans(), seed=_SEEDS)
+@example(n=1, k_in=1, k_out=2, with_self=True, relu=True, exact=True, seed=0)
+def test_graph_conv_matches_matmul_add_relu(n, k_in, k_out, with_self, relu, exact, seed):
+    rng = np.random.default_rng(seed)
+    op = _draw(rng, (n, n), exact) * (rng.random((n, n)) < 0.5)
+    x = Tensor(_draw(rng, (n, k_in), exact))
+    w_neigh, w_self = (Tensor(_draw(rng, (k_in, k_out), exact)) for _ in range(2))
+
+    def fused():
+        return ad.graph_conv(x, op, w_neigh, w_self if with_self else None, relu)
+
+    def composed():
+        neigh = ad.matmul(ad.matmul(Tensor(op), x), w_neigh)
+        y = ad.add(ad.matmul(x, w_self), neigh) if with_self else neigh
+        return ad.relu(y) if relu else y
+
+    inputs = [x, w_neigh, w_self] if with_self else [x, w_neigh]
+    _assert_same_node(fused, composed, inputs, Tensor(rng.uniform(-1, 1, (n, k_out))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5), k=st.integers(1, 4),
+       exact=st.booleans(), seed=_SEEDS)
+@example(sizes=[1], k=1, exact=False, seed=0)
+def test_segment_mean_matches_segment_sum_times_inverse(sizes, k, exact, seed):
+    rng = np.random.default_rng(seed)
+    sizes = np.array(sizes)
+    seg = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    x = Tensor(_draw(rng, (seg.size, k), exact))
+
+    def composed():
+        return ad.mul(ad.segment_sum(x, seg, sizes.size), Tensor(1.0 / sizes[:, None]))
+
+    proj = Tensor(rng.uniform(-1, 1, (sizes.size, k)))
+    _assert_same_node(lambda: ad.segment_mean(x, seg, sizes), composed, [x], proj)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), exact=st.booleans(), seed=_SEEDS)
+@example(n=1, exact=True, seed=0)
+def test_mse_matches_sub_mul_reduce_mean(n, exact, seed):
+    rng = np.random.default_rng(seed)
+    preds, targets = Tensor(_draw(rng, n, exact)), Tensor(_draw(rng, n, exact))
+
+    def composed():
+        diff = ad.sub(preds, targets)
+        return ad.reduce_mean(ad.mul(diff, diff))
+
+    _assert_same_node(lambda: ad.mse(preds, targets), composed, [preds, targets])
+
+
+def test_fused_relu_on_the_kink():
+    # Pre-activations of exactly 0 pass no gradient, as in ad.relu.
+    x, w, b = Tensor([[1.0, -1.0], [2.0, 0.5]]), Tensor([[1.0], [1.0]]), Tensor([0.0])
+    with Tape() as tape:
+        out = ad.affine(x, w, b, relu=True)
+        loss = ad.reduce_sum(out)
+    assert np.array_equal(out.data, [[0.0], [2.5]])
+    grads = ad.backward(tape, loss)
+    assert np.array_equal(grads[x], [[0.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(grads[b], [1.0])
+    op = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with Tape() as tape:
+        out = ad.graph_conv(x, op, w, relu=True)  # rows 2.5 and 0.0
+        loss = ad.reduce_sum(out)
+    assert np.array_equal(out.data, [[2.5], [0.0]])
+    assert np.array_equal(ad.backward(tape, loss)[w], [[2.0], [0.5]])
+
+
+def test_fused_node_shape_errors():
+    x = Tensor(np.zeros((3, 2)))
+    with pytest.raises(DimensionError):
+        ad.affine(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        ad.affine(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.graph_conv(x, np.zeros((2, 2)), Tensor(np.zeros((2, 4))))
+    with pytest.raises(DimensionError):
+        ad.graph_conv(x, np.zeros((3, 3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(DimensionError):
+        ad.segment_mean(x, [0, 1], [1, 1])
+    with pytest.raises(DimensionError):
+        ad.mse(Tensor([1.0, 2.0]), Tensor([1.0]))
 
 
 def test_softmax_examples():
@@ -257,6 +389,10 @@ def test_gradients_per_op_match_finite_differences():
     col3 = Tensor(rng.uniform(-2, 2, (3, 1)))
     proj4 = Tensor(rng.uniform(-1, 1, (4, 4)))
     coo = ([0, 2, 1, 0, 2], [3, 0, 3, 3, 1])  # (0, 3) repeats
+    m3 = Tensor(rng.uniform(-2, 2, (4, 2)))
+    row2 = Tensor(rng.uniform(-2, 2, 2))
+    op3 = rng.uniform(-1, 1, (3, 3))
+    proj24 = Tensor(rng.uniform(-1, 1, (2, 4)))
 
     cases = [
         (lambda: ad.reduce_sum(ad.mul(ad.add(a, b), proj)), [a, b]),
@@ -287,6 +423,15 @@ def test_gradients_per_op_match_finite_differences():
         (lambda: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1), Tensor(np.ones((3, 8))))), [a, b]),
         (lambda: ad.reduce_sum(ad.mul(ad.rows(m1, [2, 0, 2]), Tensor(np.ones((3, 4))))), [m1]),
         (lambda: ad.reduce_sum(ad.mul(ad.reshape(a, (4, 3)), Tensor(np.ones((4, 3))))), [a]),
+        (lambda: ad.reduce_sum(ad.mul(ad.affine(m1, m2, row2), proj2)), [m1, m2, row2]),
+        (lambda: ad.reduce_sum(ad.mul(ad.affine(m1, m2, row2, relu=True), proj2)), [m1, m2, row2]),
+        (lambda: ad.reduce_sum(ad.mul(ad.graph_conv(m1, op3, m2), proj2)), [m1, m2]),
+        (
+            lambda: ad.reduce_sum(ad.mul(ad.graph_conv(m1, op3, m2, m3, relu=True), proj2)),
+            [m1, m2, m3],
+        ),
+        (lambda: ad.reduce_sum(ad.mul(ad.segment_mean(a, [1, 0, 1], [1, 2]), proj24)), [a]),
+        (lambda: ad.mse(vec, proj_vec), [vec, proj_vec]),
     ]
     for build, params in cases:
         _check_against_fd(build, params)

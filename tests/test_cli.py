@@ -169,7 +169,7 @@ def test_screen_command(tmp_path, synthetic_csv, micro_config, capsys):
         == 0
     )
     lines = ranked.read_text().strip().splitlines()
-    assert lines[0] == "solvent_1,solvent_2,salt,molality,predicted_log10_conductivity"
+    assert lines[0] == "solvent_1,solvent_2,weight_1,weight_2,salt,molality,predicted_log10_conductivity"
     assert len(lines) == 1 + 6
 
 
@@ -280,6 +280,25 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, synthetic_csv, ca
     )
     assert code == 1
     assert "bad config" in capsys.readouterr().err
+
+
+def test_config_with_unknown_section_is_usage_error(tmp_path, synthetic_csv, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"trian": {"max_epochs": 1}, "model": {}}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = cli(
+        [
+            "train",
+            "--config", str(config),
+            "--data", synthetic_csv,
+            "--val", synthetic_csv,
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad config" in err and "unknown sections ['trian']" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

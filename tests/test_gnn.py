@@ -145,10 +145,10 @@ def test_union_offsets_edges_and_keeps_reverse_pairs():
     assert GraphTensors.union([a]) is a
     # the dense operators are block diagonal
     blocks = np.zeros((6, 6))
-    blocks[:2, :2] = a.gcn.data
-    blocks[2:3, 2:3] = b.gcn.data
-    blocks[3:, 3:] = c.gcn.data
-    assert np.array_equal(union.gcn.data, blocks)
+    blocks[:2, :2] = a.gcn
+    blocks[2:3, 2:3] = b.gcn
+    blocks[3:, 3:] = c.gcn
+    assert np.array_equal(union.gcn, blocks)
 
 
 def test_dmpnn_builds_no_edge_by_edge_matrix():

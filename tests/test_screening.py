@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -143,6 +144,22 @@ def test_screening_ranks_descending_and_reruns_identically(tmp_path):
     write_screening_csv(results, str(first))
     write_screening_csv(run_screening(params, cands)[0], str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_screening_csv_keeps_the_weights(tmp_path):
+    weightings = [(0.3, 0.7), (0.5, 0.5), (0.9, 0.1)]
+    cands = [CandidateSpec("C1CCOC1", "COCOC", "[Li+].[Cl-]", weights=w) for w in weightings]
+    results, _ = run_screening(_micro_params(3), cands)
+    path = tmp_path / "ranked.csv"
+    write_screening_csv(results, str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len({tuple(row.values()) for row in rows}) == 3
+    written = {(float(row["weight_1"]), float(row["weight_2"])) for row in rows}
+    assert written == set(weightings)
+    for row, res in zip(rows, results):
+        assert (float(row["weight_1"]), float(row["weight_2"])) == res.candidate.weights
+        assert float(row["predicted_log10_conductivity"]) == res.predicted_log10_sigma
 
 
 def test_screening_cache_transparency():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molsets import autodiff as ad
+from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
 from molsets.data import generate_synthetic
 from molsets.model import (
@@ -397,6 +398,23 @@ def test_write_history(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr"
     assert lines[1] == "0,0.5,0.6,0.001"
+
+
+def test_epoch_event_pins_tape_nodes_of_a_fused_step(caplog):
+    # One 32-mixture graphconv/molsets step, each pathway one disjoint union.
+    # Per pathway: 3 conv layers (ReLU fused), mean pool, concat log M,
+    # readout = 6. Aggregation: slot rows, q/k/v matmuls, mul, reduce_sum,
+    # scale, segment_softmax, reshape, two muls, segment_sum = 12. Head:
+    # set rows, salt rows, concat, 3 dense layers, reshape = 7. Loss: 1.
+    examples = _examples(40, seed=5)
+    batch = [mix for mix, _ in examples[:32]]
+    for graphs in ({g for mix in batch for g, _ in mix.solvents}, {mix.salt for mix in batch}):
+        assert sum(g.n_nodes for g in graphs) <= model_mod._UNION_ATOMS
+    caplog.set_level(logging.DEBUG, logger="molsets.training")
+    params = build_model(ModelConfig.for_conv("graphconv", seed=1))
+    train(params, examples[:32], examples[32:], TrainConfig(max_epochs=1, batch_size=32, seed=2))
+    [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == "molsets.training"]
+    assert event["tape_nodes_per_step"] == 2 * 6 + 12 + 7 + 1 == 32
 
 
 def test_telemetry_events_leave_results_unchanged(caplog):
