@@ -15,6 +15,11 @@ step records one node per layer, not one per primitive. Each evaluates
 the numpy expressions of the primitive composition it stands for, in the
 same order, so its value and gradients are bit-identical to that
 composition's.
+
+Of their inputs, `graph_conv`, `concat` and `mse` form gradients only for
+those that `backward` needs: tensors produced on the tape or watched. So a
+constant input, such as the node features of a first conv layer or the
+targets of a loss, costs no gradient and is absent from the result.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ class Tape:
     """Records operations for one forward pass; discarded after backward."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # (output, inputs, grad_fn, selective); a selective grad_fn also takes
+        # one flag per input and returns None for an input not needed.
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable, bool]] = []
         self._watched: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
@@ -86,11 +93,13 @@ class Tape:
         self._watched.extend(tensors)
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
+def _record(
+    out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable, selective: bool = False
+) -> Tensor:
     tape = _active_tape()
     if tape is not None:
         out.tape = tape
-        tape._nodes.append((out, inputs, grad_fn))
+        tape._nodes.append((out, inputs, grad_fn, selective))
     return out
 
 
@@ -98,7 +107,9 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate gradients of a scalar output for every taped tensor.
 
     Watched tensors always appear in the result (zeros when the output
-    does not depend on them). Replaying the same tape is deterministic.
+    does not depend on them). An input of a selective node (graph_conv,
+    concat, mse) that is neither produced on the tape nor watched gets no
+    gradient. Replaying the same tape is deterministic.
     """
     if output.data.size != 1:
         raise TapeError(f"backward requires a scalar output, got shape {output.data.shape}")
@@ -106,11 +117,16 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
         raise TapeError("output was not recorded on this tape")
 
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
-    for out, inputs, grad_fn in reversed(tape._nodes):
+    watched = set(tape._watched)
+    for out, inputs, grad_fn, selective in reversed(tape._nodes):
         g = grads.get(out)
         if g is None:
             continue
-        for inp, gi in zip(inputs, grad_fn(g)):
+        if selective:
+            input_grads = grad_fn(g, [inp.tape is tape or inp in watched for inp in inputs])
+        else:
+            input_grads = grad_fn(g)
+        for inp, gi in zip(inputs, input_grads):
             if gi is None:
                 continue
             prev = grads.get(inp)
@@ -232,16 +248,21 @@ def graph_conv(
     if relu:
         np.maximum(yv, 0.0, out=yv)
 
-    def grad(g):
+    def grad(g, needed):
         if relu:
             g = g * (yv > 0.0)
-        gx = op.T @ (g @ wn.T)
+        gx = None
+        if needed[0]:
+            gx = op.T @ (g @ wn.T)
+            if ws is not None:
+                gx = g @ ws.T + gx
+        gn = ax.T @ g if needed[1] else None
         if ws is None:
-            return gx, ax.T @ g
-        return g @ ws.T + gx, ax.T @ g, xv.T @ g
+            return gx, gn
+        return gx, gn, xv.T @ g if needed[2] else None
 
     inputs = (x, w_neigh) if w_self is None else (x, w_neigh, w_self)
-    return _record(Tensor(yv), inputs, grad)
+    return _record(Tensor(yv), inputs, grad, selective=True)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -296,10 +317,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate(values, axis=axis))
     offsets = list(itertools.accumulate(v.shape[axis] for v in values[:-1]))
 
-    def grad(g):
-        return tuple(np.split(g, offsets, axis=axis))
+    def grad(g, needed):
+        return [gi if need else None for gi, need in zip(np.split(g, offsets, axis=axis), needed)]
 
-    return _record(out, tuple(parts), grad)
+    return _record(out, tuple(parts), grad, selective=True)
 
 
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -379,12 +400,12 @@ def mse(preds: Tensor, targets: Tensor) -> Tensor:
     diff = pv - tv
     out = Tensor((diff * diff).mean())
 
-    def grad(g):
+    def grad(g, needed):
         h = (g / diff.size) * diff
         gd = h + h
-        return gd, -gd
+        return gd if needed[0] else None, -gd if needed[1] else None
 
-    return _record(out, (preds, targets), grad)
+    return _record(out, (preds, targets), grad, selective=True)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -9,11 +9,15 @@ atoms are rejected with a diagnostic. ``Cu`` and ``Au`` placeholder atoms
 (marking monomer connection sites in polymer inputs) are replaced by
 carbon at parse time.
 
-``build_graph`` merges the components into one graph and featurizes it
-in a single pass. Graphs carry a 13-dimensional node feature vector per
-heavy atom: a one-hot block over (B, C, N, O, F, S, Cl) followed by
-atomic number, atomic mass, formal charge, Pauling electronegativity,
-van der Waals radius, and attached-hydrogen count. The element columns
+One compiled token regex splits the string, and the ring and branch
+state machine runs once per token, writing flat per-atom and per-bond
+lists. ``parse_smiles`` builds ``Atom``/``Bond`` lists per component from
+them; ``build_graph`` reads them directly, merging the components into
+one graph and featurizing it in a single pass. Graphs carry a
+13-dimensional node feature vector per heavy atom: a one-hot block over
+(B, C, N, O, F, S, Cl) followed by atomic number, atomic mass, formal
+charge, Pauling electronegativity, van der Waals radius, and
+attached-hydrogen count. The element columns
 are one row of a per-element table. Bracket atoms take their explicit H
 count; every other atom gets its default valence plus formal charge
 minus the rounded-up sum of its bond orders, clamped at zero with a
@@ -38,13 +42,12 @@ logger = logging.getLogger(__name__)
 
 NODE_FEATURE_DIM = 13
 
-AROMATIC_SYMBOLS = frozenset("bcnos")
-ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "F", "S", "P", "I")
 PLACEHOLDER_ELEMENTS = frozenset({"Cu", "Au"})
 
 # One node-feature row per supported element; build_graph fills the
 # charge (9) and hydrogen-count (12) columns per atom.
-_ELEMENT_ROW = {symbol: k for k, symbol in enumerate(ELEMENTS)}
+_SYMBOLS = list(ELEMENTS)
+_ELEMENT_ROW = {symbol: k for k, symbol in enumerate(_SYMBOLS)}
 _FEATURE_ROWS = np.array(
     [
         [float(symbol == one_hot) for one_hot in ONE_HOT_ORDER]
@@ -52,9 +55,25 @@ _FEATURE_ROWS = np.array(
         for symbol, e in ELEMENTS.items()
     ]
 )
-_VALENCES = np.array([e.default_valence for e in ELEMENTS.values()])
+_VALENCES = [e.default_valence for e in ELEMENTS.values()]
+_MASSES = [e.atomic_mass for e in ELEMENTS.values()]
 
+# The SMILES token pattern of Schwaller et al. (2019, ACS Cent. Sci. 5,
+# 1572) cut to the supported subset: a bracket atom, an organic-subset
+# atom, an aromatic atom, a bond symbol, a branch, a ring closure, the
+# component separator, and last any other single character, which the
+# scanner rejects with a diagnostic.
+_TOKEN_RE = re.compile(
+    r"\[[^\]]*\]|Cl|Br|[BCNOFSPI]|[bcnos]|[-=#:]|[()]|[0-9]|%[0-9]{2}|\.|.", re.DOTALL
+)
+# Organic-subset and aromatic atom tokens -> (element row, aromatic,
+# formal charge, H count); -1 leaves the H count to the valence model.
+_ORGANIC_ATOMS = {
+    symbol: (_ELEMENT_ROW[symbol.capitalize()], symbol.islower(), 0, -1)
+    for symbol in ("Cl", "Br", *"BCNOFSPI", *"bcnos")
+}
 _BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5}
+_RING_LABELS = {str(n): n for n in range(10)} | {f"%{n:02d}": n for n in range(100)}
 
 _BRACKET_RE = re.compile(
     r"^(?P<element>[A-Z][a-z]?|[bcnos])"
@@ -102,13 +121,14 @@ class MolecularGraph:
         return self.node_features.shape[0]
 
 
-def _parse_bracket(content: str, smiles: str, offset: int) -> Atom:
+def _parse_bracket(content: str, smiles: str, offset: int) -> tuple[int, bool, int, int]:
+    """(element row, aromatic, formal charge, H count) of a bracket atom."""
     match = _BRACKET_RE.match(content)
     if match is None:
         raise SmilesParseError(f"malformed bracket atom [{content}]", smiles, offset)
 
     symbol = match.group("element")
-    aromatic = symbol in AROMATIC_SYMBOLS
+    aromatic = symbol.islower()
     element = symbol.capitalize() if aromatic else symbol
 
     if element in PLACEHOLDER_ELEMENTS:
@@ -132,143 +152,173 @@ def _parse_bracket(content: str, smiles: str, offset: int) -> Atom:
     else:
         charge = len(charge_token) * (1 if charge_token[0] == "+" else -1)
 
-    return Atom(element, formal_charge=charge, aromatic=aromatic, explicit_h=explicit_h)
+    return _ELEMENT_ROW[element], aromatic, charge, explicit_h
 
 
-def parse_smiles(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
-    """Parse a SMILES string into (atoms, bonds) per connected component.
+def _character_error(ch: str, smiles: str, pos: int) -> SmilesParseError:
+    """The diagnostic for a character that starts no supported token."""
+    if ch == "[":
+        message = "unterminated bracket atom"
+    elif ch == "%":
+        message = "malformed %nn ring closure"
+    elif ch in "/\\@":
+        message = "stereochemistry markers are not supported"
+    elif ch == "*":
+        message = "wildcard atoms are not supported"
+    elif ch.isupper() or ch.islower():
+        message = f"unsupported element {ch!r}"
+    else:
+        message = f"unexpected character {ch!r}"
+    return SmilesParseError(message, smiles, pos)
 
-    Bond endpoints are indices local to their component. Raises
-    SmilesParseError with a character offset on malformed input.
-    """
+
+class _Scan(NamedTuple):
+    """Flat parse of a SMILES string. Atom indices run over all components."""
+
+    # (row in ELEMENTS, aromatic, formal charge, H count or -1 for an atom
+    # written without brackets) per atom
+    atoms: list[tuple[int, bool, int, int]]
+    order_sum: list[float]  # bond orders per atom, repeated ring bonds included
+    bonds: list[Bond]  # as written: (anchor, new atom) or (ring opener, closer)
+    edges: list[Bond]  # the graph's bonds: i < j, each atom pair once
+    component_ends: list[tuple[int, int]]  # (atom count, bond count) where each component ends
+
+
+def _scan(smiles: str) -> _Scan:
+    """Tokenize with _TOKEN_RE and run the ring and branch state machine
+    once per token. Raises SmilesParseError with a character offset."""
     if not smiles:
         raise SmilesParseError("empty SMILES", smiles, 0)
     if not smiles.isascii():
         raise SmilesParseError("non-ASCII SMILES", smiles, 0)
 
-    components: list[tuple[list[Atom], list[Bond]]] = []
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
-    anchor: int | None = None
-    branch_stack: list[int] = []
-    # ring number -> (open atom index, bond symbol order or None, offset)
+    scan = _Scan([], [], [], [], [])
+    atoms, order_sum, bonds, edges, component_ends = scan
+    anchor = -1  # the atom the next bond starts from; -1 before a component's first atom
+    component_start = 0
+    branch_points: list[int] = []
+    # ring number -> (opening atom, bond symbol order or None, offset)
     open_rings: dict[int, tuple[int, float | None, int]] = {}
     pending_bond: float | None = None
     pending_pos = 0
 
     def finish_component(pos: int) -> None:
-        nonlocal atoms, bonds, anchor
-        if branch_stack:
+        nonlocal anchor, component_start
+        if branch_points:
             raise SmilesParseError("unbalanced parentheses", smiles, pos)
         if open_rings:
             num, (_, _, open_pos) = next(iter(open_rings.items()))
             raise SmilesParseError(f"unmatched ring closure {num}", smiles, open_pos)
         if pending_bond is not None:
             raise SmilesParseError("dangling bond symbol", smiles, pending_pos)
-        if not atoms:
+        if len(atoms) == component_start:
             raise SmilesParseError("empty component", smiles, pos)
-        components.append((atoms, bonds))
-        atoms, bonds = [], []
-        anchor = None
+        component_ends.append((len(atoms), len(bonds)))
+        component_start = len(atoms)
+        anchor = -1
 
-    def add_atom(atom: Atom, pos: int) -> None:
-        nonlocal anchor, pending_bond
-        idx = len(atoms)
-        atoms.append(atom)
-        if anchor is not None:
-            order = pending_bond
-            if order is None:
-                order = 1.5 if (atoms[anchor].aromatic and atom.aromatic) else 1.0
-            bonds.append(Bond(anchor, idx, order))
-        pending_bond = None
-        anchor = idx
-
-    def close_ring(number: int, pos: int) -> None:
-        nonlocal pending_bond
-        if anchor is None:
-            raise SmilesParseError("ring closure before any atom", smiles, pos)
-        if number in open_rings:
-            other, open_order, _ = open_rings.pop(number)
-            if other == anchor:
-                raise SmilesParseError(
-                    f"ring closure {number} bonds an atom to itself", smiles, pos
-                )
-            order = pending_bond if pending_bond is not None else open_order
-            if (
-                pending_bond is not None
-                and open_order is not None
-                and pending_bond != open_order
-            ):
-                raise SmilesParseError(
-                    f"conflicting bond orders on ring closure {number}", smiles, pos
-                )
-            if order is None:
-                order = 1.5 if (atoms[other].aromatic and atoms[anchor].aromatic) else 1.0
-            bonds.append(Bond(other, anchor, order))
-        else:
-            open_rings[number] = (anchor, pending_bond, pos)
-        pending_bond = None
-
-    i = 0
-    n = len(smiles)
-    while i < n:
-        ch = smiles[i]
-        if ch == "[":
-            end = smiles.find("]", i + 1)
-            if end < 0:
-                raise SmilesParseError("unterminated bracket atom", smiles, i)
-            add_atom(_parse_bracket(smiles[i + 1 : end], smiles, i), i)
-            i = end + 1
-        elif ch in _BOND_ORDERS:
+    pos = 0
+    for token in _TOKEN_RE.findall(smiles):
+        atom = _ORGANIC_ATOMS.get(token)
+        if atom is None and token[0] == "[" and len(token) > 1:
+            atom = _parse_bracket(token[1:-1], smiles, pos)
+        if atom is not None:
+            idx = len(atoms)
+            atoms.append(atom)
+            if anchor < 0:
+                order_sum.append(0.0)
+            else:
+                order = pending_bond
+                if order is None:
+                    order = 1.5 if (atom[1] and atoms[anchor][1]) else 1.0
+                # A new atom's bond to its lower-indexed anchor is never a repeat.
+                bond = Bond(anchor, idx, order)
+                bonds.append(bond)
+                edges.append(bond)
+                order_sum[anchor] += order
+                order_sum.append(order)
+            pending_bond = None
+            anchor = idx
+        elif token in _RING_LABELS:
+            number = _RING_LABELS[token]
+            if anchor < 0:
+                raise SmilesParseError("ring closure before any atom", smiles, pos)
+            if number in open_rings:
+                other, open_order, _ = open_rings.pop(number)
+                if other == anchor:
+                    raise SmilesParseError(
+                        f"ring closure {number} bonds an atom to itself", smiles, pos
+                    )
+                order = pending_bond if pending_bond is not None else open_order
+                if (
+                    pending_bond is not None
+                    and open_order is not None
+                    and pending_bond != open_order
+                ):
+                    raise SmilesParseError(
+                        f"conflicting bond orders on ring closure {number}", smiles, pos
+                    )
+                if order is None:
+                    order = 1.5 if (atoms[other][1] and atoms[anchor][1]) else 1.0
+                bonds.append(Bond(other, anchor, order))
+                order_sum[other] += order
+                order_sum[anchor] += order
+                # After a ")" the opener may be the higher index, and the
+                # closure may repeat a bond already made.
+                i, j = (other, anchor) if other < anchor else (anchor, other)
+                if not any(e[0] == i and e[1] == j for e in edges):
+                    edges.append(Bond(i, j, order))
+            else:
+                open_rings[number] = (anchor, pending_bond, pos)
+            pending_bond = None
+        elif token in _BOND_ORDERS:
             if pending_bond is not None:
-                raise SmilesParseError("consecutive bond symbols", smiles, i)
-            pending_bond = _BOND_ORDERS[ch]
-            pending_pos = i
-            i += 1
-        elif ch == "(":
-            if anchor is None:
-                raise SmilesParseError("branch opened before any atom", smiles, i)
+                raise SmilesParseError("consecutive bond symbols", smiles, pos)
+            pending_bond = _BOND_ORDERS[token]
+            pending_pos = pos
+        elif token == "(":
+            if anchor < 0:
+                raise SmilesParseError("branch opened before any atom", smiles, pos)
             if pending_bond is not None:
-                raise SmilesParseError("bond symbol before branch open", smiles, i)
-            branch_stack.append(anchor)
-            i += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise SmilesParseError("unbalanced parentheses", smiles, i)
+                raise SmilesParseError("bond symbol before branch open", smiles, pos)
+            branch_points.append(anchor)
+        elif token == ")":
+            if not branch_points:
+                raise SmilesParseError("unbalanced parentheses", smiles, pos)
             if pending_bond is not None:
                 raise SmilesParseError("dangling bond symbol", smiles, pending_pos)
-            anchor = branch_stack.pop()
-            i += 1
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-            i += 1
-        elif ch == "%":
-            if i + 2 >= n or not smiles[i + 1 : i + 3].isdigit():
-                raise SmilesParseError("malformed %nn ring closure", smiles, i)
-            close_ring(int(smiles[i + 1 : i + 3]), i)
-            i += 3
-        elif ch == ".":
-            finish_component(i)
-            i += 1
-        elif ch in "/\\@":
-            raise SmilesParseError("stereochemistry markers are not supported", smiles, i)
-        elif ch == "*":
-            raise SmilesParseError("wildcard atoms are not supported", smiles, i)
-        elif ch in AROMATIC_SYMBOLS:
-            add_atom(Atom(ch.upper(), aromatic=True), i)
-            i += 1
+            anchor = branch_points.pop()
+        elif token == ".":
+            finish_component(pos)
         else:
-            for symbol in ORGANIC_SUBSET:
-                if smiles.startswith(symbol, i):
-                    add_atom(Atom(symbol), i)
-                    i += len(symbol)
-                    break
-            else:
-                if ch.isupper() or ch.islower():
-                    raise SmilesParseError(f"unsupported element {ch!r}", smiles, i)
-                raise SmilesParseError(f"unexpected character {ch!r}", smiles, i)
+            raise _character_error(token, smiles, pos)
+        pos += len(token)
 
-    finish_component(n)
+    finish_component(pos)
+    return scan
+
+
+def parse_smiles(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
+    """Parse a SMILES string into (atoms, bonds) per connected component.
+
+    Bonds are listed as written, repeated ring bonds included, with
+    endpoints local to their component. Raises SmilesParseError with a
+    character offset on malformed input.
+    """
+    scan = _scan(smiles)
+    components = []
+    atom_start = bond_start = 0
+    for atom_end, bond_end in scan.component_ends:
+        atoms = [
+            Atom(_SYMBOLS[row], charge, aromatic, None if h < 0 else h)
+            for row, aromatic, charge, h in scan.atoms[atom_start:atom_end]
+        ]
+        bonds = [
+            Bond(i - atom_start, j - atom_start, order)
+            for i, j, order in scan.bonds[bond_start:bond_end]
+        ]
+        components.append((atoms, bonds))
+        atom_start, bond_start = atom_end, bond_end
     return components
 
 
@@ -279,53 +329,38 @@ def build_graph(smiles: str, mol_weight_override: float | None = None) -> Molecu
     for polymers, where the graph covers only the capped monomer); when
     absent, the weight is computed from the parsed atoms.
     """
-    atoms: list[Atom] = []
-    ends: list[int] = []  # both ends of every bond, duplicates included
-    orders: list[float] = []
-    edges: list[Bond] = []
-    seen: set[tuple[int, int]] = set()
-    for component_atoms, bonds in parse_smiles(smiles):
-        offset = len(atoms)
-        atoms.extend(component_atoms)
-        for bond in bonds:
-            i, j = sorted((bond.i + offset, bond.j + offset))
-            ends += (i, j)
-            orders += (bond.order_code, bond.order_code)
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            edges.append(Bond(i, j, bond.order_code))
+    scan = _scan(smiles)
+    rows, _, charges, explicit_h = zip(*scan.atoms)
+    hydrogens = []
+    for row, charge, h, order_sum in zip(rows, charges, explicit_h, scan.order_sum):
+        if h < 0:
+            valence = _VALENCES[row] + charge
+            bonded = math.ceil(order_sum)
+            h = valence - bonded
+            if h < 0:
+                logger.warning(
+                    "%s exceeds its default valence (%d bonds vs %d); clamping H count to 0",
+                    _SYMBOLS[row],
+                    bonded,
+                    valence,
+                )
+                h = 0
+        hydrogens.append(h)
 
-    element = np.array([_ELEMENT_ROW[a.element] for a in atoms])
-    charge = np.array([a.formal_charge for a in atoms])
-    # -1 marks an atom written without brackets, whose H count is implicit.
-    explicit_h = np.array([-1 if a.explicit_h is None else a.explicit_h for a in atoms])
-    bonded = np.ceil(np.bincount(np.array(ends, dtype=np.intp), orders, minlength=len(atoms)))
-    valence = _VALENCES[element] + charge
-    spare_valence = valence - bonded
-    for k in np.flatnonzero((explicit_h < 0) & (spare_valence < 0)).tolist():
-        logger.warning(
-            "%s exceeds its default valence (%d bonds vs %d); clamping H count to 0",
-            atoms[k].element,
-            bonded[k],
-            valence[k],
-        )
-    hydrogens = np.where(explicit_h < 0, np.maximum(spare_valence, 0.0), explicit_h)
-
-    features = _FEATURE_ROWS[element]
-    features[:, 9] = charge
+    features = _FEATURE_ROWS[list(rows)]
+    features[:, 9] = charges
     features[:, 12] = hydrogens
     if mol_weight_override is not None:
         weight = mol_weight_override
     else:
         # Python's left-to-right sum; numpy's pairwise sum rounds differently.
-        weight = sum((features[:, 8] + features[:, 12] * HYDROGEN_MASS).tolist())
+        weight = sum([_MASSES[row] + h * HYDROGEN_MASS for row, h in zip(rows, hydrogens)])
     if not (math.isfinite(weight) and weight > 0):
         raise FeaturizationError(f"molecular weight must be finite and positive, got {weight!r}")
 
     return MolecularGraph(
         node_features=features,
-        edges=tuple(edges),
+        edges=tuple(scan.edges),
         log_mol_weight=math.log10(weight),
         source_smiles=smiles,
     )

@@ -124,10 +124,12 @@ def _draw(rng, shape, exact):
 
 def _assert_same_node(fused, composed, inputs, proj=None):
     """fused() and composed() give equal values and equal gradients for
-    every input, under the loss sum(out * proj) (out itself if proj is None)."""
+    every (watched) input, under the loss sum(out * proj) (out itself if
+    proj is None)."""
     results = []
     for build in (fused, composed):
         with Tape() as tape:
+            tape.watch(*inputs)
             out = build()
             loss = out if proj is None else ad.reduce_sum(ad.mul(out, proj))
         grads = ad.backward(tape, loss)
@@ -222,6 +224,7 @@ def test_fused_relu_on_the_kink():
     assert np.array_equal(grads[b], [1.0])
     op = np.array([[0.0, 1.0], [1.0, 0.0]])
     with Tape() as tape:
+        tape.watch(w)
         out = ad.graph_conv(x, op, w, relu=True)  # rows 2.5 and 0.0
         loss = ad.reduce_sum(out)
     assert np.array_equal(out.data, [[2.5], [0.0]])

@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molsets.chem import (
+    Atom,
     Bond,
     FeaturizationError,
     SmilesParseError,
@@ -100,27 +102,67 @@ def test_bracket_aromatic_nh():
     assert atoms[0].explicit_h == 1
 
 
+# One entry per raise site of the parser, with a short tag naming the site:
+# the exact message and offset.
+PARSE_ERRORS = [
+    ("", "empty", "empty SMILES", 0),
+    ("C\u00e9", "non-ASCII", "non-ASCII SMILES", 0),
+    ("C(C", "unbalanced", "unbalanced parentheses", 3),
+    ("C(C.C", "unbalanced", "unbalanced parentheses", 3),
+    ("C)", "unbalanced", "unbalanced parentheses", 1),
+    ("C(=O)(", "unbalanced", "unbalanced parentheses", 6),
+    ("C1CC", "unmatched ring", "unmatched ring closure 1", 1),
+    ("C1.C1", "unmatched ring", "unmatched ring closure 1", 1),
+    ("C=", "dangling bond", "dangling bond symbol", 1),
+    ("C=.C", "dangling bond", "dangling bond symbol", 1),
+    ("C(C=)C", "dangling bond", "dangling bond symbol", 3),
+    ("C.", "empty component", "empty component", 2),
+    (".C", "empty component", "empty component", 0),
+    ("C..C", "empty component", "empty component", 2),
+    ("1C", "ring before atom", "ring closure before any atom", 0),
+    ("C.1", "ring before atom", "ring closure before any atom", 2),
+    ("%12", "ring before atom", "ring closure before any atom", 0),
+    ("C11", "self ring", "ring closure 1 bonds an atom to itself", 2),
+    ("C1(C)1", "self ring", "ring closure 1 bonds an atom to itself", 5),
+    ("C=1CC-1", "conflicting ring", "conflicting bond orders on ring closure 1", 6),
+    ("C[Li+", "unterminated bracket", "unterminated bracket atom", 1),
+    ("[Cu+", "unterminated bracket", "unterminated bracket atom", 0),
+    ("[13C]", "malformed bracket", "malformed bracket atom [13C]", 0),
+    ("[C@H](F)Cl", "malformed bracket", "malformed bracket atom [C@H]", 0),
+    ("C[C[Li]", "malformed bracket", "malformed bracket atom [C[Li]", 1),
+    ("[Xe]", "unsupported element", "unsupported element 'Xe'", 0),
+    ("C==C", "consecutive bond", "consecutive bond symbols", 2),
+    ("(C", "branch before atom", "branch opened before any atom", 0),
+    ("C.(C)", "branch before atom", "branch opened before any atom", 2),
+    ("C=(C)", "bond before branch", "bond symbol before branch open", 2),
+    ("C%1", "malformed %nn", "malformed %nn ring closure", 1),
+    ("C%1a", "malformed %nn", "malformed %nn ring closure", 1),
+    ("C1CC1%", "malformed %nn", "malformed %nn ring closure", 5),
+    ("C/C=C/C", "stereochemistry", "stereochemistry markers are not supported", 1),
+    ("C\\C", "stereochemistry", "stereochemistry markers are not supported", 1),
+    ("C@", "stereochemistry", "stereochemistry markers are not supported", 1),
+    ("C*", "wildcard", "wildcard atoms are not supported", 1),
+    ("CXe", "unsupported element", "unsupported element 'X'", 1),
+    ("Ca", "unsupported element", "unsupported element 'a'", 1),
+    ("CH", "unsupported element", "unsupported element 'H'", 1),
+    ("C$", "unexpected character", "unexpected character '$'", 1),
+    ("C]", "unexpected character", "unexpected character ']'", 1),
+    ("C\nC", "unexpected character", "unexpected character '\\n'", 1),
+]
+
+
 @pytest.mark.parametrize(
-    "bad, fragment",
-    [
-        ("C(C", "unbalanced"),
-        ("C1CC", "unmatched ring"),
-        ("CXe", "unsupported element"),
-        ("[Xe]", "unsupported element"),
-        ("[C@H](F)Cl", "malformed bracket"),
-        ("C/C=C/C", "stereochemistry"),
-        ("C*", "wildcard"),
-        ("", "empty"),
-        ("C=", "dangling bond"),
-        ("C==C", "consecutive bond"),
-        ("[13C]", "malformed bracket"),
-    ],
+    "bad, message, position",
+    [(bad, message, position) for bad, _, message, position in PARSE_ERRORS],
+    ids=[f"{bad}-{tag}" for bad, tag, _, _ in PARSE_ERRORS],
 )
-def test_parse_errors_carry_offsets(bad, fragment):
+def test_parse_errors_carry_offsets(bad, message, position):
     with pytest.raises(SmilesParseError) as err:
         parse_smiles(bad)
-    assert fragment.split()[0] in str(err.value)
-    assert err.value.position >= 0
+    assert (str(err.value), err.value.position) == (
+        f"{message} (at offset {position} in {bad!r})",
+        position,
+    )
 
 
 def test_table_corpus_counts():
@@ -248,6 +290,24 @@ def test_self_ring_closure_rejected():
     with pytest.raises(SmilesParseError):
         parse_smiles("C11")
 
+
+def test_ring_closure_after_branch_bonds_the_branch_point():
+    # After ")" the anchor is the branch point, so the ring opener has the
+    # higher index: the closure is written (opener, anchor), and the graph
+    # keeps it as (low, high), once if it repeats a chain bond.
+    assert parse_smiles("CC(CC1)1")[0][1][-1] == Bond(3, 1, 1.0)
+    assert build_graph("CC(CC1)1").edges[-1] == Bond(1, 3, 1.0)
+    assert parse_smiles("CC(C1)1")[0][1] == [Bond(0, 1, 1.0), Bond(1, 2, 1.0), Bond(2, 1, 1.0)]
+    graph = build_graph("CC(C1)1")
+    assert graph.edges == (Bond(0, 1, 1.0), Bond(1, 2, 1.0))
+    assert graph.node_features[:, 12].tolist() == [3, 1, 2]
+    assert parse_smiles("C1CC(C12)2")[0][1][-1] == Bond(3, 2, 1.0)
+    assert [(b.i, b.j) for b in build_graph("C1CC(C12)2").edges] == [(0, 1), (1, 2), (2, 3), (0, 3)]
+    # Ring 1 is closed inside the branch, so the last "1" opens it again.
+    with pytest.raises(SmilesParseError, match="unmatched ring closure 1"):
+        parse_smiles("C1CC(C1)1")
+
+
 def test_over_bonded_atom_clamps_with_warning():
     with _chem_warnings() as messages:
         graph = build_graph("C(C)(C)(C)(C)C")  # central C with 5 bonds
@@ -262,9 +322,184 @@ def test_duplicate_ring_closure_counts_toward_valence():
 
 
 # --------------------------------------------------------------------------
-# build_graph against the per-atom featurization it replaced. The reference
-# below fills hydrogen counts atom by atom, builds one 13-vector per atom,
-# stacks them and sums the weight; build_graph must match it exactly.
+# parse_smiles and build_graph against the paths they replaced. The
+# reference parser walks the string one character at a time; the reference
+# featurization fills hydrogen counts atom by atom, builds one 13-vector per
+# atom, stacks them and sums the weight. Both must match exactly, errors
+# included.
+
+_REFERENCE_BRACKET_RE = re.compile(
+    r"^(?P<element>[A-Z][a-z]?|[bcnos])"
+    r"(?P<hydrogens>H\d*)?"
+    r"(?P<charge>\+{1,3}|-{1,3}|[+-]\d+)?$"
+)
+_REFERENCE_BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5}
+
+
+def _reference_bracket(content: str, smiles: str, offset: int) -> Atom:
+    match = _REFERENCE_BRACKET_RE.match(content)
+    if match is None:
+        raise SmilesParseError(f"malformed bracket atom [{content}]", smiles, offset)
+
+    symbol = match.group("element")
+    aromatic = symbol in "bcnos"
+    element = symbol.capitalize() if aromatic else symbol
+
+    if element in ("Cu", "Au"):
+        element = "C"
+    elif element not in SUPPORTED_ELEMENTS:
+        raise SmilesParseError(f"unsupported element {element!r}", smiles, offset)
+
+    h_token = match.group("hydrogens")
+    if h_token is None:
+        explicit_h = 0
+    elif h_token == "H":
+        explicit_h = 1
+    else:
+        explicit_h = int(h_token[1:])
+
+    charge_token = match.group("charge")
+    if charge_token is None:
+        charge = 0
+    elif charge_token[-1].isdigit():
+        charge = int(charge_token)
+    else:
+        charge = len(charge_token) * (1 if charge_token[0] == "+" else -1)
+
+    return Atom(element, formal_charge=charge, aromatic=aromatic, explicit_h=explicit_h)
+
+
+def _reference_parse(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
+    """The character-by-character parser that parse_smiles replaced."""
+    if not smiles:
+        raise SmilesParseError("empty SMILES", smiles, 0)
+    if not smiles.isascii():
+        raise SmilesParseError("non-ASCII SMILES", smiles, 0)
+
+    components: list[tuple[list[Atom], list[Bond]]] = []
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    anchor: int | None = None
+    branch_stack: list[int] = []
+    # ring number -> (open atom index, bond symbol order or None, offset)
+    open_rings: dict[int, tuple[int, float | None, int]] = {}
+    pending_bond: float | None = None
+    pending_pos = 0
+
+    def finish_component(pos: int) -> None:
+        nonlocal atoms, bonds, anchor
+        if branch_stack:
+            raise SmilesParseError("unbalanced parentheses", smiles, pos)
+        if open_rings:
+            num, (_, _, open_pos) = next(iter(open_rings.items()))
+            raise SmilesParseError(f"unmatched ring closure {num}", smiles, open_pos)
+        if pending_bond is not None:
+            raise SmilesParseError("dangling bond symbol", smiles, pending_pos)
+        if not atoms:
+            raise SmilesParseError("empty component", smiles, pos)
+        components.append((atoms, bonds))
+        atoms, bonds = [], []
+        anchor = None
+
+    def add_atom(atom: Atom) -> None:
+        nonlocal anchor, pending_bond
+        idx = len(atoms)
+        atoms.append(atom)
+        if anchor is not None:
+            order = pending_bond
+            if order is None:
+                order = 1.5 if (atoms[anchor].aromatic and atom.aromatic) else 1.0
+            bonds.append(Bond(anchor, idx, order))
+        pending_bond = None
+        anchor = idx
+
+    def close_ring(number: int, pos: int) -> None:
+        nonlocal pending_bond
+        if anchor is None:
+            raise SmilesParseError("ring closure before any atom", smiles, pos)
+        if number in open_rings:
+            other, open_order, _ = open_rings.pop(number)
+            if other == anchor:
+                raise SmilesParseError(
+                    f"ring closure {number} bonds an atom to itself", smiles, pos
+                )
+            order = pending_bond if pending_bond is not None else open_order
+            if (
+                pending_bond is not None
+                and open_order is not None
+                and pending_bond != open_order
+            ):
+                raise SmilesParseError(
+                    f"conflicting bond orders on ring closure {number}", smiles, pos
+                )
+            if order is None:
+                order = 1.5 if (atoms[other].aromatic and atoms[anchor].aromatic) else 1.0
+            bonds.append(Bond(other, anchor, order))
+        else:
+            open_rings[number] = (anchor, pending_bond, pos)
+        pending_bond = None
+
+    i = 0
+    n = len(smiles)
+    while i < n:
+        ch = smiles[i]
+        if ch == "[":
+            end = smiles.find("]", i + 1)
+            if end < 0:
+                raise SmilesParseError("unterminated bracket atom", smiles, i)
+            add_atom(_reference_bracket(smiles[i + 1 : end], smiles, i))
+            i = end + 1
+        elif ch in _REFERENCE_BOND_ORDERS:
+            if pending_bond is not None:
+                raise SmilesParseError("consecutive bond symbols", smiles, i)
+            pending_bond = _REFERENCE_BOND_ORDERS[ch]
+            pending_pos = i
+            i += 1
+        elif ch == "(":
+            if anchor is None:
+                raise SmilesParseError("branch opened before any atom", smiles, i)
+            if pending_bond is not None:
+                raise SmilesParseError("bond symbol before branch open", smiles, i)
+            branch_stack.append(anchor)
+            i += 1
+        elif ch == ")":
+            if not branch_stack:
+                raise SmilesParseError("unbalanced parentheses", smiles, i)
+            if pending_bond is not None:
+                raise SmilesParseError("dangling bond symbol", smiles, pending_pos)
+            anchor = branch_stack.pop()
+            i += 1
+        elif ch.isdigit():
+            close_ring(int(ch), i)
+            i += 1
+        elif ch == "%":
+            if i + 2 >= n or not smiles[i + 1 : i + 3].isdigit():
+                raise SmilesParseError("malformed %nn ring closure", smiles, i)
+            close_ring(int(smiles[i + 1 : i + 3]), i)
+            i += 3
+        elif ch == ".":
+            finish_component(i)
+            i += 1
+        elif ch in "/\\@":
+            raise SmilesParseError("stereochemistry markers are not supported", smiles, i)
+        elif ch == "*":
+            raise SmilesParseError("wildcard atoms are not supported", smiles, i)
+        elif ch in "bcnos":
+            add_atom(Atom(ch.upper(), aromatic=True))
+            i += 1
+        else:
+            for symbol in ("Cl", "Br", "B", "C", "N", "O", "F", "S", "P", "I"):
+                if smiles.startswith(symbol, i):
+                    add_atom(Atom(symbol))
+                    i += len(symbol)
+                    break
+            else:
+                if ch.isupper() or ch.islower():
+                    raise SmilesParseError(f"unsupported element {ch!r}", smiles, i)
+                raise SmilesParseError(f"unexpected character {ch!r}", smiles, i)
+
+    finish_component(n)
+    return components
 
 
 def _reference_hydrogens(atoms, bonds, warnings: list[str]) -> list[int]:
@@ -307,7 +542,7 @@ def _reference_graph(smiles: str):
     """(node features, edges, log10 weight, valence warnings) of the per-atom path."""
     warnings: list[str] = []
     atoms, hydrogens, edges, seen = [], [], [], set()
-    for component_atoms, bonds in parse_smiles(smiles):
+    for component_atoms, bonds in _reference_parse(smiles):
         offset = len(atoms)
         atoms.extend(component_atoms)
         hydrogens.extend(_reference_hydrogens(component_atoms, bonds, warnings))
@@ -340,10 +575,12 @@ def _assert_matches_reference(smiles: str) -> None:
     try:
         features, edges, log_weight, warnings = _reference_graph(smiles)
     except SmilesParseError as expected:
-        with pytest.raises(SmilesParseError) as err:
-            build_graph(smiles)
-        assert (str(err.value), err.value.position) == (str(expected), expected.position)
+        for parse in (parse_smiles, build_graph):
+            with pytest.raises(SmilesParseError) as err:
+                parse(smiles)
+            assert (str(err.value), err.value.position) == (str(expected), expected.position)
         return
+    assert parse_smiles(smiles) == _reference_parse(smiles), smiles
     with _chem_warnings() as messages:
         graph = build_graph(smiles)
     assert graph.node_features.dtype == features.dtype, smiles
@@ -417,33 +654,46 @@ def _ring_label(number: int) -> str:
 
 @st.composite
 def _components(draw) -> str:
-    """One connected component: a chain with branches and ring closures,
-    where a closure may repeat an existing bond (a duplicate ring edge)."""
+    """One connected component: a chain with branches and ring closures.
+    A closure may repeat an existing bond (a duplicate ring edge) and may
+    follow a ")", where it bonds the branch point to a ring opened at a
+    higher-indexed atom inside the branch."""
     out: list[str] = []
-    open_rings: list[int] = []
-    depth = 0
+    open_rings: list[tuple[int, int]] = []  # (ring number, opening atom)
+    branch_points: list[int] = []
+    anchor = 0
+
+    def close_rings() -> None:
+        closable = [ring for ring in open_rings if ring[1] != anchor]
+        if closable and draw(st.booleans()):
+            for ring in reversed(closable[-draw(st.integers(1, len(closable))) :]):
+                out.append(_ring_label(ring[0]))
+                open_rings.remove(ring)
+
     n_atoms = draw(st.integers(1, 10))
     for k in range(n_atoms):
         if k > 0:
             move = draw(st.integers(0, 4))
-            if move == 0 and depth:
+            if move == 0 and branch_points:
                 out.append(")")
-                depth -= 1
+                anchor = branch_points.pop()
+                close_rings()
             elif move == 1:
                 out.append("(")
-                depth += 1
+                branch_points.append(anchor)
             out.append(draw(_bonds))
         out.append(draw(_atoms))
-        if k > 0 and open_rings and draw(st.booleans()):
-            for _ in range(draw(st.integers(1, len(open_rings)))):
-                out.append(_ring_label(open_rings.pop()))
+        anchor = k
+        if k > 0:
+            close_rings()
         if k < n_atoms - 1:
             for _ in range(draw(st.integers(0, min(2, len(_RING_NUMBERS) - len(open_rings))))):
-                number = draw(st.sampled_from([n for n in _RING_NUMBERS if n not in open_rings]))
+                used = [ring[0] for ring in open_rings]
+                number = draw(st.sampled_from([n for n in _RING_NUMBERS if n not in used]))
                 out.append(draw(_bonds) + _ring_label(number))
-                open_rings.append(number)
-    out.extend(_ring_label(n) for n in reversed(open_rings))
-    out.append(")" * depth)
+                open_rings.append((number, k))
+    out.extend(_ring_label(ring[0]) for ring in reversed(open_rings))
+    out.append(")" * len(branch_points))
     return "".join(out)
 
 

@@ -8,6 +8,7 @@ import pytest
 from molsets import autodiff as ad
 from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
+from molsets.chem import NODE_FEATURE_DIM
 from molsets.data import generate_synthetic
 from molsets.model import (
     GraphStore,
@@ -318,6 +319,37 @@ def test_batch_loss_gradient_matches_finite_differences():
     for t in tensors:
         denom = max(np.linalg.norm(fd[t]), np.linalg.norm(grads[t]), 1e-10)
         assert np.linalg.norm(grads[t] - fd[t]) / denom <= 1e-4
+
+
+def test_graphconv_step_forms_no_gradient_of_constant_inputs():
+    # The node features of the first conv layer, the log-mass column and
+    # the targets enter graph_conv, concat and mse as constants, so
+    # backward forms no gradient for them; every parameter still gets one.
+    examples = _examples(6, seed=27)
+    params = build_model(ModelConfig.for_conv("graphconv", seed=8, **MICRO))
+    tensors = [t for _, t in named_parameters(params)]
+    with Tape() as tape:
+        tape.watch(*tensors)
+        preds = forward_batch(params, [mix for mix, _ in examples])
+        targets = Tensor(np.array([y for _, y in examples]))
+        loss = mse_loss(preds, targets)
+    grads = ad.backward(tape, loss)
+    watched = set(tensors)
+    constants = {
+        t
+        for _, inputs, _, selective in tape._nodes
+        if selective
+        for t in inputs
+        if t.tape is not tape and t not in watched
+    }
+    # One node-feature matrix per union of distinct solvents and of salts.
+    graphs = {g for mix, _ in examples for g, _ in mix.solvents}
+    graphs |= {mix.salt for mix, _ in examples}
+    features = [t for t in constants if t.data.shape[1:] == (NODE_FEATURE_DIM,)]
+    assert sum(t.data.shape[0] for t in features) == sum(g.n_nodes for g in graphs)
+    assert targets in constants
+    assert not any(t in grads for t in constants)
+    assert watched <= set(grads)
 
 
 def test_pearson_examples():
