@@ -7,13 +7,14 @@ with placeholder connection sites.
 
 import numpy as np
 
-from molsets import build_graph, parse_smiles
+from molsets import build_graph
+from molsets.elements import ELEMENTS
 
 np.set_printoptions(precision=3, suppress=True)
 
 print("=== Tetrahydrofuran: C1CCOC1 ===")
 graph = build_graph("C1CCOC1")
-print(f"{graph.n_nodes} heavy atoms, {len(graph.edges)} bonds")
+print(f"{graph.n_nodes} heavy atoms, {len(graph.edge_order)} bonds")
 print("node features (one-hot B C N O F S Cl | Z, mass, charge, EN, vdW, H):")
 print(graph.node_features)
 print(f"log10 molecular weight: {graph.log_mol_weight:.4f}")
@@ -21,19 +22,19 @@ print(f"log10 molecular weight: {graph.log_mol_weight:.4f}")
 print()
 print("=== Kekule benzene keeps its alternating bond orders ===")
 benzene = build_graph("C1=CC=CC=C1")
-print("bond order codes:", [b.order_code for b in benzene.edges])
+print("bonds (i, j):", benzene.edge_index.tolist())
+print("bond order codes:", benzene.edge_order.tolist())
 aromatic = build_graph("c1ccccc1")
 print("lowercase aromatic input instead marks every ring bond 1.5:")
-print("bond order codes:", [b.order_code for b in aromatic.edges])
+print("bond order codes:", aromatic.edge_order.tolist())
 
 print()
 print("=== A salt is a multi-component graph: F[P-](F)(F)(F)(F)F.[Li+] ===")
-components = parse_smiles("F[P-](F)(F)(F)(F)F.[Li+]")
-for i, (atoms, bonds) in enumerate(components):
-    elements = [a.element for a in atoms]
-    print(f"component {i}: {elements} with {len(bonds)} bonds")
+for i, part in enumerate("F[P-](F)(F)(F)(F)F.[Li+]".split(".")):
+    component = build_graph(part)
+    print(f"component {i}: {part} with {component.n_nodes} nodes and {len(component.edge_order)} edges")
 salt = build_graph("F[P-](F)(F)(F)(F)F.[Li+]")
-print(f"merged graph: {salt.n_nodes} nodes, {len(salt.edges)} edges")
+print(f"merged graph: {salt.n_nodes} nodes, {len(salt.edge_order)} edges")
 print("formal charges:", salt.node_features[:, 9])
 
 print()
@@ -44,7 +45,7 @@ print(f"reported molecular weight overrides the computed one: log10 M = {monomer
 
 print()
 print("=== Implicit hydrogens follow the standard valence model ===")
-atoms, _ = parse_smiles("CC(=O)C")[0]
+symbol = {e.atomic_number: s for s, e in ELEMENTS.items()}
 acetone = build_graph("CC(=O)C")
-for atom, hydrogens in zip(atoms, acetone.node_features[:, 12]):
-    print(f"  {atom.element}: {hydrogens:.0f} implicit H")
+for atomic_number, hydrogens in acetone.node_features[:, [7, 12]]:
+    print(f"  {symbol[atomic_number]}: {hydrogens:.0f} implicit H")

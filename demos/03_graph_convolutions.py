@@ -17,7 +17,7 @@ graph = build_graph("CC(=O)O")  # acetic acid: chain with one double bond
 gt = GraphTensors.from_graph(graph)
 x = Tensor(graph.node_features)
 print("molecule: CC(=O)O with bond codes",
-      {(b.i, b.j): b.order_code for b in graph.edges})
+      dict(zip(map(tuple, graph.edge_index.tolist()), graph.edge_order.tolist())))
 
 rng = np.random.default_rng(1)
 for kind in ("graphconv", "sageconv", "gcnconv", "gatconv"):
@@ -45,10 +45,8 @@ print("acetic acid row vs its own pass, max difference:", np.abs(pooled[0] - alo
 
 print("\n=== Permutation equivariance ===")
 perm = [3, 1, 0, 2]
-relabel = {old: new for new, old in enumerate(perm)}
-gt_perm = GraphTensors(
-    graph.n_nodes, [(relabel[b.i], relabel[b.j], b.order_code) for b in graph.edges]
-)
+relabel = np.argsort(perm)  # new index of each old node
+gt_perm = GraphTensors(graph.n_nodes, relabel[graph.edge_index], graph.edge_order)
 params = init_conv("graphconv", 13, 4, np.random.default_rng(2))
 out = conv_forward(params, x, gt).data
 out_perm = conv_forward(params, Tensor(graph.node_features[perm]), gt_perm).data

@@ -10,15 +10,7 @@ virtual screening.
 """
 
 from .autodiff import Tape, Tensor, backward, finite_diff_gradient
-from .chem import (
-    Atom,
-    Bond,
-    FeaturizationError,
-    MolecularGraph,
-    SmilesParseError,
-    build_graph,
-    parse_smiles,
-)
+from .chem import FeaturizationError, MolecularGraph, SmilesParseError, build_graph
 from .data import (
     ArrheniusFit,
     ConductivityPoint,

@@ -10,10 +10,12 @@ atoms are rejected with a diagnostic. ``Cu`` and ``Au`` placeholder atoms
 carbon at parse time.
 
 One compiled token regex splits the string, and the ring and branch
-state machine runs once per token, writing flat per-atom and per-bond
-lists. ``parse_smiles`` builds ``Atom``/``Bond`` lists per component from
-them; ``build_graph`` reads them directly, merging the components into
-one graph and featurizing it in a single pass. Graphs carry a
+state machine runs once per token, writing flat per-atom lists and the
+graph's bonds as (i, j) pairs with i < j, each atom pair once, plus a
+parallel list of bond orders. ``build_graph`` merges the components into
+one graph and featurizes it in a single pass; its bonds are the
+``edge_index`` ((E, 2) intp) and ``edge_order`` ((E,) float64) arrays,
+row k of one matching row k of the other. Graphs carry a
 13-dimensional node feature vector per heavy atom: a one-hot block over
 (B, C, N, O, F, S, Cl) followed by atomic number, atomic mass, formal
 charge, Pauling electronegativity, van der Waals radius, and
@@ -95,24 +97,11 @@ class FeaturizationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
-    element: str
-    formal_charge: int = 0
-    aromatic: bool = False
-    explicit_h: int | None = None  # from bracket notation, None otherwise
-
-
-class Bond(NamedTuple):
-    i: int
-    j: int
-    order_code: float  # 1, 1.5, 2, or 3
-
-
 @dataclass(eq=False)
 class MolecularGraph:
     node_features: np.ndarray  # (n, 13)
-    edges: tuple[Bond, ...]  # undirected, deduplicated, i < j
+    edge_index: np.ndarray  # (E, 2) intp: undirected bonds, deduplicated, i < j
+    edge_order: np.ndarray  # (E,) float64: 1, 1.5, 2, or 3 per edge_index row
     log_mol_weight: float  # log10 Dalton
     source_smiles: str
 
@@ -173,15 +162,14 @@ def _character_error(ch: str, smiles: str, pos: int) -> SmilesParseError:
 
 
 class _Scan(NamedTuple):
-    """Flat parse of a SMILES string. Atom indices run over all components."""
+    """Flat parse of a SMILES string; atom indices run over all components."""
 
     # (row in ELEMENTS, aromatic, formal charge, H count or -1 for an atom
     # written without brackets) per atom
     atoms: list[tuple[int, bool, int, int]]
     order_sum: list[float]  # bond orders per atom, repeated ring bonds included
-    bonds: list[Bond]  # as written: (anchor, new atom) or (ring opener, closer)
-    edges: list[Bond]  # the graph's bonds: i < j, each atom pair once
-    component_ends: list[tuple[int, int]]  # (atom count, bond count) where each component ends
+    pairs: list[tuple[int, int]]  # the graph's bonds: i < j, each atom pair once
+    orders: list[float]  # bond order per pair
 
 
 def _scan(smiles: str) -> _Scan:
@@ -192,8 +180,8 @@ def _scan(smiles: str) -> _Scan:
     if not smiles.isascii():
         raise SmilesParseError("non-ASCII SMILES", smiles, 0)
 
-    scan = _Scan([], [], [], [], [])
-    atoms, order_sum, bonds, edges, component_ends = scan
+    scan = _Scan([], [], [], [])
+    atoms, order_sum, pairs, orders = scan
     anchor = -1  # the atom the next bond starts from; -1 before a component's first atom
     component_start = 0
     branch_points: list[int] = []
@@ -213,7 +201,6 @@ def _scan(smiles: str) -> _Scan:
             raise SmilesParseError("dangling bond symbol", smiles, pending_pos)
         if len(atoms) == component_start:
             raise SmilesParseError("empty component", smiles, pos)
-        component_ends.append((len(atoms), len(bonds)))
         component_start = len(atoms)
         anchor = -1
 
@@ -232,9 +219,8 @@ def _scan(smiles: str) -> _Scan:
                 if order is None:
                     order = 1.5 if (atom[1] and atoms[anchor][1]) else 1.0
                 # A new atom's bond to its lower-indexed anchor is never a repeat.
-                bond = Bond(anchor, idx, order)
-                bonds.append(bond)
-                edges.append(bond)
+                pairs.append((anchor, idx))
+                orders.append(order)
                 order_sum[anchor] += order
                 order_sum.append(order)
             pending_bond = None
@@ -260,14 +246,14 @@ def _scan(smiles: str) -> _Scan:
                     )
                 if order is None:
                     order = 1.5 if (atoms[other][1] and atoms[anchor][1]) else 1.0
-                bonds.append(Bond(other, anchor, order))
                 order_sum[other] += order
                 order_sum[anchor] += order
                 # After a ")" the opener may be the higher index, and the
                 # closure may repeat a bond already made.
-                i, j = (other, anchor) if other < anchor else (anchor, other)
-                if not any(e[0] == i and e[1] == j for e in edges):
-                    edges.append(Bond(i, j, order))
+                pair = (other, anchor) if other < anchor else (anchor, other)
+                if pair not in pairs:
+                    pairs.append(pair)
+                    orders.append(order)
             else:
                 open_rings[number] = (anchor, pending_bond, pos)
             pending_bond = None
@@ -296,30 +282,6 @@ def _scan(smiles: str) -> _Scan:
 
     finish_component(pos)
     return scan
-
-
-def parse_smiles(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
-    """Parse a SMILES string into (atoms, bonds) per connected component.
-
-    Bonds are listed as written, repeated ring bonds included, with
-    endpoints local to their component. Raises SmilesParseError with a
-    character offset on malformed input.
-    """
-    scan = _scan(smiles)
-    components = []
-    atom_start = bond_start = 0
-    for atom_end, bond_end in scan.component_ends:
-        atoms = [
-            Atom(_SYMBOLS[row], charge, aromatic, None if h < 0 else h)
-            for row, aromatic, charge, h in scan.atoms[atom_start:atom_end]
-        ]
-        bonds = [
-            Bond(i - atom_start, j - atom_start, order)
-            for i, j, order in scan.bonds[bond_start:bond_end]
-        ]
-        components.append((atoms, bonds))
-        atom_start, bond_start = atom_end, bond_end
-    return components
 
 
 def build_graph(smiles: str, mol_weight_override: float | None = None) -> MolecularGraph:
@@ -360,7 +322,8 @@ def build_graph(smiles: str, mol_weight_override: float | None = None) -> Molecu
 
     return MolecularGraph(
         node_features=features,
-        edges=tuple(scan.edges),
+        edge_index=np.array(scan.pairs, dtype=np.intp).reshape(-1, 2),
+        edge_order=np.array(scan.orders, dtype=np.float64),
         log_mol_weight=math.log10(weight),
         source_smiles=smiles,
     )

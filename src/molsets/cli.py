@@ -141,7 +141,10 @@ def _cmd_featurize(args) -> int:
         "smiles": graph.source_smiles,
         "n_nodes": graph.n_nodes,
         "node_features": graph.node_features.tolist(),
-        "edges": [[b.i, b.j, b.order_code] for b in graph.edges],
+        "edges": [
+            [i, j, order]
+            for (i, j), order in zip(graph.edge_index.tolist(), graph.edge_order.tolist())
+        ],
         "log_mol_weight": graph.log_mol_weight,
     }
     print(json.dumps(doc, indent=1))

@@ -1,28 +1,29 @@
 """Graph convolution operators, directed message passing, pooling, dense layers.
 
-A graph's topology is one directed edge list (GraphTensors): each bond
-i-j appears as i -> j and j -> i with its bond code as weight. Many
-graphs run as one disjoint union (GraphTensors.union): their node rows
-are stacked and their edge lists offset, so a conv layer is one pass
-over all of them and mean pooling is one segment sum. Graphconv,
-sageconv, gcnconv and GAT read their operator off the edge list as a
-dense matrix filled from (row, col, value) entries, built once per
-union; at the union sizes used here (a few hundred atoms at most) one
-dense matmul costs less than a scatter-add over the edges. The operator
-is a constant ndarray, so a graphconv, sageconv or gcnconv layer, its
-ReLU included, is one tape node (`ad.graph_conv`). DMPNN passes
-messages with gathers and segment sums over the edges, so it needs no
-edge-by-edge matrix. Conventions for degenerate cases: empty
-neighborhoods contribute a zero aggregate, the degree-normalized operator
-includes a self term with unit weight, and the attention operator runs
-an edge-wise softmax over each node's neighborhood plus the node itself.
+A graph's topology is one directed edge list (GraphTensors): each
+`edge_index` row (i, j) appears as i -> j and j -> i with its bond code
+as weight. Many graphs run as one disjoint union (GraphTensors.union):
+their node rows are stacked and their edge lists offset, so a conv layer
+is one pass over all of them and mean pooling is one segment sum.
+Graphconv, sageconv, gcnconv and GAT read their operator off the edge
+list as a dense matrix filled from (row, col, value) entries, built once
+per union; at the union sizes used here (a few hundred atoms at most)
+one dense matmul costs less than a scatter-add over the edges. The
+operator is a constant ndarray, so a graphconv, sageconv or gcnconv
+layer, its ReLU included, is one tape node (`ad.graph_conv`). DMPNN
+passes messages with gathers and segment sums over the edges, so it
+needs no edge-by-edge matrix. Conventions for degenerate cases: empty
+neighborhoods contribute a zero aggregate, the degree-normalized
+operator includes a self term with unit weight, and the attention
+operator runs an edge-wise softmax over each node's neighborhood plus
+the node itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -59,24 +60,23 @@ class GraphTensors:
     """Directed edge list of one graph, or of a disjoint union of graphs,
     and the conv operators built from it.
 
-    Bond k between i and j becomes edge 2k (i -> j) and edge 2k + 1
-    (j -> i), so the reverse of edge e is e ^ 1. `sizes` holds the node
-    count of each member graph (one entry for a single graph). Operators
-    are built on first use and kept with the object.
+    `edge_index` row k, (i, j), becomes edge 2k (i -> j) and edge 2k + 1
+    (j -> i), both weighted by `edge_order[k]`, so the reverse of edge e
+    is e ^ 1. `sizes` holds the node count of each member graph (one
+    entry for a single graph). Operators are built on first use and kept
+    with the object.
     """
 
-    def __init__(self, n_nodes: int, edges):
+    def __init__(self, n_nodes: int, edge_index: np.ndarray, edge_order: np.ndarray):
         self.n = n_nodes
         self.sizes = np.array([n_nodes])
-        bonds = np.fromiter(chain.from_iterable(edges), np.float64).reshape(-1, 3)  # (i, j, w)
-        ends = bonds[:, :2].astype(np.intp)
-        self.src = ends.reshape(-1)
-        self.dst = ends[:, ::-1].reshape(-1)
-        self.w = np.repeat(bonds[:, 2], 2)
+        self.src = edge_index.reshape(-1)
+        self.dst = edge_index[:, ::-1].reshape(-1)
+        self.w = np.repeat(edge_order, 2)
 
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "GraphTensors":
-        return cls(graph.n_nodes, graph.edges)
+        return cls(graph.n_nodes, graph.edge_index, graph.edge_order)
 
     @classmethod
     def union(cls, parts: Sequence["GraphTensors"]) -> "GraphTensors":
@@ -105,7 +105,7 @@ class GraphTensors:
 
     @cached_property
     def weighted(self) -> np.ndarray:
-        """Bond-weighted neighbour sum."""
+        """Neighbour sum weighted by bond order."""
         return self._matrix(self.dst, self.src, self.w)
 
     @cached_property

@@ -113,10 +113,11 @@ class ModelConfig:
         if not isinstance(self.rho_hidden_dims, (list, tuple)):
             raise ValueError(f"rho_hidden_dims must be a list, got {self.rho_hidden_dims!r}")
         self.rho_hidden_dims = tuple(self.rho_hidden_dims)
-        sizes = [(name, getattr(self, name)) for name in _SIZE_FIELDS]
-        for name, value in sizes + [("rho_hidden_dims", d) for d in self.rho_hidden_dims]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        checks = [(name, getattr(self, name), 1) for name in _SIZE_FIELDS]
+        checks += [("rho_hidden_dims", d, 1) for d in self.rho_hidden_dims]
+        for name, value, least in checks + [("seed", self.seed, 0)]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def for_conv(cls, conv: str, variant: str = "molsets", seed: int = 0, **overrides) -> "ModelConfig":

@@ -56,6 +56,7 @@ class TrainConfig:
             ("batch_size", 1),
             ("scheduler_patience", 0),
             ("early_stop_patience", 0),
+            ("seed", 0),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -264,6 +265,8 @@ def train(
 
         train_loss = epoch_squares / len(train_data)
         val_loss = _validation_loss(params, val_data)
+        if not math.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss {val_loss} at epoch {epoch}, lr {lr_used}")
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
         val_losses.append(val_loss)
         if debug:

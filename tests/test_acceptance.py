@@ -251,7 +251,7 @@ def test_criterion_08_smiles_corpus():
     failures = []
     for smiles, (n_atoms, n_bonds) in corpus.items():
         graph = build_graph(smiles)
-        if graph.n_nodes != n_atoms or len(graph.edges) != n_bonds:
+        if graph.n_nodes != n_atoms or len(graph.edge_order) != n_bonds:
             failures.append(smiles)
     _report(
         8,

@@ -5,21 +5,16 @@ import logging
 import math
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molsets.chem import (
-    Atom,
-    Bond,
-    FeaturizationError,
-    SmilesParseError,
-    build_graph,
-    parse_smiles,
-)
+from molsets.chem import FeaturizationError, SmilesParseError, build_graph
 from molsets.data import SYNTHETIC_SALTS, SYNTHETIC_SOLVENTS
 from molsets.elements import ELEMENTS, HYDROGEN_MASS, ONE_HOT_ORDER, SUPPORTED_ELEMENTS
 from molsets.gnn import GraphTensors
@@ -40,66 +35,62 @@ TABLE_CORPUS = {
 }
 
 
+def _atomic_numbers(graph) -> list[int]:
+    return graph.node_features[:, 7].astype(int).tolist()
+
+
 def test_parse_thf_ring():
-    components = parse_smiles("C1CCOC1")
-    assert len(components) == 1
-    atoms, bonds = components[0]
-    assert [a.element for a in atoms] == ["C", "C", "C", "O", "C"]
-    assert len(bonds) == 5
-    assert all(b.order_code == 1.0 for b in bonds)
+    graph = build_graph("C1CCOC1")
+    assert _atomic_numbers(graph) == [6, 6, 6, 8, 6]
+    assert graph.edge_index.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
+    assert graph.edge_order.tolist() == [1.0] * 5
 
 
 def test_parse_bracket_lithium():
-    components = parse_smiles("[Li+]")
-    assert len(components) == 1
-    atoms, bonds = components[0]
-    assert len(atoms) == 1 and not bonds
-    assert atoms[0].element == "Li"
-    assert atoms[0].formal_charge == 1
-    assert atoms[0].explicit_h == 0
+    graph = build_graph("[Li+]")
+    assert _atomic_numbers(graph) == [3]
+    assert graph.edge_index.shape == (0, 2) and graph.edge_order.shape == (0,)
+    assert graph.node_features[0, 9] == 1  # formal charge
+    assert graph.node_features[0, 12] == 0  # explicit H count
 
 
 def test_parse_hexafluorophosphate_salt():
-    components = parse_smiles("F[P-](F)(F)(F)(F)F.[Li+]")
-    assert len(components) == 2
-    atoms, bonds = components[0]
-    assert sorted(a.element for a in atoms) == ["F"] * 6 + ["P"]
-    assert next(a for a in atoms if a.element == "P").formal_charge == -1
-    assert len(bonds) == 6 and all(b.order_code == 1.0 for b in bonds)
-    li_atoms, li_bonds = components[1]
-    assert len(li_atoms) == 1 and not li_bonds
+    # The two components become one graph in which lithium is an isolated node.
+    graph = build_graph("F[P-](F)(F)(F)(F)F.[Li+]")
+    assert _atomic_numbers(graph) == [9, 15, 9, 9, 9, 9, 9, 3]
+    assert graph.node_features[1, 9] == -1
+    assert graph.edge_index.tolist() == [[0, 1], [1, 2], [1, 3], [1, 4], [1, 5], [1, 6]]
+    assert graph.edge_order.tolist() == [1.0] * 6
 
 
 def test_parse_kekule_benzene_alternates():
-    atoms, bonds = parse_smiles("C1=CC=CC=C1")[0]
-    assert len(atoms) == 6
-    assert [b.order_code for b in bonds] == [2.0, 1.0, 2.0, 1.0, 2.0, 1.0]
+    graph = build_graph("C1=CC=CC=C1")
+    assert graph.n_nodes == 6
+    assert graph.edge_order.tolist() == [2.0, 1.0, 2.0, 1.0, 2.0, 1.0]
 
 
 def test_parse_aromatic_ring_gets_1_5():
-    atoms, bonds = parse_smiles("c1ccccc1")[0]
-    assert all(a.aromatic for a in atoms)
-    assert all(b.order_code == 1.5 for b in bonds)
+    graph = build_graph("c1ccccc1")
+    assert graph.edge_order.tolist() == [1.5] * 6
 
 
 def test_placeholders_become_carbon():
-    atoms, bonds = parse_smiles("[Cu]CC[Au]")[0]
-    assert [a.element for a in atoms] == ["C", "C", "C", "C"]
-    assert len(bonds) == 3
+    graph = build_graph("[Cu]CC[Au]")
+    assert _atomic_numbers(graph) == [6, 6, 6, 6]
+    assert len(graph.edge_order) == 3
 
 
 def test_charge_digit_forms():
-    atoms, _ = parse_smiles("[N+2]")[0]
-    assert atoms[0].formal_charge == 2
-    atoms, _ = parse_smiles("[P--]")[0]
-    assert atoms[0].formal_charge == -2
+    assert build_graph("[N+2]").node_features[0, 9] == 2
+    assert build_graph("[P--]").node_features[0, 9] == -2
 
 
 def test_bracket_aromatic_nh():
-    atoms, _ = parse_smiles("[nH]")[0]
-    assert atoms[0].element == "N"
-    assert atoms[0].aromatic
-    assert atoms[0].explicit_h == 1
+    graph = build_graph("[nH]")
+    assert _atomic_numbers(graph) == [7]
+    assert graph.node_features[0, 12] == 1
+    # The bracket atom is aromatic: its ring bonds to aromatic carbons are 1.5.
+    assert build_graph("c1cc[nH]c1").edge_order.tolist() == [1.5] * 5
 
 
 # One entry per raise site of the parser, with a short tag naming the site:
@@ -158,7 +149,7 @@ PARSE_ERRORS = [
 )
 def test_parse_errors_carry_offsets(bad, message, position):
     with pytest.raises(SmilesParseError) as err:
-        parse_smiles(bad)
+        build_graph(bad)
     assert (str(err.value), err.value.position) == (
         f"{message} (at offset {position} in {bad!r})",
         position,
@@ -169,7 +160,8 @@ def test_table_corpus_counts():
     for smiles, (n_atoms, n_bonds) in TABLE_CORPUS.items():
         graph = build_graph(smiles)
         assert graph.n_nodes == n_atoms, smiles
-        assert len(graph.edges) == n_bonds, smiles
+        assert graph.edge_index.shape == (n_bonds, 2), smiles
+        assert graph.edge_order.shape == (n_bonds,), smiles
 
 
 def test_implicit_h_methane():
@@ -235,7 +227,7 @@ def test_molecular_weight_additive_over_components():
 def test_build_graph_thf():
     graph = build_graph("C1CCOC1")
     assert graph.node_features.shape == (5, 13)
-    assert len(graph.edges) == 5
+    assert len(graph.edge_order) == 5
     assert graph.log_mol_weight == pytest.approx(math.log10(72.107), abs=1e-12)
 
 
@@ -260,11 +252,11 @@ def test_build_graph_edge_symmetry():
         graph = build_graph(smiles)
         gt = GraphTensors.from_graph(graph)
         directed = list(zip(gt.src.tolist(), gt.dst.tolist(), gt.w.tolist()))
-        assert len(directed) == 2 * len(graph.edges)
-        for k, bond in enumerate(graph.edges):
-            assert bond.i != bond.j
-            assert directed[2 * k] == (bond.i, bond.j, bond.order_code)
-            assert directed[2 * k + 1] == (bond.j, bond.i, bond.order_code)
+        assert len(directed) == 2 * len(graph.edge_order)
+        for k, ((i, j), order) in enumerate(zip(graph.edge_index.tolist(), graph.edge_order.tolist())):
+            assert i < j
+            assert directed[2 * k] == (i, j, order)
+            assert directed[2 * k + 1] == (j, i, order)
 
 
 def test_parsing_is_deterministic():
@@ -272,7 +264,8 @@ def test_parsing_is_deterministic():
         a = build_graph(smiles)
         b = build_graph(smiles)
         assert np.array_equal(a.node_features, b.node_features)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edge_index, b.edge_index)
+        assert np.array_equal(a.edge_order, b.edge_order)
         assert a.log_mol_weight == b.log_mol_weight
 
 
@@ -281,31 +274,29 @@ def test_duplicate_ring_closure_edge_is_deduplicated():
     # graph stores that undirected edge once (plus the two chain bonds).
     graph = build_graph("C12CC12")
     assert graph.n_nodes == 3
-    pairs = [(b.i, b.j) for b in graph.edges]
-    assert pairs.count((0, 2)) == 1
-    assert len(graph.edges) == 3
+    pairs = graph.edge_index.tolist()
+    assert pairs.count([0, 2]) == 1
+    assert len(pairs) == 3
 
 
 def test_self_ring_closure_rejected():
     with pytest.raises(SmilesParseError):
-        parse_smiles("C11")
+        build_graph("C11")
 
 
 def test_ring_closure_after_branch_bonds_the_branch_point():
     # After ")" the anchor is the branch point, so the ring opener has the
-    # higher index: the closure is written (opener, anchor), and the graph
-    # keeps it as (low, high), once if it repeats a chain bond.
-    assert parse_smiles("CC(CC1)1")[0][1][-1] == Bond(3, 1, 1.0)
-    assert build_graph("CC(CC1)1").edges[-1] == Bond(1, 3, 1.0)
-    assert parse_smiles("CC(C1)1")[0][1] == [Bond(0, 1, 1.0), Bond(1, 2, 1.0), Bond(2, 1, 1.0)]
+    # higher index; the graph keeps the closure as (low, high), once if it
+    # repeats a chain bond.
+    assert build_graph("CC(CC1)1").edge_index.tolist() == [[0, 1], [1, 2], [2, 3], [1, 3]]
     graph = build_graph("CC(C1)1")
-    assert graph.edges == (Bond(0, 1, 1.0), Bond(1, 2, 1.0))
+    assert graph.edge_index.tolist() == [[0, 1], [1, 2]]
+    assert graph.edge_order.tolist() == [1.0, 1.0]
     assert graph.node_features[:, 12].tolist() == [3, 1, 2]
-    assert parse_smiles("C1CC(C12)2")[0][1][-1] == Bond(3, 2, 1.0)
-    assert [(b.i, b.j) for b in build_graph("C1CC(C12)2").edges] == [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert build_graph("C1CC(C12)2").edge_index.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
     # Ring 1 is closed inside the branch, so the last "1" opens it again.
     with pytest.raises(SmilesParseError, match="unmatched ring closure 1"):
-        parse_smiles("C1CC(C1)1")
+        build_graph("C1CC(C1)1")
 
 
 def test_over_bonded_atom_clamps_with_warning():
@@ -322,11 +313,26 @@ def test_duplicate_ring_closure_counts_toward_valence():
 
 
 # --------------------------------------------------------------------------
-# parse_smiles and build_graph against the paths they replaced. The
-# reference parser walks the string one character at a time; the reference
-# featurization fills hydrogen counts atom by atom, builds one 13-vector per
-# atom, stacks them and sums the weight. Both must match exactly, errors
-# included.
+# build_graph against the paths it replaced. The reference parser walks the
+# string one character at a time and lists each component's atoms and its
+# bonds as written; the reference featurization fills hydrogen counts atom
+# by atom, builds one 13-vector per atom, stacks them, sums the weight and
+# keeps each bond once as (low, high). build_graph must match exactly,
+# errors included.
+
+
+@dataclass(frozen=True)
+class Atom:
+    element: str
+    formal_charge: int = 0
+    aromatic: bool = False
+    explicit_h: int | None = None  # from bracket notation, None otherwise
+
+
+class Bond(NamedTuple):
+    i: int
+    j: int
+    order_code: float  # 1, 1.5, 2, or 3
 
 _REFERENCE_BRACKET_RE = re.compile(
     r"^(?P<element>[A-Z][a-z]?|[bcnos])"
@@ -370,7 +376,8 @@ def _reference_bracket(content: str, smiles: str, offset: int) -> Atom:
 
 
 def _reference_parse(smiles: str) -> list[tuple[list[Atom], list[Bond]]]:
-    """The character-by-character parser that parse_smiles replaced."""
+    """The character-by-character parser that the token scanner replaced:
+    (atoms, bonds as written) per component."""
     if not smiles:
         raise SmilesParseError("empty SMILES", smiles, 0)
     if not smiles.isascii():
@@ -575,17 +582,18 @@ def _assert_matches_reference(smiles: str) -> None:
     try:
         features, edges, log_weight, warnings = _reference_graph(smiles)
     except SmilesParseError as expected:
-        for parse in (parse_smiles, build_graph):
-            with pytest.raises(SmilesParseError) as err:
-                parse(smiles)
-            assert (str(err.value), err.value.position) == (str(expected), expected.position)
+        with pytest.raises(SmilesParseError) as err:
+            build_graph(smiles)
+        assert (str(err.value), err.value.position) == (str(expected), expected.position)
         return
-    assert parse_smiles(smiles) == _reference_parse(smiles), smiles
     with _chem_warnings() as messages:
         graph = build_graph(smiles)
     assert graph.node_features.dtype == features.dtype, smiles
     assert np.array_equal(graph.node_features, features), smiles
-    assert graph.edges == edges, smiles
+    assert graph.edge_index.dtype == np.intp and graph.edge_index.shape == (len(edges), 2), smiles
+    assert graph.edge_order.dtype == np.float64 and graph.edge_order.shape == (len(edges),), smiles
+    assert graph.edge_index.tolist() == [[b.i, b.j] for b in edges], smiles
+    assert graph.edge_order.tolist() == [b.order_code for b in edges], smiles
     assert graph.log_mol_weight == log_weight, smiles
     assert messages == warnings, smiles
 

@@ -1,11 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from molsets.cli import cli
 from molsets.data import CSV_COLUMNS, generate_synthetic, load_dataset, write_dataset
 from molsets.model import ModelConfig, build_model, save_checkpoint
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -62,6 +66,24 @@ def test_featurize_thf(capsys):
     assert len(doc["node_features"]) == 5
     assert len(doc["node_features"][0]) == 13
     assert len(doc["edges"]) == 5
+
+
+@pytest.mark.parametrize(
+    "smiles, golden",
+    [
+        ("F[P-](F)(F)(F)(F)F.[Li+]", "featurize_lipf6.json"),
+        ("CC(CC1)1", "featurize_ring_closure_after_branch.json"),
+        ("C12CC12", "featurize_duplicate_ring_closure.json"),
+    ],
+)
+def test_featurize_output_is_pinned(smiles, golden, capsys):
+    # Byte for byte: a two-component salt, a ring closure after a branch,
+    # and a ring closure that repeats a bond.
+    assert cli(["featurize", smiles]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    for edge in json.loads(out)["edges"]:
+        assert [type(v) for v in edge] == [int, int, float]
 
 
 def test_featurize_bad_smiles_is_data_error(capsys):
@@ -309,8 +331,11 @@ def test_config_with_unknown_section_is_usage_error(tmp_path, synthetic_csv, cap
         {"lr0": float("nan")},
         {"betas": [0.9]},
         {"scheduler_patience": -1},
+        {"seed": "x"},
+        {"seed": 1.5},
     ],
-    ids=["float-epochs", "float-batch", "nan-lr", "one-beta", "negative-patience"],
+    ids=["float-epochs", "float-batch", "nan-lr", "one-beta", "negative-patience", "text-seed",
+         "float-seed"],
 )
 def test_bad_train_config_value_is_data_error(tmp_path, synthetic_csv, train_section, capsys):
     config = tmp_path / "bad.json"
@@ -327,6 +352,50 @@ def test_bad_train_config_value_is_data_error(tmp_path, synthetic_csv, train_sec
     )
     assert code == 2
     assert f"data error: {next(iter(train_section))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_model_seed_is_data_error(tmp_path, synthetic_csv, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"model": {"seed": "x"}}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = cli(
+        [
+            "train",
+            "--config", str(path),
+            "--data", synthetic_csv,
+            "--val", synthetic_csv,
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "data error: seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_validation_loss_is_numeric_failure(tmp_path, synthetic_csv, micro_config, capsys):
+    with open(synthetic_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    val = tmp_path / "huge-molality.csv"
+    with open(val, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows([{**row, "molality_mol_per_kg": "1e300"} for row in rows])
+    out = tmp_path / "m.json"
+    with np.errstate(over="ignore"):
+        code = cli(
+            [
+                "train",
+                "--config", micro_config,
+                "--data", synthetic_csv,
+                "--val", str(val),
+                "--out", str(out),
+            ]
+        )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "numeric failure: non-finite validation loss inf at epoch 0" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -358,8 +427,10 @@ def _nan_first_value(doc):
         lambda doc: {**doc, "config": {**doc["config"], "hidden_dim": 0}},
         lambda doc: {**doc, "config": {**doc["config"], "max_solvents": 0}},
         _nan_first_value,
+        lambda doc: {**doc, "config": {**doc["config"], "seed": "x"}},
     ],
-    ids=["json-list", "unknown-config-key", "zero-hidden-dim", "zero-max-solvents", "nan-parameter"],
+    ids=["json-list", "unknown-config-key", "zero-hidden-dim", "zero-max-solvents", "nan-parameter",
+         "text-seed"],
 )
 def test_bad_checkpoint_document_is_data_error(tmp_path, synthetic_csv, capsys, corrupt):
     ckpt = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from molsets import autodiff as ad
 from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
-from molsets.chem import NODE_FEATURE_DIM, Bond, MolecularGraph
+from molsets.chem import NODE_FEATURE_DIM, MolecularGraph
 from molsets.gnn import (
     CONV_KINDS,
     GAT_LEAKY_SLOPE,
@@ -24,6 +24,15 @@ from molsets.gnn import (
 from molsets.model import ModelConfig, build_model, embed_graphs
 
 
+NO_EDGES = (np.empty((0, 2), np.intp), np.empty(0))
+
+
+def _tensors(n, edges):
+    """GraphTensors of n nodes from a list of (i, j, w) bonds."""
+    edge_index = np.array([(i, j) for i, j, _ in edges], np.intp).reshape(-1, 2)
+    return GraphTensors(n, edge_index, np.array([w for _, _, w in edges], np.float64))
+
+
 def _scalar_conv(kind):
     p = ConvParams(kind, 1, 1)
     p.w1 = Tensor([[1.0]])
@@ -32,21 +41,21 @@ def _scalar_conv(kind):
 
 
 def test_graphconv_two_node_example():
-    gt = GraphTensors(2, [(0, 1, 1.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
     x = Tensor([[1.0], [2.0]])
     out = conv_forward(_scalar_conv("graphconv"), x, gt).data
     assert np.allclose(out, [[3.0], [3.0]])
 
 
 def test_graphconv_uses_edge_weights():
-    gt = GraphTensors(2, [(0, 1, 2.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([2.0]))
     x = Tensor([[1.0], [2.0]])
     out = conv_forward(_scalar_conv("graphconv"), x, gt).data
     assert np.allclose(out, [[5.0], [4.0]])
 
 
 def test_sageconv_isolated_node():
-    gt = GraphTensors(1, [])
+    gt = GraphTensors(1, *NO_EDGES)
     p = _scalar_conv("sageconv")
     p.w2 = Tensor([[7.0]])
     out = conv_forward(p, Tensor([[5.0]]), gt).data
@@ -54,14 +63,14 @@ def test_sageconv_isolated_node():
 
 
 def test_gcnconv_two_node_example():
-    gt = GraphTensors(2, [(0, 1, 1.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
     p = ConvParams("gcnconv", 1, 1, w1=Tensor([[1.0]]))
     out = conv_forward(p, Tensor([[1.0], [2.0]]), gt).data
     assert np.allclose(out, [[1.5], [1.5]])
 
 
 def test_gatconv_zero_attention_is_uniform():
-    gt = GraphTensors(2, [(0, 1, 1.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
     p = ConvParams(
         "gatconv", 1, 1, w1=Tensor([[2.0]]), w2=Tensor([[3.0]]), att=Tensor([0.0, 0.0])
     )
@@ -74,7 +83,7 @@ def test_gatconv_attention_sums_to_one():
     # With shared weights and identical node features the output reduces
     # to W x regardless of the attention logits, so the scores sum to 1.
     rng = np.random.default_rng(4)
-    gt = GraphTensors(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 1.0)])
+    gt = GraphTensors(4, np.array([[0, 1], [1, 2], [2, 3], [0, 3]]), np.array([1.0, 2.0, 1.5, 1.0]))
     w = rng.uniform(-1, 1, (3, 3))
     p = ConvParams(
         "gatconv",
@@ -93,7 +102,7 @@ def test_gatconv_attention_sums_to_one():
 def test_dmpnn_two_node_fixed_point():
     rng = np.random.default_rng(5)
     p = init_conv("dmpnn", 2, 3, rng)
-    gt = GraphTensors(2, [(0, 1, 1.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
     x = Tensor(rng.uniform(-1, 1, (2, 2)))
     one = dmpnn_forward(p, x, gt, iterations=1).data
     two = dmpnn_forward(p, x, gt, iterations=2).data
@@ -103,7 +112,7 @@ def test_dmpnn_two_node_fixed_point():
 def test_dmpnn_isolated_node_readout():
     rng = np.random.default_rng(6)
     p = init_conv("dmpnn", 2, 3, rng)
-    gt = GraphTensors(1, [])
+    gt = GraphTensors(1, *NO_EDGES)
     x = np.array([[0.3, -0.7]])
     out = dmpnn_forward(p, Tensor(x), gt, iterations=2).data
     expected = np.maximum(np.concatenate([x, np.zeros((1, 3))], axis=1) @ p.w_out.data, 0.0)
@@ -112,28 +121,29 @@ def test_dmpnn_isolated_node_readout():
 
 def test_global_mean_pool():
     pair = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mean_pool(pair, GraphTensors(2, [])).data, [[2.0, 3.0]])
-    assert np.array_equal(mean_pool(Tensor([[7.0, 8.0]]), GraphTensors(1, [])).data, [[7.0, 8.0]])
+    assert np.array_equal(mean_pool(pair, GraphTensors(2, *NO_EDGES)).data, [[2.0, 3.0]])
+    assert np.array_equal(mean_pool(Tensor([[7.0, 8.0]]), GraphTensors(1, *NO_EDGES)).data, [[7.0, 8.0]])
     # a union pools each member graph on its own, in union order
-    union = GraphTensors.union([GraphTensors(1, []), GraphTensors(2, [(0, 1, 1.0)])])
+    pair_graph = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    union = GraphTensors.union([GraphTensors(1, *NO_EDGES), pair_graph])
     x = Tensor([[7.0, 8.0], [1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(mean_pool(x, union).data, [[7.0, 8.0], [2.0, 3.0]])
     with pytest.raises(ad.DimensionError):
-        mean_pool(Tensor(np.zeros((0, 2))), GraphTensors(0, []))
+        mean_pool(Tensor(np.zeros((0, 2))), GraphTensors(0, *NO_EDGES))
 
 
 def test_global_mean_pool_permutation_invariant():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, (6, 4))
     perm = rng.permutation(6)
-    gt = GraphTensors(6, [])
+    gt = GraphTensors(6, *NO_EDGES)
     assert np.allclose(mean_pool(Tensor(x), gt).data, mean_pool(Tensor(x[perm]), gt).data)
 
 
 def test_union_offsets_edges_and_keeps_reverse_pairs():
-    a = GraphTensors(2, [(0, 1, 2.0)])
-    b = GraphTensors(1, [])
-    c = GraphTensors(3, [(0, 2, 1.5), (1, 2, 1.0)])
+    a = GraphTensors(2, np.array([[0, 1]]), np.array([2.0]))
+    b = GraphTensors(1, *NO_EDGES)
+    c = GraphTensors(3, np.array([[0, 2], [1, 2]]), np.array([1.5, 1.0]))
     union = GraphTensors.union([a, b, c])
     assert union.n == 6 and union.sizes.tolist() == [2, 1, 3]
     assert union.node_graph.tolist() == [0, 0, 1, 2, 2, 2]
@@ -153,7 +163,7 @@ def test_union_offsets_edges_and_keeps_reverse_pairs():
 
 def test_dmpnn_builds_no_edge_by_edge_matrix():
     rng = np.random.default_rng(8)
-    gt = GraphTensors.union([GraphTensors(5, _random_graph(rng, 5)) for _ in range(3)])
+    gt = GraphTensors.union([_tensors(5, _random_graph(rng, 5)) for _ in range(3)])
     m = gt.src.size
     params = init_conv("dmpnn", 4, 3, rng)
     dmpnn_forward(params, Tensor(rng.uniform(-1, 1, (gt.n, 4))), gt, 3)
@@ -174,7 +184,7 @@ def test_dense_forward_examples():
 
 
 def test_conv_rejects_wrong_feature_dim():
-    gt = GraphTensors(2, [(0, 1, 1.0)])
+    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
     p = init_conv("graphconv", 3, 2, np.random.default_rng(0))
     with pytest.raises(ad.DimensionError):
         conv_forward(p, Tensor(np.zeros((2, 5))), gt)
@@ -207,8 +217,8 @@ def test_node_permutation_equivariance(kind):
         relabel = {old: new for new, old in enumerate(perm)}
         permuted_edges = [(relabel[i], relabel[j], w) for i, j, w in edges]
 
-        gt = GraphTensors(n, edges)
-        gt_perm = GraphTensors(n, permuted_edges)
+        gt = _tensors(n, edges)
+        gt_perm = _tensors(n, permuted_edges)
         if kind == "dmpnn":
             out = dmpnn_forward(params, Tensor(x), gt, 2).data
             out_perm = dmpnn_forward(params, Tensor(x[perm]), gt_perm, 2).data
@@ -221,7 +231,7 @@ def test_node_permutation_equivariance(kind):
 @pytest.mark.parametrize("kind", ["graphconv", "sageconv", "gcnconv", "gatconv", "dmpnn"])
 def test_conv_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(9)
-    gt = GraphTensors(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)])
+    gt = GraphTensors(4, np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 2.0, 1.5]))
     x = Tensor(rng.uniform(-1, 1, (4, 3)))
     params = init_conv(kind, 3, 2, rng)
     proj = Tensor(rng.uniform(-1, 1, (4, 2)))
@@ -386,7 +396,7 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
     params = init_conv(kind, 4, 3, rng)
     proj = Tensor(rng.uniform(-1, 1, (n, 3)))
     tensors = [t for _, t in conv_param_tensors(params)]
-    gt = GraphTensors(n, edges)
+    gt = _tensors(n, edges)
 
     def run(forward):
         with Tape() as tape:
@@ -411,7 +421,8 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
 
 
 def _reference_embedding(phi, graph):
-    n, edges = graph.n_nodes, [tuple(bond) for bond in graph.edges]
+    n = graph.n_nodes
+    edges = [(i, j, w) for (i, j), w in zip(graph.edge_index.tolist(), graph.edge_order.tolist())]
     x = Tensor(graph.node_features)
     convs = phi.convs
     if convs[0].kind == "dmpnn":
@@ -435,11 +446,12 @@ def _random_molecule(n, seed):
         i, j = sorted(int(v) for v in rng.integers(0, n, 2))
         if i != j:
             pairs.add((i, j))
-    bonds = tuple(
-        Bond(i, j, float(rng.choice([1.0, 1.5, 2.0, 3.0]))) for i, j in sorted(pairs)
-    )
+    edge_index = np.array(sorted(pairs), np.intp).reshape(-1, 2)
+    edge_order = rng.choice([1.0, 1.5, 2.0, 3.0], len(edge_index))
     features = rng.uniform(-1, 1, (n, NODE_FEATURE_DIM))
-    return MolecularGraph(features, bonds, float(rng.uniform(1, 3)), f"random-{n}-{seed}")
+    return MolecularGraph(
+        features, edge_index, edge_order, float(rng.uniform(1, 3)), f"random-{n}-{seed}"
+    )
 
 
 _molecule_sizes = st.one_of(st.integers(1, 8), st.integers(60, 140))

@@ -476,6 +476,10 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
         ("attention_dim", 0),
         ("max_solvents", 0),
         ("rho_hidden_dims", (3, 0)),
+        ("seed", -1),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", True),
     ],
 )
 def test_model_config_rejects_non_positive_sizes(field, value):

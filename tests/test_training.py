@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -224,10 +225,14 @@ def test_train_rejects_empty_sets():
         dict(betas=0.9),
         dict(scheduler_patience=-1),
         dict(early_stop_patience=-1),
+        dict(seed="x"),
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(seed=True),
     ],
     ids=["float-epochs", "zero-epochs", "float-batch", "bool-epochs", "nan-lr", "inf-decay", "text-eps",
          "one-beta", "beta-one", "scalar-betas", "negative-scheduler-patience",
-         "negative-early-stop-patience"],
+         "negative-early-stop-patience", "text-seed", "float-seed", "negative-seed", "bool-seed"],
 )
 def test_train_config_rejects_bad_values(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
@@ -294,6 +299,17 @@ def test_train_aborts_on_non_finite_loss():
     with pytest.raises(TrainingError) as err:
         train(params, examples, examples, TrainConfig(max_epochs=1))
     assert "epoch" in str(err.value)
+
+
+def test_train_aborts_on_non_finite_validation_loss():
+    # A molality of 1e300 is finite, but the validation loss overflows; the
+    # run must fail rather than stop early on the untrained parameters.
+    examples = _examples(4, seed=26)
+    val = [(dataclasses.replace(mix, molality=1e300), target) for mix, target in examples]
+    params = build_model(ModelConfig.for_conv("graphconv", seed=7, **MICRO))
+    with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+        train(params, examples, val, TrainConfig(max_epochs=3))
+    assert "non-finite validation loss inf at epoch 0" in str(err.value)
 
 
 def test_batch_loss_gradient_matches_finite_differences():
