@@ -2,8 +2,12 @@
 
 Each operator updates node features from neighbors (weighted by the
 scalar bond codes where its formula uses them); stacking layers, mean
-pooling, and appending log M gives the molecule embedding.
+pooling, and appending log M gives the molecule embedding. The topology
+of one graph, or of several run as one disjoint union, is GraphTensors of
+a list of graphs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +18,7 @@ from molsets.gnn import GraphTensors, conv_forward, dmpnn_forward, init_conv, me
 np.set_printoptions(precision=3, suppress=True)
 
 graph = build_graph("CC(=O)O")  # acetic acid: chain with one double bond
-gt = GraphTensors.from_graph(graph)
+gt = GraphTensors([graph])
 x = Tensor(graph.node_features)
 print("molecule: CC(=O)O with bond codes",
       dict(zip(map(tuple, graph.edge_index.tolist()), graph.edge_order.tolist())))
@@ -36,7 +40,7 @@ print(mean_pool(out, gt).data)
 
 print("\n=== Two molecules as one disjoint-union graph ===")
 water = build_graph("O")
-union = GraphTensors.union([gt, GraphTensors.from_graph(water)])
+union = GraphTensors([graph, water])
 x_union = Tensor(np.concatenate([graph.node_features, water.node_features]))
 pooled = mean_pool(dmpnn_forward(params, x_union, union, iterations=3), union).data
 alone = mean_pool(out, gt).data[0]
@@ -46,9 +50,12 @@ print("acetic acid row vs its own pass, max difference:", np.abs(pooled[0] - alo
 print("\n=== Permutation equivariance ===")
 perm = [3, 1, 0, 2]
 relabel = np.argsort(perm)  # new index of each old node
-gt_perm = GraphTensors(graph.n_nodes, relabel[graph.edge_index], graph.edge_order)
+permuted = replace(
+    graph, node_features=graph.node_features[perm], edge_index=relabel[graph.edge_index]
+)
+gt_perm = GraphTensors([permuted])
 params = init_conv("graphconv", 13, 4, np.random.default_rng(2))
 out = conv_forward(params, x, gt).data
-out_perm = conv_forward(params, Tensor(graph.node_features[perm]), gt_perm).data
+out_perm = conv_forward(params, Tensor(permuted.node_features), gt_perm).data
 print("relabeling nodes permutes the output rows identically:",
       np.abs(out_perm - out[perm]).max())

@@ -307,8 +307,8 @@ def split_dataset(
     seed: int = 0,
 ) -> tuple[list[MixtureRecord], list[MixtureRecord], list[MixtureRecord]]:
     """Seeded shuffle, then contiguous partition at rounded ratio boundaries."""
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be positive, got {ratios}")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and positive, got {ratios}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
     shuffled = [records[i] for i in order]
@@ -381,6 +381,8 @@ def generate_synthetic(n: int, seed: int = 0, noise_scale: float = 0.0) -> list[
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and non-negative, got {noise_scale}")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):

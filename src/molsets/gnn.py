@@ -1,10 +1,10 @@
 """Graph convolution operators, directed message passing, pooling, dense layers.
 
-A graph's topology is one directed edge list (GraphTensors): each
-`edge_index` row (i, j) appears as i -> j and j -> i with its bond code
-as weight. Many graphs run as one disjoint union (GraphTensors.union):
-their node rows are stacked and their edge lists offset, so a conv layer
-is one pass over all of them and mean pooling is one segment sum.
+Topology is one directed edge list, built for one graph or for many
+as a disjoint union (GraphTensors(graphs)): each `edge_index` row
+(i, j) appears as i -> j and j -> i with its bond code as weight, the
+graphs' node rows are stacked and their edge lists offset, so a conv
+layer is one pass over all of them and mean pooling is one segment sum.
 Graphconv, sageconv, gcnconv and GAT read their operator off the edge
 list as a dense matrix filled from (row, col, value) entries, built once
 per union; at the union sizes used here (a few hundred atoms at most)
@@ -57,43 +57,27 @@ class DenseParams:
 
 
 class GraphTensors:
-    """Directed edge list of one graph, or of a disjoint union of graphs,
-    and the conv operators built from it.
+    """Directed edge list of a disjoint union of graphs (one graph or
+    many), and the conv operators built from it.
 
-    `edge_index` row k, (i, j), becomes edge 2k (i -> j) and edge 2k + 1
-    (j -> i), both weighted by `edge_order[k]`, so the reverse of edge e
-    is e ^ 1. `sizes` holds the node count of each member graph (one
-    entry for a single graph). Operators are built on first use and kept
-    with the object.
+    The nodes of graphs[k] follow those of graphs[:k]. `edge_index` row
+    r, (i, j), of a graph becomes a directed edge i -> j followed by
+    j -> i, both weighted by `edge_order[r]`, so the reverse of edge e is
+    e ^ 1. `sizes` holds the node count of each member graph. Operators
+    are built on first use and kept with the object.
     """
 
-    def __init__(self, n_nodes: int, edge_index: np.ndarray, edge_order: np.ndarray):
-        self.n = n_nodes
-        self.sizes = np.array([n_nodes])
+    def __init__(self, graphs: Sequence[MolecularGraph]):
+        sizes = [g.n_nodes for g in graphs]
+        self.sizes = np.array(sizes)
+        self.n = sum(sizes)
+        edge_index = np.concatenate(
+            [graphs[0].edge_index]
+            + [g.edge_index + offset for g, offset in zip(graphs[1:], accumulate(sizes))]
+        )
         self.src = edge_index.reshape(-1)
         self.dst = edge_index[:, ::-1].reshape(-1)
-        self.w = np.repeat(edge_order, 2)
-
-    @classmethod
-    def from_graph(cls, graph: MolecularGraph) -> "GraphTensors":
-        return cls(graph.n_nodes, graph.edge_index, graph.edge_order)
-
-    @classmethod
-    def union(cls, parts: Sequence["GraphTensors"]) -> "GraphTensors":
-        """Disjoint union: the nodes of parts[k] follow those of parts[:k].
-        Every part has an even edge count, so e ^ 1 stays the reverse edge."""
-        if len(parts) == 1:
-            return parts[0]
-        offsets = np.repeat(
-            [0, *accumulate(p.n for p in parts[:-1])], [p.src.size for p in parts]
-        )
-        union = cls.__new__(cls)
-        union.sizes = np.concatenate([p.sizes for p in parts])
-        union.n = int(union.sizes.sum())
-        union.src = np.concatenate([p.src for p in parts]) + offsets
-        union.dst = np.concatenate([p.dst for p in parts]) + offsets
-        union.w = np.concatenate([p.w for p in parts])
-        return union
+        self.w = np.repeat(np.concatenate([g.edge_order for g in graphs]), 2)
 
     @cached_property
     def node_graph(self) -> np.ndarray:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import weakref
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -254,19 +253,6 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
     return named
 
 
-_graph_tensors: "weakref.WeakKeyDictionary[MolecularGraph, GraphTensors]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _topology(graph: MolecularGraph) -> GraphTensors:
-    gt = _graph_tensors.get(graph)
-    if gt is None:
-        gt = GraphTensors.from_graph(graph)
-        _graph_tensors[graph] = gt
-    return gt
-
-
 def _unions(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
     """Graphs packed greedily, in order, into runs of at most _UNION_ATOMS
     atoms; a larger graph forms a union of its own."""
@@ -282,7 +268,7 @@ def _unions(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
 
 
 def _embed_union(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
-    gt = GraphTensors.union([_topology(g) for g in graphs])
+    gt = GraphTensors(graphs)
     x = Tensor(np.concatenate([g.node_features for g in graphs]))
     convs = phi.convs
     if convs[0].kind == "dmpnn":

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -325,6 +325,8 @@ def pearson(targets, preds) -> float:
     dy = y - y.mean()
     var_x = float(np.dot(dx, dx))
     var_y = float(np.dot(dy, dy))
+    if not math.isfinite(var_x * var_y):
+        raise MetricError(f"pearson overflows: sample variances {var_x} and {var_y}")
     if var_x == 0.0 or var_y == 0.0:
         raise MetricError("pearson is undefined for a zero-variance sample")
     return float(np.dot(dx, dy) / math.sqrt(var_x * var_y))
@@ -371,9 +373,13 @@ def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
             f"model made {bad.size} non-finite predictions of {len(examples)}, "
             f"the first for example {bad[0]}"
         )
-    return MetricsReport(
+    report = MetricsReport(
         pearson_rp=pearson(targets, preds),
         spearman_rs=spearman(targets, preds),
         mse=float(np.mean((preds - targets) ** 2)),
         n=len(examples),
     )
+    bad_metrics = [name for name, value in asdict(report).items() if not math.isfinite(value)]
+    if bad_metrics:
+        raise MetricError(f"non-finite metrics: {', '.join(bad_metrics)}")
+    return report

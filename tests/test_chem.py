@@ -250,7 +250,7 @@ def test_build_graph_edge_symmetry():
     # Each bond reaches the convs as both directed edges, i -> j then j -> i.
     for smiles in TABLE_CORPUS:
         graph = build_graph(smiles)
-        gt = GraphTensors.from_graph(graph)
+        gt = GraphTensors([graph])
         directed = list(zip(gt.src.tolist(), gt.dst.tolist(), gt.w.tolist()))
         assert len(directed) == 2 * len(graph.edge_order)
         for k, ((i, j), order) in enumerate(zip(graph.edge_index.tolist(), graph.edge_order.tolist())):

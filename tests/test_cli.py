@@ -129,6 +129,14 @@ def test_synth_prepare_split_round(tmp_path, capsys):
     assert sizes == [6, 2, 2]
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_synth_rejects_bad_noise_as_data_error(tmp_path, capsys, noise):
+    out = tmp_path / "synth.csv"
+    assert cli(["synth", "--n", "4", "--noise", noise, "--out", str(out)]) == 2
+    assert "noise_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prepare_lenient_skips_bad_rows(tmp_path, capsys):
     header = (
         "mixture_id,solvent_smiles_1,solvent_smiles_2,solvent_smiles_3,solvent_smiles_4,"
@@ -441,6 +449,7 @@ def test_bad_checkpoint_document_is_data_error(tmp_path, synthetic_csv, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_prediction_is_numeric_failure(tmp_path, synthetic_csv, capsys):
     doc = _micro_checkpoint_doc(tmp_path)
     for name in ("rho1.w", "rho1.b"):  # finite, but the head overflows to inf
@@ -450,4 +459,18 @@ def test_non_finite_prediction_is_numeric_failure(tmp_path, synthetic_csv, capsy
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 3
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
+    doc = _micro_checkpoint_doc(tmp_path)
+    # Finite, distinct predictions near 1e155: the squared error overflows.
+    doc["params"]["rho1.w"]["values"] = [v * 1e150 for v in doc["params"]["rho1.w"]["values"]]
+    doc["params"]["rho1.b"]["values"] = [1e155] * len(doc["params"]["rho1.b"]["values"])
+    ckpt = tmp_path / "huge.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 3
+    captured = capsys.readouterr()
+    assert "non-finite metrics: mse" in captured.err
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import tempfile
 
@@ -289,8 +290,10 @@ def test_split_deterministic_and_partitioning():
 
 
 def test_split_rejects_non_positive_ratios():
-    with pytest.raises(ValueError):
-        split_dataset([], (3, 0, 1))
+    records = generate_synthetic(5, seed=3)
+    for ratios in [(3, 0, 1), (-1, 1, 1), (math.nan, 1, 1), (math.inf, 1, 1), (1, 1, -math.inf)]:
+        with pytest.raises(ValueError, match="ratios must be"):
+            split_dataset(records, ratios)
 
 
 def test_synthetic_same_seed_identical():
@@ -307,6 +310,12 @@ def test_synthetic_noiseless_targets_equal_ground_truth():
             record.molality,
         )
         assert record.target_298K == truth
+
+
+@pytest.mark.parametrize("noise", [-0.1, -math.inf, math.nan, math.inf])
+def test_synthetic_rejects_negative_or_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="noise_scale"):
+        generate_synthetic(3, seed=9, noise_scale=noise)
 
 
 def test_synthetic_noise_perturbs_targets():

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,13 +26,17 @@ from molsets.gnn import (
 from molsets.model import ModelConfig, build_model, embed_graphs
 
 
-NO_EDGES = (np.empty((0, 2), np.intp), np.empty(0))
+def _graph(n, edges):
+    """MolecularGraph of n nodes with zero features from a list of (i, j, w)
+    bonds."""
+    edge_index = np.array([(i, j) for i, j, _ in edges], np.intp).reshape(-1, 2)
+    edge_order = np.array([w for _, _, w in edges], np.float64)
+    return MolecularGraph(np.zeros((n, NODE_FEATURE_DIM)), edge_index, edge_order, 0.0, "")
 
 
 def _tensors(n, edges):
-    """GraphTensors of n nodes from a list of (i, j, w) bonds."""
-    edge_index = np.array([(i, j) for i, j, _ in edges], np.intp).reshape(-1, 2)
-    return GraphTensors(n, edge_index, np.array([w for _, _, w in edges], np.float64))
+    """GraphTensors of one graph of n nodes from a list of (i, j, w) bonds."""
+    return GraphTensors([_graph(n, edges)])
 
 
 def _scalar_conv(kind):
@@ -41,21 +47,21 @@ def _scalar_conv(kind):
 
 
 def test_graphconv_two_node_example():
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    gt = _tensors(2, [(0, 1, 1.0)])
     x = Tensor([[1.0], [2.0]])
     out = conv_forward(_scalar_conv("graphconv"), x, gt).data
     assert np.allclose(out, [[3.0], [3.0]])
 
 
 def test_graphconv_uses_edge_weights():
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([2.0]))
+    gt = _tensors(2, [(0, 1, 2.0)])
     x = Tensor([[1.0], [2.0]])
     out = conv_forward(_scalar_conv("graphconv"), x, gt).data
     assert np.allclose(out, [[5.0], [4.0]])
 
 
 def test_sageconv_isolated_node():
-    gt = GraphTensors(1, *NO_EDGES)
+    gt = _tensors(1, [])
     p = _scalar_conv("sageconv")
     p.w2 = Tensor([[7.0]])
     out = conv_forward(p, Tensor([[5.0]]), gt).data
@@ -63,14 +69,14 @@ def test_sageconv_isolated_node():
 
 
 def test_gcnconv_two_node_example():
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    gt = _tensors(2, [(0, 1, 1.0)])
     p = ConvParams("gcnconv", 1, 1, w1=Tensor([[1.0]]))
     out = conv_forward(p, Tensor([[1.0], [2.0]]), gt).data
     assert np.allclose(out, [[1.5], [1.5]])
 
 
 def test_gatconv_zero_attention_is_uniform():
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    gt = _tensors(2, [(0, 1, 1.0)])
     p = ConvParams(
         "gatconv", 1, 1, w1=Tensor([[2.0]]), w2=Tensor([[3.0]]), att=Tensor([0.0, 0.0])
     )
@@ -83,7 +89,7 @@ def test_gatconv_attention_sums_to_one():
     # With shared weights and identical node features the output reduces
     # to W x regardless of the attention logits, so the scores sum to 1.
     rng = np.random.default_rng(4)
-    gt = GraphTensors(4, np.array([[0, 1], [1, 2], [2, 3], [0, 3]]), np.array([1.0, 2.0, 1.5, 1.0]))
+    gt = _tensors(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 1.0)])
     w = rng.uniform(-1, 1, (3, 3))
     p = ConvParams(
         "gatconv",
@@ -102,7 +108,7 @@ def test_gatconv_attention_sums_to_one():
 def test_dmpnn_two_node_fixed_point():
     rng = np.random.default_rng(5)
     p = init_conv("dmpnn", 2, 3, rng)
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    gt = _tensors(2, [(0, 1, 1.0)])
     x = Tensor(rng.uniform(-1, 1, (2, 2)))
     one = dmpnn_forward(p, x, gt, iterations=1).data
     two = dmpnn_forward(p, x, gt, iterations=2).data
@@ -112,7 +118,7 @@ def test_dmpnn_two_node_fixed_point():
 def test_dmpnn_isolated_node_readout():
     rng = np.random.default_rng(6)
     p = init_conv("dmpnn", 2, 3, rng)
-    gt = GraphTensors(1, *NO_EDGES)
+    gt = _tensors(1, [])
     x = np.array([[0.3, -0.7]])
     out = dmpnn_forward(p, Tensor(x), gt, iterations=2).data
     expected = np.maximum(np.concatenate([x, np.zeros((1, 3))], axis=1) @ p.w_out.data, 0.0)
@@ -121,30 +127,29 @@ def test_dmpnn_isolated_node_readout():
 
 def test_global_mean_pool():
     pair = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mean_pool(pair, GraphTensors(2, *NO_EDGES)).data, [[2.0, 3.0]])
-    assert np.array_equal(mean_pool(Tensor([[7.0, 8.0]]), GraphTensors(1, *NO_EDGES)).data, [[7.0, 8.0]])
+    assert np.array_equal(mean_pool(pair, _tensors(2, [])).data, [[2.0, 3.0]])
+    assert np.array_equal(mean_pool(Tensor([[7.0, 8.0]]), _tensors(1, [])).data, [[7.0, 8.0]])
     # a union pools each member graph on its own, in union order
-    pair_graph = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
-    union = GraphTensors.union([GraphTensors(1, *NO_EDGES), pair_graph])
+    union = GraphTensors([_graph(1, []), _graph(2, [(0, 1, 1.0)])])
     x = Tensor([[7.0, 8.0], [1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(mean_pool(x, union).data, [[7.0, 8.0], [2.0, 3.0]])
     with pytest.raises(ad.DimensionError):
-        mean_pool(Tensor(np.zeros((0, 2))), GraphTensors(0, *NO_EDGES))
+        mean_pool(Tensor(np.zeros((0, 2))), _tensors(0, []))
 
 
 def test_global_mean_pool_permutation_invariant():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, (6, 4))
     perm = rng.permutation(6)
-    gt = GraphTensors(6, *NO_EDGES)
+    gt = _tensors(6, [])
     assert np.allclose(mean_pool(Tensor(x), gt).data, mean_pool(Tensor(x[perm]), gt).data)
 
 
 def test_union_offsets_edges_and_keeps_reverse_pairs():
-    a = GraphTensors(2, np.array([[0, 1]]), np.array([2.0]))
-    b = GraphTensors(1, *NO_EDGES)
-    c = GraphTensors(3, np.array([[0, 2], [1, 2]]), np.array([1.5, 1.0]))
-    union = GraphTensors.union([a, b, c])
+    a = _graph(2, [(0, 1, 2.0)])
+    b = _graph(1, [])
+    c = _graph(3, [(0, 2, 1.5), (1, 2, 1.0)])
+    union = GraphTensors([a, b, c])
     assert union.n == 6 and union.sizes.tolist() == [2, 1, 3]
     assert union.node_graph.tolist() == [0, 0, 1, 2, 2, 2]
     assert union.src.tolist() == [0, 1, 3, 5, 4, 5]
@@ -152,18 +157,17 @@ def test_union_offsets_edges_and_keeps_reverse_pairs():
     assert union.w.tolist() == [2.0, 2.0, 1.5, 1.5, 1.0, 1.0]
     e = np.arange(union.src.size)
     assert np.array_equal(union.src[e ^ 1], union.dst)
-    assert GraphTensors.union([a]) is a
     # the dense operators are block diagonal
     blocks = np.zeros((6, 6))
-    blocks[:2, :2] = a.gcn
-    blocks[2:3, 2:3] = b.gcn
-    blocks[3:, 3:] = c.gcn
+    blocks[:2, :2] = GraphTensors([a]).gcn
+    blocks[2:3, 2:3] = GraphTensors([b]).gcn
+    blocks[3:, 3:] = GraphTensors([c]).gcn
     assert np.array_equal(union.gcn, blocks)
 
 
 def test_dmpnn_builds_no_edge_by_edge_matrix():
     rng = np.random.default_rng(8)
-    gt = GraphTensors.union([_tensors(5, _random_graph(rng, 5)) for _ in range(3)])
+    gt = GraphTensors([_graph(5, _random_graph(rng, 5)) for _ in range(3)])
     m = gt.src.size
     params = init_conv("dmpnn", 4, 3, rng)
     dmpnn_forward(params, Tensor(rng.uniform(-1, 1, (gt.n, 4))), gt, 3)
@@ -184,7 +188,7 @@ def test_dense_forward_examples():
 
 
 def test_conv_rejects_wrong_feature_dim():
-    gt = GraphTensors(2, np.array([[0, 1]]), np.array([1.0]))
+    gt = _tensors(2, [(0, 1, 1.0)])
     p = init_conv("graphconv", 3, 2, np.random.default_rng(0))
     with pytest.raises(ad.DimensionError):
         conv_forward(p, Tensor(np.zeros((2, 5))), gt)
@@ -231,7 +235,7 @@ def test_node_permutation_equivariance(kind):
 @pytest.mark.parametrize("kind", ["graphconv", "sageconv", "gcnconv", "gatconv", "dmpnn"])
 def test_conv_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(9)
-    gt = GraphTensors(4, np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 2.0, 1.5]))
+    gt = _tensors(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)])
     x = Tensor(rng.uniform(-1, 1, (4, 3)))
     params = init_conv(kind, 3, 2, rng)
     proj = Tensor(rng.uniform(-1, 1, (4, 2)))
@@ -413,6 +417,40 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
     assert np.abs(out - ref_out).max() <= 1e-12
     for t in tensors:
         assert np.abs(grads[t] - ref_grads[t]).max() <= 1e-12
+
+
+def _reference_topology(graphs):
+    """(sizes, src, dst, w) as built before GraphTensors took graphs: each
+    graph's directed edges on their own, then one offset per edge for a
+    union of two or more."""
+    parts = [
+        (
+            np.array([g.n_nodes]),
+            g.edge_index.reshape(-1),
+            g.edge_index[:, ::-1].reshape(-1),
+            np.repeat(g.edge_order, 2),
+        )
+        for g in graphs
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.repeat(
+        [0, *accumulate(g.n_nodes for g in graphs[:-1])], [p[1].size for p in parts]
+    )
+    sizes, src, dst, w = (np.concatenate(column) for column in zip(*parts))
+    return sizes, src + offsets, dst + offsets, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs=st.lists(_molecule_like_graphs().map(lambda g: _graph(*g)), min_size=1, max_size=5))
+@example(graphs=[_graph(1, [])])
+@example(graphs=[_graph(1, []), _graph(3, []), _graph(2, [(0, 1, 2.0)])])
+def test_topology_matches_reference_construction(graphs):
+    gt = GraphTensors(graphs)
+    assert gt.n == sum(g.n_nodes for g in graphs)
+    for got, ref in zip((gt.sizes, gt.src, gt.dst, gt.w), _reference_topology(graphs)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 # Disjoint-union embedding against the per-molecule path it replaced: each

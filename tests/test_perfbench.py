@@ -7,8 +7,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_benchmark_selftest_passes():
     # The benchmark calls into molsets (MolecularGraph.n_nodes,
-    # GraphTensors.from_graph, run_screening's results and more); its
-    # tiny-scale self-test fails when a change breaks one of those calls.
+    # run_screening's results and more) and traces named functions such as
+    # the GraphTensors(graphs) constructor; its tiny-scale self-test fails
+    # when a change breaks one of those calls.
     proc = subprocess.run(
         [sys.executable, "perfbench/selftest.py"],
         cwd=ROOT,

@@ -291,6 +291,7 @@ def test_train_returns_its_params_restored_to_the_best_epoch():
         assert name == cut_name and np.array_equal(tensor.data, cut_tensor.data)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_aborts_on_non_finite_loss():
     examples = _examples(4, seed=26)
     params = build_model(ModelConfig.for_conv("graphconv", seed=7, **MICRO))
@@ -382,6 +383,17 @@ def test_pearson_rejects_degenerate_input():
         pearson([1.0], [1.0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pearson_rejects_overflowing_variance():
+    with pytest.raises(MetricError, match="overflow"):
+        pearson([1, 2, 3], [1e200, -1e200, 5e199])
+    with pytest.raises(MetricError, match="overflow"):
+        pearson([1e200, -1e200, 5e199], [1, 2, 3])
+    # finite variances of about 2e200 whose product overflows
+    with pytest.raises(MetricError, match="overflow"):
+        pearson([1e100, -1e100, 0.0], [1e100, -1e100, 0.0])
+
+
 def test_pearson_affine_invariance():
     rng = np.random.default_rng(3)
     t = rng.normal(size=30)
@@ -428,6 +440,26 @@ def test_evaluate_report_fields():
     assert report.mse >= 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_rejects_non_finite_metrics():
+    examples = _examples(6, seed=28)
+    params = build_model(ModelConfig.for_conv("graphconv", seed=9, **MICRO))
+    # A molality of 1e300 keeps the predictions finite, but their variance
+    # overflows.
+    huge = [(dataclasses.replace(mix, molality=1e300), target) for mix, target in examples]
+    with pytest.raises(MetricError, match="overflow"):
+        evaluate(params, huge)
+    # Predictions near 1e155 that still differ by about 1e150: pearson and
+    # spearman stay finite, the squared error overflows.
+    head = params.rho[-1]
+    head.w.data *= 1e150
+    head.b.data = np.full_like(head.b.data, 1e155)
+    assert np.isfinite(forward_batch(params, [mix for mix, _ in examples]).data).all()
+    with pytest.raises(MetricError, match="non-finite metrics: mse"):
+        evaluate(params, examples)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_rejects_non_finite_predictions():
     examples = _examples(6, seed=28)
     params = build_model(ModelConfig.for_conv("graphconv", seed=9, **MICRO))
