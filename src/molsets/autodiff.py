@@ -4,27 +4,27 @@ Operations compute eagerly with numpy. While a Tape is active (used as a
 context manager), every operation is recorded so that `backward` can
 accumulate gradients in reverse order. Tapes are thread-confined: each
 thread sees only its own active tape, so independent forward/backward
-passes may run concurrently. Binary operations broadcast in three ways
-only: an operand of total size 1 against any tensor, a (k,) vector
-against the rows of a (B, k) matrix, and an (N, 1) column against the
-columns of an (N, k) matrix. All other shapes must match exactly.
+passes may run concurrently. `mul` takes equal shapes or an (N, k)
+matrix times an (N, 1) column; no other op broadcasts.
 
-The layers every training step runs are single nodes with hand-written
-backward closures (`affine`, `graph_conv`, `segment_mean`, `mse`), so a
-step records one node per layer, not one per primitive. Each evaluates
-the numpy expressions of the primitive composition it stands for, in the
-same order, so its value and gradients are bit-identical to that
-composition's.
+Every model layer is one node with a hand-written backward, its ReLU
+included: `affine` (dense), `graph_conv` (graphconv, sageconv, gcnconv),
+`gat_conv` (GAT), `dmpnn` (all DMPNN iterations and the readout),
+`segment_mean` (mean pooling), `set_attention` (attention aggregation)
+and `mse` (the loss). Each evaluates the numpy expressions of the
+primitive composition it stands for, in the same order, so its value
+and gradients are bit-identical to that composition's.
 
-Of their inputs, `graph_conv`, `concat` and `mse` form gradients only for
-those that `backward` needs: tensors produced on the tape or watched. So a
-constant input, such as the node features of a first conv layer or the
-targets of a loss, costs no gradient and is absent from the result.
+`backward` reports no gradient for a constant input, one neither
+produced on the tape nor watched (node features, weight fractions,
+targets). The selective nodes `graph_conv`, `gat_conv`, `dmpnn`,
+`set_attention` and `mul` do not even form it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -107,9 +107,10 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate gradients of a scalar output for every taped tensor.
 
     Watched tensors always appear in the result (zeros when the output
-    does not depend on them). An input of a selective node (graph_conv,
-    concat, mse) that is neither produced on the tape nor watched gets no
-    gradient. Replaying the same tape is deterministic.
+    does not depend on them). An input that is neither produced on the
+    tape nor watched gets no gradient; a selective node (see the module
+    docstring) does not even form it. Replaying the same tape is
+    deterministic.
     """
     if output.data.size != 1:
         raise TapeError(f"backward requires a scalar output, got shape {output.data.shape}")
@@ -122,12 +123,10 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
         g = grads.get(out)
         if g is None:
             continue
-        if selective:
-            input_grads = grad_fn(g, [inp.tape is tape or inp in watched for inp in inputs])
-        else:
-            input_grads = grad_fn(g)
-        for inp, gi in zip(inputs, input_grads):
-            if gi is None:
+        needed = [inp.tape is tape or inp in watched for inp in inputs]
+        input_grads = grad_fn(g, needed) if selective else grad_fn(g)
+        for inp, gi, need in zip(inputs, input_grads, needed):
+            if not need:
                 continue
             prev = grads.get(inp)
             grads[inp] = gi if prev is None else prev + gi
@@ -138,73 +137,23 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     return grads
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if np.prod(shape) == 1:
-        return np.asarray(g.sum()).reshape(shape)
-    if len(shape) == 1:
-        return g.sum(axis=0)  # a (k,) row spread over (B, k)
-    return g.sum(axis=1, keepdims=True)  # an (N, 1) column spread over (N, k)
-
-
-def _broadcasts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """b spreads over a: (k,) over the rows of (B, k), (N, 1) over (N, k)."""
-    return len(a) == 2 and (b == (a[1],) or b == (a[0], 1))
-
-
-def _binary(a: Tensor, b: Tensor, name: str, fwd, grad_fn) -> Tensor:
-    av, bv = a.data, b.data
-    sa, sb = av.shape, bv.shape
-    if not (
-        sa == sb or av.size == 1 or bv.size == 1 or _broadcasts(sa, sb) or _broadcasts(sb, sa)
-    ):
-        raise DimensionError(f"{name} shapes {sa} and {sb} do not match")
-    out = Tensor(fwd(av, bv))
-
-    def grad(g):
-        ga, gb = grad_fn(g, av, bv)
-        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
-
-    return _record(out, (a, b), grad)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "add", np.add, lambda g, av, bv: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, lambda g, av, bv: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "mul", np.multiply, lambda g, av, bv: (g * bv, g * av))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-    return _record(out, (a,), lambda g: (g * c,))
-
-
-def relu(a: Tensor) -> Tensor:
-    av = a.data
-    out = Tensor(np.maximum(av, 0.0))
-    return _record(out, (a,), lambda g: (g * (av > 0.0),))
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    av = a.data
-    out = Tensor(np.where(av > 0.0, av, slope * av))
-    return _record(out, (a,), lambda g: (g * np.where(av > 0.0, 1.0, slope),))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Element-wise a * b: equal shapes, or an (N, k) a times an (N, 1)
+    column b, which scales row i of a by b[i]."""
     av, bv = a.data, b.data
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul shapes {av.shape} and {bv.shape} are incompatible")
-    out = Tensor(av @ bv)
-    return _record(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    column = av.ndim == 2 and bv.shape == (av.shape[0], 1)
+    if not (av.shape == bv.shape or column):
+        raise DimensionError(f"mul shapes {av.shape} and {bv.shape} do not match")
+
+    def grad(g, needed):
+        gb = None
+        if needed[1]:
+            gb = g * av
+            if column:
+                gb = gb.sum(axis=1, keepdims=True)
+        return g * bv if needed[0] else None, gb
+
+    return _record(Tensor(av * bv), (a, b), grad, selective=True)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -219,7 +168,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def grad(g):
         if relu:
             g = g * (yv > 0.0)  # an output above 0 is a pre-activation above 0
-        return g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+        return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
     return _record(Tensor(yv), (x, w, b), grad)
 
@@ -256,53 +205,152 @@ def graph_conv(
             gx = op.T @ (g @ wn.T)
             if ws is not None:
                 gx = g @ ws.T + gx
-        gn = ax.T @ g if needed[1] else None
-        if ws is None:
-            return gx, gn
-        return gx, gn, xv.T @ g if needed[2] else None
+        return (gx, ax.T @ g) if ws is None else (gx, ax.T @ g, xv.T @ g)
 
     inputs = (x, w_neigh) if w_self is None else (x, w_neigh, w_self)
     return _record(Tensor(yv), inputs, grad, selective=True)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax of a 1-D tensor."""
-    xv = x.data
-    if xv.ndim != 1:
-        raise DimensionError(f"softmax expects a 1-D tensor, got shape {xv.shape}")
-    shifted = np.exp(xv - xv.max())
-    y = shifted / shifted.sum()
-    out = Tensor(y)
+def gat_conv(
+    x: Tensor, src, dst, w_self: Tensor, w_neigh: Tensor, att: Tensor, slope: float, relu=False
+) -> Tensor:
+    """Graph attention (Velickovic et al. 2018) over the directed edges
+    src[e] -> dst[e] of an n-node graph and a self loop per node, then
+    max(., 0) if relu.
 
-    def grad(g):
-        return (y * (g - float(np.dot(g, y))),)
+    Node i sums row i of x @ w_self (its self loop) and row j of
+    x @ w_neigh (each edge j -> i), weighted by a softmax over its self
+    loop and in-edges of leaky_relu(s1[i] + s2[j]) with slope `slope`,
+    where s1 = x @ w_self @ att[:k] and s2 = x @ w_neigh @ att[k:]; the
+    self loop's logit reads s2[i]. The weights fill a dense (n, 2n) matrix.
+    """
+    xv, w1, w2, av = x.data, w_self.data, w_neigh.data, att.data
+    k = w1.shape[-1]
+    if xv.ndim != 2 or w1.shape != (xv.shape[1], k) or w2.shape != w1.shape or av.shape != (2 * k,):
+        raise DimensionError(
+            f"gat_conv shapes {xv.shape}, {w1.shape}, {w2.shape} and {av.shape} are incompatible"
+        )
+    n = xv.shape[0]
+    xw1, xw2 = xv @ w1, xv @ w2
+    a1, a2 = av.reshape(2 * k, 1)[:k], av.reshape(2 * k, 1)[k:]
+    # Self loops, then the edges. A self term reads row i of
+    # [x @ w_self; x @ w_neigh], a neighbour term row n + j.
+    loops = np.arange(n)
+    value_row = np.concatenate([loops, n + src])
+    dst, src = np.concatenate([loops, dst]), np.concatenate([loops, src])
+    pre = (xw1 @ a1)[dst] + (xw2 @ a2)[src]  # (n + edges, 1)
+    alpha = _segment_softmax(np.where(pre > 0.0, pre, slope * pre).reshape(-1), dst, n)
+    weights = coo_to_dense(alpha, dst, value_row, (n, 2 * n))
+    values = np.concatenate([xw1, xw2])
+    yv = weights @ values
+    if relu:
+        np.maximum(yv, 0.0, out=yv)
 
-    return _record(out, (x,), grad)
+    def grad(g, needed):
+        if relu:
+            g = g * (yv > 0.0)
+        g_pre = _segment_softmax_grad(alpha, (g @ values.T)[dst, value_row], dst, n)
+        g_pre = g_pre.reshape(-1, 1) * np.where(pre > 0.0, 1.0, slope)
+        g_s1, g_s2 = _scatter_rows(g_pre, dst, n), _scatter_rows(g_pre, src, n)
+        g_values = weights.T @ g
+        g_xw1, g_xw2 = g_values[:n] + g_s1 @ a1.T, g_values[n:] + g_s2 @ a2.T
+        gx = g_xw2 @ w2.T + g_xw1 @ w1.T if needed[0] else None
+        g_att = np.concatenate([xw1.T @ g_s1, xw2.T @ g_s2]).reshape(-1)
+        return gx, xv.T @ g_xw1, xv.T @ g_xw2, g_att
+
+    return _record(Tensor(yv), (x, w_self, w_neigh, att), grad, selective=True)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    xv = x.data
-    out = Tensor(xv.sum(axis=axis))
+def dmpnn(
+    x: Tensor, src, dst, edge_weight, w_in: Tensor, w_h: Tensor, w_out: Tensor, iterations: int
+) -> Tensor:
+    """Directed message passing (Yang et al. 2019, as in chemprop) on the
+    states of the edges src[e] -> dst[e] of an n-node graph, the reverse
+    of edge e being e ^ 1, then a node readout.
 
-    def grad(g):
-        if axis is None:
-            return (np.broadcast_to(g, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), xv.shape).copy(),)
+    h0 = relu([x[src], edge_weight] @ w_in). Each iteration sets
+    h = relu(h0 + m @ w_h), where the message m into edge e (u -> v) sums
+    the states of the edges ending at u except e's reverse. Returns
+    relu([x, s] @ w_out), s[v] the sum of the final states of the edges
+    ending at v.
+    """
+    xv, wi, wh, wo = x.data, w_in.data, w_h.data, w_out.data
+    k_in, k = xv.shape[-1], wi.shape[-1]
+    if xv.ndim != 2 or wi.shape != (k_in + 1, k) or wh.shape != (k, k) or wo.shape != (k_in + k, k):
+        raise DimensionError(
+            f"dmpnn shapes {xv.shape}, {wi.shape}, {wh.shape} and {wo.shape} are incompatible"
+        )
+    n = xv.shape[0]
+    reverse = np.arange(src.size) ^ 1
+    c_in = np.concatenate([xv[src], edge_weight[:, None]], axis=1)
+    pre0 = c_in @ wi
+    h0 = np.maximum(pre0, 0.0)
+    h, msgs, pres = h0, [], []
+    for _ in range(iterations):
+        msgs.append(_scatter_rows(h, dst, n)[src] - h[reverse])
+        pres.append(h0 + msgs[-1] @ wh)
+        h = np.maximum(pres[-1], 0.0)
+    c_out = np.concatenate([xv, _scatter_rows(h, dst, n)], axis=1)
+    pre_out = c_out @ wo
 
-    return _record(out, (x,), grad)
+    def grad(g, needed):
+        g = g * (pre_out > 0.0)
+        g_c_out = g @ wo.T
+        g_h = g_c_out[:, k_in:][dst]
+        g_h0 = g_wh = None
+        for t in reversed(range(iterations)):
+            g_pre = g_h * (pres[t] > 0.0)
+            g_h0 = g_pre if g_h0 is None else g_h0 + g_pre
+            g_wh = msgs[t].T @ g_pre if g_wh is None else g_wh + msgs[t].T @ g_pre
+            g_msg = g_pre @ wh.T
+            from_incoming = _scatter_rows(g_msg, src, n)[dst]
+            if t:
+                g_h = from_incoming - g_msg[reverse]
+            else:  # the first iteration reads h0
+                g_h0 = (g_h0 - g_msg[reverse]) + from_incoming
+        g_pre0 = g_h0 * (pre0 > 0.0)
+        gx = None
+        if needed[0]:
+            gx = g_c_out[:, :k_in] + _scatter_rows((g_pre0 @ wi.T)[:, :k_in], src, n)
+        return gx, c_in.T @ g_pre0, g_wh, c_out.T @ g
+
+    return _record(Tensor(np.maximum(pre_out, 0.0)), (x, w_in, w_h, w_out), grad, selective=True)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
-    xv = x.data
-    n = xv.size if axis is None else xv.shape[axis]
-    out = Tensor(xv.mean(axis=axis))
+def set_attention(
+    z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, weights, segment, n_sets: int
+) -> Tensor:
+    """Attention pooling of the rows of z (N, d) into n_sets sets; row i
+    belongs to set segment[i] with weight fraction weights[i].
 
-    def grad(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, xv.shape).copy(),)
+    Row i's logit is q_i . k_i / sqrt(d_k), with q = z @ wq, k = z @ wk
+    and d_k the columns of wq. A softmax within each set turns the logits
+    into scores, and set s sums weights[i] * score_i * (z @ wv)_i over its
+    rows. Returns (n_sets, wv columns); an empty set is zero.
+    """
+    zv, q_w, k_w, v_w = z.data, wq.data, wk.data, wv.data
+    seg = np.asarray(segment, dtype=np.intp)
+    if zv.ndim != 2 or seg.shape != zv.shape[:1] or k_w.shape != q_w.shape or (
+        q_w.ndim != 2 or v_w.ndim != 2 or q_w.shape[0] != zv.shape[1] or v_w.shape[0] != zv.shape[1]
+    ):
+        shapes = f"{zv.shape}, {seg.shape}, {q_w.shape}, {k_w.shape} and {v_w.shape}"
+        raise DimensionError(f"set_attention shapes {shapes} are incompatible")
+    w = np.asarray(weights, dtype=np.float64).reshape(seg.size, 1)
+    qv, kv, vv = zv @ q_w, zv @ k_w, zv @ v_w
+    c = 1.0 / math.sqrt(q_w.shape[1])
+    scores = _segment_softmax((qv * kv).sum(axis=1) * c, seg, n_sets)[:, None]
 
-    return _record(out, (x,), grad)
+    def grad(g, needed):
+        g_vs = g[seg] * w
+        g_v = g_vs * scores
+        g_scores = (g_vs * vv).sum(axis=1)
+        g_logits = (_segment_softmax_grad(scores[:, 0], g_scores, seg, n_sets) * c)[:, None]
+        g_q, g_k = g_logits * kv, g_logits * qv
+        gz = (g_v @ v_w.T + g_k @ k_w.T) + g_q @ q_w.T if needed[0] else None
+        return gz, zv.T @ g_q, zv.T @ g_k, zv.T @ g_v
+
+    out = Tensor(_scatter_rows(vv * scores * w, seg, n_sets))
+    return _record(out, (z, wq, wk, wv), grad, selective=True)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -311,16 +359,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     values = [p.data for p in parts]
     for v in values[1:]:
         if v.ndim != values[0].ndim:
-            raise DimensionError(
-                f"concat ranks differ: {values[0].shape} vs {v.shape}"
-            )
+            raise DimensionError(f"concat ranks differ: {values[0].shape} vs {v.shape}")
     out = Tensor(np.concatenate(values, axis=axis))
     offsets = list(itertools.accumulate(v.shape[axis] for v in values[:-1]))
-
-    def grad(g, needed):
-        return [gi if need else None for gi, need in zip(np.split(g, offsets, axis=axis), needed)]
-
-    return _record(out, tuple(parts), grad, selective=True)
+    return _record(out, tuple(parts), lambda g: np.split(g, offsets, axis=axis))
 
 
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -347,27 +389,18 @@ def coo_to_dense(values: np.ndarray, rows, cols, shape: tuple[int, int]) -> np.n
     return np.bincount(flat, values, shape[0] * shape[1]).reshape(shape)
 
 
-def coo_matrix(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
-    """coo_to_dense of a 1-D tensor; a value's gradient is g at its entry."""
-    vv, r, c = values.data, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    if vv.ndim != 1 or r.shape != vv.shape or c.shape != vv.shape:
-        raise DimensionError(f"coo_matrix entry shapes {vv.shape}, {r.shape}, {c.shape} differ")
-    out = Tensor(coo_to_dense(vv, r, c, shape))
-    return _record(out, (values,), lambda g: (g[r, c],))
-
-
-def segment_softmax(x: Tensor, segment, n_segments: int) -> Tensor:
-    """Softmax of a 1-D tensor within segments: entries sharing an id in
+def _segment_softmax(x: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
+    """Softmax of a 1-D array within segments: entries sharing an id in
     [0, n_segments) sum to 1. Each segment is shifted by its own maximum."""
-    xv, seg = x.data, np.asarray(segment, dtype=np.intp)
-    if xv.ndim != 1 or seg.shape != xv.shape:
-        raise DimensionError(f"segment_softmax shapes {xv.shape} and {seg.shape} differ")
     peak = np.full(n_segments, -np.inf)
-    np.maximum.at(peak, seg, xv)
-    shifted = np.exp(xv - peak[seg])
-    y = shifted / np.bincount(seg, shifted, n_segments)[seg]
-    out = Tensor(y)
-    return _record(out, (x,), lambda g: (y * (g - np.bincount(seg, g * y, n_segments)[seg]),))
+    np.maximum.at(peak, seg, x)
+    shifted = np.exp(x - peak[seg])
+    return shifted / np.bincount(seg, shifted, n_segments)[seg]
+
+
+def _segment_softmax_grad(y: np.ndarray, g: np.ndarray, seg: np.ndarray, n_segments: int):
+    """Input gradient of a segment softmax with output y, given g for y."""
+    return y * (g - np.bincount(seg, g * y, n_segments)[seg])
 
 
 def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
@@ -400,12 +433,12 @@ def mse(preds: Tensor, targets: Tensor) -> Tensor:
     diff = pv - tv
     out = Tensor((diff * diff).mean())
 
-    def grad(g, needed):
+    def grad(g):
         h = (g / diff.size) * diff
         gd = h + h
-        return gd if needed[0] else None, -gd if needed[1] else None
+        return gd, -gd
 
-    return _record(out, (preds, targets), grad, selective=True)
+    return _record(out, (preds, targets), grad)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

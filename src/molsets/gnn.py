@@ -5,18 +5,19 @@ as a disjoint union (GraphTensors(graphs)): each `edge_index` row
 (i, j) appears as i -> j and j -> i with its bond code as weight, the
 graphs' node rows are stacked and their edge lists offset, so a conv
 layer is one pass over all of them and mean pooling is one segment sum.
-Graphconv, sageconv, gcnconv and GAT read their operator off the edge
-list as a dense matrix filled from (row, col, value) entries, built once
-per union; at the union sizes used here (a few hundred atoms at most)
-one dense matmul costs less than a scatter-add over the edges. The
-operator is a constant ndarray, so a graphconv, sageconv or gcnconv
-layer, its ReLU included, is one tape node (`ad.graph_conv`). DMPNN
-passes messages with gathers and segment sums over the edges, so it
-needs no edge-by-edge matrix. Conventions for degenerate cases: empty
-neighborhoods contribute a zero aggregate, the degree-normalized
-operator includes a self term with unit weight, and the attention
-operator runs an edge-wise softmax over each node's neighborhood plus
-the node itself.
+Graphconv, sageconv and gcnconv read their operator off the edge list as
+a dense matrix filled from (row, col, value) entries, built once per
+union; at the union sizes used here (a few hundred atoms at most) one
+dense matmul costs less than a scatter-add over the edges. Each layer,
+its ReLU included, is one tape node: `ad.graph_conv` with that constant
+operator; `ad.gat_conv` for GAT, which fills its dense (n, 2n) attention
+matrix on every call; `ad.dmpnn` for all DMPNN iterations and the
+readout, which passes messages with gathers and segment sums over the
+edges and so needs no edge-by-edge matrix. Conventions for degenerate
+cases: empty neighborhoods contribute a zero aggregate, the
+degree-normalized operator includes a self term with unit weight, and
+the attention operator runs an edge-wise softmax over each node's
+neighborhood plus the node itself.
 """
 
 from __future__ import annotations
@@ -128,50 +129,17 @@ def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors, relu: bool = F
     if kind == "gcnconv":
         return ad.graph_conv(x, gt.gcn, params.w1, relu=relu)
     if kind == "gatconv":
-        out = _gat_forward(params, x, gt)
-        return ad.relu(out) if relu else out
+        return ad.gat_conv(x, gt.src, gt.dst, params.w1, params.w2, params.att, GAT_LEAKY_SLOPE, relu)
     raise ValueError(f"conv_forward does not handle kind {kind!r}")
 
 
-def _gat_forward(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
-    out_dim = params.output_dim
-    xw1 = ad.matmul(x, params.w1)
-    xw2 = ad.matmul(x, params.w2)
-    a_col = ad.reshape(params.att, (2 * out_dim, 1))
-    s1 = ad.matmul(xw1, ad.rows(a_col, range(out_dim)))  # (n, 1)
-    s2 = ad.matmul(xw2, ad.rows(a_col, range(out_dim, 2 * out_dim)))  # (n, 1)
-
-    # Self loops, then the directed edges. A self term reads row i of
-    # [x W1; x W2], a neighbour term row n + j.
-    loops = np.arange(gt.n)
-    dst, src = np.concatenate([loops, gt.dst]), np.concatenate([loops, gt.src])
-    logits = ad.leaky_relu(ad.add(ad.rows(s1, dst), ad.rows(s2, src)), GAT_LEAKY_SLOPE)
-    alpha = ad.segment_softmax(ad.reshape(logits, (dst.size,)), dst, gt.n)
-    value_row = np.concatenate([loops, gt.n + gt.src])
-    weights = ad.coo_matrix(alpha, dst, value_row, (gt.n, 2 * gt.n))
-    return ad.matmul(weights, ad.concat([xw1, xw2], axis=0))
-
-
 def dmpnn_forward(params: ConvParams, x: Tensor, gt: GraphTensors, iterations: int) -> Tensor:
-    """Directed message passing on edge states, then a node readout.
-
-    The message into edge e (u -> v) sums the states of the edges ending
-    at u except e's reverse: all incoming states of u, gathered at e,
-    minus the state of edge e ^ 1 (as in chemprop).
-    """
+    """Directed message passing on edge states, then a node readout: one
+    `ad.dmpnn` node over the union's edges."""
     if iterations < 1:
         raise ValueError("dmpnn needs at least one iteration")
     _check_input(params, x)
-    edge_feat = Tensor(gt.w[:, None])
-    reverse = np.arange(gt.src.size) ^ 1
-    h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, gt.src), edge_feat], axis=1), params.w_in))
-    h = h0
-    for _ in range(iterations):
-        incoming = ad.segment_sum(h, gt.dst, gt.n)
-        msg = ad.sub(ad.rows(incoming, gt.src), ad.rows(h, reverse))
-        h = ad.relu(ad.add(h0, ad.matmul(msg, params.w_h)))
-    summed = ad.segment_sum(h, gt.dst, gt.n)  # incoming-edge state sum per node
-    return ad.relu(ad.matmul(ad.concat([x, summed], axis=1), params.w_out))
+    return ad.dmpnn(x, gt.src, gt.dst, gt.w, params.w_in, params.w_h, params.w_out, iterations)
 
 
 def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:

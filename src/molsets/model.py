@@ -16,9 +16,11 @@ in one GNN pass per pathway: they are packed, in first-seen order, into
 disjoint-union graphs of at most a few hundred atoms, each conv layer
 runs once per union, each molecule's node rows are mean pooled by a
 segment sum, and the readout runs on one row per molecule. Each distinct
-solvent set is aggregated once, with a fixed number of array operations
-per batch: gather rows by index, segment softmax, segment sum (concat
-instead gathers a padded block of rows per set). The head then runs on
+solvent set is aggregated once, with a fixed number of tape nodes per
+batch: molsets gathers the slot rows by index and runs one attention
+node (`ad.set_attention`: q/k/v products, segment softmax and weighted
+segment sum), wsum gathers, weights and sums the rows, and concat
+gathers a padded block of rows per set. The head then runs on
 the gathered set and salt rows of the mixtures, in blocks of bounded
 size. A list of mixtures (`forward_batch`) is the batch in which each
 mixture is its own set; a single mixture is a batch of one (`forward`,
@@ -309,18 +311,12 @@ def aggregate_mixture(
     within its set scales its value vector, and each set sums its scaled
     values weighted by weight fraction. Returns (n_sets, d); every row is
     independent of the order of its set's members (up to float roundoff).
+    One tape node (`ad.set_attention`).
     """
     seg = np.asarray(segment, dtype=np.intp)
     if n_sets < 1 or np.bincount(seg, minlength=n_sets).min() < 1:
         raise ValueError("cannot aggregate an empty mixture set")
-    n = seg.size
-    q = ad.matmul(z, attention.wq)
-    k = ad.matmul(z, attention.wk)
-    v = ad.matmul(z, attention.wv)
-    logits = ad.scale(ad.reduce_sum(ad.mul(q, k), axis=1), 1.0 / math.sqrt(attention.d_k))
-    scores = ad.reshape(ad.segment_softmax(logits, seg, n_sets), (n, 1))
-    weighted = ad.mul(ad.mul(v, scores), Tensor(np.reshape(weights, (n, 1))))
-    return ad.segment_sum(weighted, seg, n_sets)
+    return ad.set_attention(z, attention.wq, attention.wk, attention.wv, weights, seg, n_sets)
 
 
 def transform_head(rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, molality) -> Tensor:

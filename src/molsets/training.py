@@ -365,6 +365,8 @@ def spearman(targets, preds) -> float:
 
 
 def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
+    if len(examples) < 2:
+        raise ValueError(f"evaluate needs at least two examples, got {len(examples)}")
     targets = np.array([target for _, target in examples])
     preds = _predictions(params, examples)
     bad = np.flatnonzero(~np.isfinite(preds))

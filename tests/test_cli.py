@@ -266,6 +266,15 @@ def test_eval_on_empty_csv_is_data_error(tmp_path, synthetic_csv, micro_config, 
     assert "data error" in capsys.readouterr().err
 
 
+def test_eval_on_one_mixture_is_data_error(tmp_path, synthetic_csv, micro_config, capsys):
+    ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
+    one = tmp_path / "one.csv"
+    write_dataset(load_dataset(synthetic_csv)[:1], str(one))
+    capsys.readouterr()
+    assert cli(["eval", "--checkpoint", ckpt, "--data", str(one)]) == 2
+    assert "data error: evaluate needs at least two examples, got 1" in capsys.readouterr().err
+
+
 def test_eval_on_non_finite_csv_cell_is_data_error(tmp_path, synthetic_csv, micro_config, capsys):
     ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
     with open(synthetic_csv, newline="") as fh:

@@ -1,5 +1,6 @@
 from itertools import accumulate
 
+import frozen_ops as F
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -246,7 +247,7 @@ def test_conv_gradients_match_finite_differences(kind):
             out = dmpnn_forward(params, x, gt, 2)
         else:
             out = conv_forward(params, x, gt)
-        return ad.reduce_sum(ad.mul(out, proj))
+        return F.reduce_sum(F.mul(out, proj))
 
     with Tape() as tape:
         tape.watch(*tensors)
@@ -266,7 +267,8 @@ def test_uniform_init_is_seeded_and_scaled():
 
 
 # Reference operators: the dense loop-built matrices and GAT's per-node loop
-# that the edge-list GraphTensors replaced. Edges are (i, j, w), undirected.
+# that the edge-list GraphTensors replaced, on the frozen primitives of
+# frozen_ops (F). Edges are (i, j, w), undirected.
 
 
 def _reference_adjacency(n, edges):
@@ -328,45 +330,45 @@ def _reference_dmpnn_tensors(n, edges):
 
 def _reference_gat(params, x, n, adj):
     out_dim = params.output_dim
-    xw1 = ad.matmul(x, params.w1)
-    xw2 = ad.matmul(x, params.w2)
+    xw1 = F.matmul(x, params.w1)
+    xw2 = F.matmul(x, params.w2)
     a_col = ad.reshape(params.att, (2 * out_dim, 1))
-    s1 = ad.matmul(xw1, ad.rows(a_col, range(out_dim)))  # (n, 1)
-    s2 = ad.matmul(xw2, ad.rows(a_col, range(out_dim, 2 * out_dim)))  # (n, 1)
+    s1 = F.matmul(xw1, ad.rows(a_col, range(out_dim)))  # (n, 1)
+    s2 = F.matmul(xw2, ad.rows(a_col, range(out_dim, 2 * out_dim)))  # (n, 1)
 
     out_rows = []
     for i in range(n):
         nbrs = [j for j, _ in adj[i]]
         members = [i] + nbrs
-        logits = ad.leaky_relu(
-            ad.add(ad.rows(s1, [i]), ad.rows(s2, members)), GAT_LEAKY_SLOPE
+        logits = F.leaky_relu(
+            F.add(ad.rows(s1, [i]), ad.rows(s2, members)), GAT_LEAKY_SLOPE
         )
-        alpha = ad.softmax(ad.reshape(logits, (len(members),)))
+        alpha = F.softmax(ad.reshape(logits, (len(members),)))
         values = ad.concat([ad.rows(xw1, [i]), ad.rows(xw2, nbrs)], axis=0)
-        out_rows.append(ad.matmul(ad.reshape(alpha, (1, len(members))), values))
+        out_rows.append(F.matmul(ad.reshape(alpha, (1, len(members))), values))
     return ad.concat(out_rows, axis=0)
 
 
 def _reference_dmpnn(params, x, n, edges, iterations):
     src, edge_feat, msg, incoming = _reference_dmpnn_tensors(n, edges)
-    h0 = ad.relu(ad.matmul(ad.concat([ad.rows(x, src), edge_feat], axis=1), params.w_in))
+    h0 = F.relu(F.matmul(ad.concat([ad.rows(x, src), edge_feat], axis=1), params.w_in))
     h = h0
     for _ in range(iterations):
-        h = ad.relu(ad.add(h0, ad.matmul(ad.matmul(msg, h), params.w_h)))
-    summed = ad.matmul(incoming, h)
-    return ad.relu(ad.matmul(ad.concat([x, summed], axis=1), params.w_out))
+        h = F.relu(F.add(h0, F.matmul(F.matmul(msg, h), params.w_h)))
+    summed = F.matmul(incoming, h)
+    return F.relu(F.matmul(ad.concat([x, summed], axis=1), params.w_out))
 
 
 def _reference_forward(params, x, n, edges):
     kind = params.kind
     if kind == "graphconv":
-        agg = ad.matmul(ad.matmul(_reference_weighted(n, edges), x), params.w2)
-        return ad.add(ad.matmul(x, params.w1), agg)
+        agg = F.matmul(F.matmul(_reference_weighted(n, edges), x), params.w2)
+        return F.add(F.matmul(x, params.w1), agg)
     if kind == "sageconv":
-        agg = ad.matmul(ad.matmul(_reference_mean(n, edges), x), params.w2)
-        return ad.add(ad.matmul(x, params.w1), agg)
+        agg = F.matmul(F.matmul(_reference_mean(n, edges), x), params.w2)
+        return F.add(F.matmul(x, params.w1), agg)
     if kind == "gcnconv":
-        return ad.matmul(ad.matmul(_reference_gcn(n, edges), x), params.w1)
+        return F.matmul(F.matmul(_reference_gcn(n, edges), x), params.w1)
     if kind == "gatconv":
         return _reference_gat(params, x, n, _reference_adjacency(n, edges))
     return _reference_dmpnn(params, x, n, edges, iterations=2)
@@ -406,7 +408,7 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
         with Tape() as tape:
             tape.watch(*tensors)
             out = forward()
-            loss = ad.reduce_sum(ad.mul(out, proj))
+            loss = F.reduce_sum(F.mul(out, proj))
         return out.data, ad.backward(tape, loss)
 
     if kind == "dmpnn":
@@ -455,7 +457,7 @@ def test_topology_matches_reference_construction(graphs):
 
 # Disjoint-union embedding against the per-molecule path it replaced: each
 # graph on its own through the loop-built operators above, mean pooled
-# with reduce_mean, log M appended, then the readout on one row.
+# with the frozen reduce_mean, log M appended, then the readout on one row.
 
 
 def _reference_embedding(phi, graph):
@@ -469,8 +471,8 @@ def _reference_embedding(phi, graph):
         for idx, conv in enumerate(convs):
             x = _reference_forward(conv, x, n, edges)
             if idx < len(convs) - 1:
-                x = ad.relu(x)
-    with_mass = ad.concat([ad.reduce_mean(x, axis=0), Tensor([graph.log_mol_weight])])
+                x = F.relu(x)
+    with_mass = ad.concat([F.reduce_mean(x, axis=0), Tensor([graph.log_mol_weight])])
     return dense_forward(phi.readout, ad.reshape(with_mass, (1, with_mass.data.size)))
 
 
@@ -514,7 +516,7 @@ def test_union_embedding_matches_per_graph_reference(kind, sizes, seed):
         with Tape() as tape:
             tape.watch(*tensors)
             out = forward()
-            loss = ad.reduce_sum(ad.mul(out, proj))
+            loss = F.reduce_sum(F.mul(out, proj))
         return out.data, ad.backward(tape, loss)
 
     out, grads = run(lambda: embed_graphs(phi, graphs))

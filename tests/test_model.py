@@ -4,6 +4,7 @@ import os
 import tempfile
 from dataclasses import replace
 
+import frozen_ops as F
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -614,15 +615,15 @@ def test_forward_batch_gradients_match_per_mixture_losses(variant, conv):
     targets = np.linspace(-3.0, -1.0, len(mixes))
 
     def batch_loss():
-        diff = ad.sub(forward_batch(params, mixes), Tensor(targets))
-        return ad.reduce_sum(ad.mul(diff, diff))
+        diff = F.sub(forward_batch(params, mixes), Tensor(targets))
+        return F.reduce_sum(F.mul(diff, diff))
 
     def summed_losses():
         total = None
         for mix, target in zip(mixes, targets):
-            diff = ad.sub(forward(params, mix), Tensor([target]))
-            term = ad.reduce_sum(ad.mul(diff, diff))
-            total = term if total is None else ad.add(total, term)
+            diff = F.sub(forward(params, mix), Tensor([target]))
+            term = F.reduce_sum(F.mul(diff, diff))
+            total = term if total is None else F.add(total, term)
         return total
 
     batched = _parameter_gradients(params, batch_loss)

@@ -338,24 +338,29 @@ def test_batch_loss_gradient_matches_finite_differences():
         assert np.linalg.norm(grads[t] - fd[t]) / denom <= 1e-4
 
 
-def test_graphconv_step_forms_no_gradient_of_constant_inputs():
-    # The node features of the first conv layer, the log-mass column and
-    # the targets enter graph_conv, concat and mse as constants, so
-    # backward forms no gradient for them; every parameter still gets one.
+@pytest.mark.parametrize(
+    "conv, variant",
+    [("graphconv", "molsets"), ("gatconv", "molsets"), ("dmpnn", "molsets"), ("graphconv", "wsum")],
+)
+def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
+    # The node features of the first conv layer (graph_conv, gat_conv or
+    # dmpnn), the log-mass column (concat), wsum's weight column (mul) and
+    # the targets (mse) enter the tape as constants, so backward forms no
+    # gradient for them; every parameter still gets one.
     examples = _examples(6, seed=27)
-    params = build_model(ModelConfig.for_conv("graphconv", seed=8, **MICRO))
+    params = build_model(ModelConfig.for_conv(conv, variant=variant, seed=8, **MICRO))
     tensors = [t for _, t in named_parameters(params)]
+    mixes = [mix for mix, _ in examples]
     with Tape() as tape:
         tape.watch(*tensors)
-        preds = forward_batch(params, [mix for mix, _ in examples])
+        preds = forward_batch(params, mixes)
         targets = Tensor(np.array([y for _, y in examples]))
         loss = mse_loss(preds, targets)
     grads = ad.backward(tape, loss)
     watched = set(tensors)
     constants = {
         t
-        for _, inputs, _, selective in tape._nodes
-        if selective
+        for _, inputs, _, _ in tape._nodes
         for t in inputs
         if t.tape is not tape and t not in watched
     }
@@ -365,6 +370,9 @@ def test_graphconv_step_forms_no_gradient_of_constant_inputs():
     features = [t for t in constants if t.data.shape[1:] == (NODE_FEATURE_DIM,)]
     assert sum(t.data.shape[0] for t in features) == sum(g.n_nodes for g in graphs)
     assert targets in constants
+    if variant == "wsum":
+        slot_weight = model_mod._batch_of(params, mixes).slot_weight
+        assert any(np.array_equal(t.data, slot_weight[:, None]) for t in constants)
     assert not any(t in grads for t in constants)
     assert watched <= set(grads)
 
@@ -440,6 +448,18 @@ def test_evaluate_report_fields():
     assert report.mse >= 0.0
 
 
+def test_evaluate_rejects_fewer_than_two_examples(monkeypatch):
+    # Correlations need two samples: too few rows is bad input (ValueError),
+    # raised before the model runs, not a numeric failure.
+    examples = _examples(2, seed=28)
+    params = build_model(ModelConfig.for_conv("graphconv", seed=9, **MICRO))
+    monkeypatch.setattr("molsets.training.forward_batch", pytest.fail)
+    for few in (examples[:1], []):
+        with pytest.raises(ValueError, match=f"at least two examples, got {len(few)}") as err:
+            evaluate(params, few)
+        assert not isinstance(err.value, MetricError)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_rejects_non_finite_metrics():
     examples = _examples(6, seed=28)
@@ -480,21 +500,26 @@ def test_write_history(tmp_path):
     assert lines[1] == "0,0.5,0.6,0.001"
 
 
-def test_epoch_event_pins_tape_nodes_of_a_fused_step(caplog):
-    # One 32-mixture graphconv/molsets step, each pathway one disjoint union.
-    # Per pathway: 3 conv layers (ReLU fused), mean pool, concat log M,
-    # readout = 6. Aggregation: slot rows, q/k/v matmuls, mul, reduce_sum,
-    # scale, segment_softmax, reshape, two muls, segment_sum = 12. Head:
-    # set rows, salt rows, concat, 3 dense layers, reshape = 7. Loss: 1.
+@pytest.mark.parametrize(
+    "conv, per_pathway, total",
+    [("graphconv", 3 + 3, 22), ("gatconv", 2 + 3, 20), ("dmpnn", 1 + 3, 18)],
+    ids=["graphconv", "gatconv", "dmpnn"],
+)
+def test_epoch_event_pins_tape_nodes_of_a_fused_step(caplog, conv, per_pathway, total):
+    # One 32-mixture <conv>/molsets step, each pathway one disjoint union.
+    # Per pathway: one node per conv layer with its ReLU (graphconv 3, GAT
+    # 2; DMPNN one for all its iterations and its readout), then mean pool,
+    # concat log M and readout. Aggregation: slot rows, set_attention = 2.
+    # Head: set rows, salt rows, concat, 3 dense layers, reshape = 7. Loss: 1.
     examples = _examples(40, seed=5)
     batch = [mix for mix, _ in examples[:32]]
     for graphs in ({g for mix in batch for g, _ in mix.solvents}, {mix.salt for mix in batch}):
         assert sum(g.n_nodes for g in graphs) <= model_mod._UNION_ATOMS
     caplog.set_level(logging.DEBUG, logger="molsets.training")
-    params = build_model(ModelConfig.for_conv("graphconv", seed=1))
+    params = build_model(ModelConfig.for_conv(conv, seed=1))
     train(params, examples[:32], examples[32:], TrainConfig(max_epochs=1, batch_size=32, seed=2))
     [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == "molsets.training"]
-    assert event["tape_nodes_per_step"] == 2 * 6 + 12 + 7 + 1 == 32
+    assert event["tape_nodes_per_step"] == 2 * per_pathway + 2 + 7 + 1 == total
 
 
 def test_telemetry_events_leave_results_unchanged(caplog):
