@@ -51,7 +51,10 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        """The one value of a size-1 tensor, whatever its shape."""
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a tensor of one value, got shape {self.data.shape}")
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"

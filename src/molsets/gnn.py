@@ -64,8 +64,10 @@ class GraphTensors:
     The nodes of graphs[k] follow those of graphs[:k]. `edge_index` row
     r, (i, j), of a graph becomes a directed edge i -> j followed by
     j -> i, both weighted by `edge_order[r]`, so the reverse of edge e is
-    e ^ 1. `sizes` holds the node count of each member graph. Operators
-    are built on first use and kept with the object.
+    e ^ 1. `sizes` holds the node count of each member graph, `features`
+    the stacked node features and `log_mass` one log10 molecular weight
+    row per graph. Operators are built on first use and kept with the
+    object.
     """
 
     def __init__(self, graphs: Sequence[MolecularGraph]):
@@ -79,6 +81,8 @@ class GraphTensors:
         self.src = edge_index.reshape(-1)
         self.dst = edge_index[:, ::-1].reshape(-1)
         self.w = np.repeat(np.concatenate([g.edge_order for g in graphs]), 2)
+        self.features = np.concatenate([g.node_features for g in graphs])
+        self.log_mass = np.array([[g.log_mol_weight] for g in graphs])
 
     @cached_property
     def node_graph(self) -> np.ndarray:

@@ -12,7 +12,7 @@ There is one forward pass, over a columnar batch (`MixtureBatch`,
 `forward_columns`): each pathway's distinct molecules, the distinct
 solvent sets as slots (graph row, weight fraction), and per mixture a
 set row, a salt row and a molality. The distinct molecules are embedded
-in one GNN pass per pathway: they are packed, in first-seen order, into
+in one GNN pass per pathway: they are packed, in the batch's graph order, into
 disjoint-union graphs of at most a few hundred atoms, each conv layer
 runs once per union, each molecule's node rows are mean pooled by a
 segment sum, and the readout runs on one row per molecule. Each distinct
@@ -27,6 +27,15 @@ mixture is its own set; a single mixture is a batch of one (`forward`,
 `predict`). Screening builds its batch directly, so candidates that
 share a solvent set share its aggregation.
 
+A batch keeps its unions (`MixtureBatch.unions`, one `GraphTensors` each,
+with its stacked node features, log masses and operators): they are
+built on its first forward and reused by every later one. Training
+builds one batch per dataset and slices it per step
+(`MixtureBatch.take`); a slice keeps the dataset's graph order, and one
+whose pathway embeds the same graphs as the slice before it gets that
+slice's unions, so steady-state steps build no topology. Everywhere
+else graphs are numbered in first-seen order.
+
 Solvents are sorted by their source SMILES before aggregation so that
 repeated evaluations are bit-identical; the aggregation itself is a set
 operation, so any input order yields the same value up to floating-point
@@ -38,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -269,30 +278,37 @@ def _unions(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
     return unions
 
 
-def _embed_union(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
-    gt = GraphTensors(graphs)
-    x = Tensor(np.concatenate([g.node_features for g in graphs]))
-    convs = phi.convs
-    if convs[0].kind == "dmpnn":
-        x = dmpnn_forward(convs[0], x, gt, iterations=phi.num_layers)
-    else:
-        for idx, conv in enumerate(convs):
-            x = conv_forward(conv, x, gt, relu=idx < len(convs) - 1)
-    log_mass = Tensor(np.array([[g.log_mol_weight] for g in graphs]))
-    return dense_forward(phi.readout, ad.concat([mean_pool(x, gt), log_mass], axis=1))
-
-
-def embed_graphs(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
-    """Molecule representations, one row per graph, (G, d): conv stack,
-    mean pool, concat log M, dense; one pass per disjoint union."""
+def _pack(graphs: list[MolecularGraph]) -> list[GraphTensors]:
+    """The graphs' disjoint unions (_unions), each one GraphTensors."""
     for graph in graphs:
         if graph.node_features.shape[1] != NODE_FEATURE_DIM:
             raise ad.DimensionError(
                 f"graph features have dim {graph.node_features.shape[1]}, "
                 f"expected {NODE_FEATURE_DIM}"
             )
-    tables = [_embed_union(phi, union) for union in _unions(graphs)]
+    return [GraphTensors(union) for union in _unions(graphs)]
+
+
+def _embed_union(phi: GnnParams, gt: GraphTensors) -> Tensor:
+    x = Tensor(gt.features)
+    convs = phi.convs
+    if convs[0].kind == "dmpnn":
+        x = dmpnn_forward(convs[0], x, gt, iterations=phi.num_layers)
+    else:
+        for idx, conv in enumerate(convs):
+            x = conv_forward(conv, x, gt, relu=idx < len(convs) - 1)
+    return dense_forward(phi.readout, ad.concat([mean_pool(x, gt), Tensor(gt.log_mass)], axis=1))
+
+
+def _embed_unions(phi: GnnParams, unions: list[GraphTensors]) -> Tensor:
+    tables = [_embed_union(phi, gt) for gt in unions]
     return tables[0] if len(tables) == 1 else ad.concat(tables)
+
+
+def embed_graphs(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
+    """Molecule representations, one row per graph, (G, d): conv stack,
+    mean pool, concat log M, dense; one pass per disjoint union."""
+    return _embed_unions(phi, _pack(graphs))
 
 
 def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
@@ -339,6 +355,10 @@ class MixtureBatch:
     slots (sets follow each other in order); slot k is the solvent graph
     slot_graph[k] at weight fraction slot_weight[k]. Mixture i is solvent
     set set_of[i] with salt graph salt_of[i] at molality[i].
+
+    unions maps a pathway ("solvent", "salt") to its graphs packed into
+    disjoint unions (GraphTensors, with their operators); each is built on
+    the first forward and kept with the batch.
     """
 
     solvent_graphs: list[MolecularGraph]
@@ -349,13 +369,72 @@ class MixtureBatch:
     set_of: np.ndarray
     salt_of: np.ndarray
     molality: np.ndarray
+    unions: dict[str, list[GraphTensors]] = field(default_factory=dict, init=False, repr=False)
+    _last_take: tuple | None = field(default=None, init=False, repr=False)
+
+    def packed(self, pathway: str) -> list[GraphTensors]:
+        """The unions of the "solvent" or "salt" pathway, built on first use."""
+        unions = self.unions.get(pathway)
+        if unions is None:
+            graphs = self.solvent_graphs if pathway == "solvent" else self.salt_graphs
+            unions = self.unions[pathway] = _pack(graphs)
+        return unions
+
+    def take(self, rows) -> "MixtureBatch":
+        """Mixtures rows (repeats allowed) of a batch in which each mixture
+        is its own set, as a batch of their own.
+
+        The slice keeps this batch's graph order: the graphs it uses are
+        renumbered by a presence mask and its cumsum. A pathway whose
+        graphs are those of the previous slice gets that slice's unions;
+        only the last slice is remembered.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        n = self.set_of.size
+        if self.set_sizes.size != n or not np.array_equal(self.set_of, np.arange(n)):
+            raise ValueError("take slices a batch in which each mixture is its own set")
+        if rows.size < 1:
+            raise ValueError("take needs at least one row")
+        sizes = self.set_sizes[rows]
+        ends = np.cumsum(sizes)
+        slots = np.arange(ends[-1]) + np.repeat(np.cumsum(self.set_sizes)[rows] - ends, sizes)
+        solvents, slot_graph = _renumber(self.slot_graph[slots], len(self.solvent_graphs))
+        salts, salt_of = _renumber(self.salt_of[rows], len(self.salt_graphs))
+        piece = MixtureBatch(
+            solvent_graphs=[self.solvent_graphs[i] for i in solvents.tolist()],
+            salt_graphs=[self.salt_graphs[i] for i in salts.tolist()],
+            slot_graph=slot_graph,
+            slot_weight=self.slot_weight[slots],
+            set_sizes=sizes,
+            set_of=np.arange(rows.size),
+            salt_of=salt_of,
+            molality=self.molality[rows],
+        )
+        if self._last_take is not None:
+            last_solvents, last_salts, last = self._last_take
+            for pathway, kept, last_kept in (
+                ("solvent", solvents, last_solvents),
+                ("salt", salts, last_salts),
+            ):
+                if pathway in last.unions and np.array_equal(kept, last_kept):
+                    piece.unions[pathway] = last.unions[pathway]
+        self._last_take = (solvents, salts, piece)
+        return piece
+
+
+def _renumber(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct values of ids in increasing order, ids renumbered
+    0.. in that order) for ids in [0, count), without a sort."""
+    present = np.zeros(count, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
 
 
 def _canonical(solvents: list[tuple[MolecularGraph, float]]):
     return sorted(solvents, key=lambda gw: gw[0].source_smiles)
 
 
-def _batch_of(params: ModelParams, mixes: list[MixtureInput]) -> MixtureBatch:
+def batch_of(params: ModelParams, mixes: list[MixtureInput]) -> MixtureBatch:
     """Each mixture as its own solvent set (canonically sorted unless the
     variant is concat); graphs are numbered in first-seen order."""
     sets = [
@@ -381,7 +460,7 @@ def _batch_of(params: ModelParams, mixes: list[MixtureInput]) -> MixtureBatch:
 def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
     """Solvent part of the head input, one row per solvent set, (S, D):
     the only place each variant differs. The distinct solvent graphs are
-    embedded in one embed_graphs call.
+    embedded in one pass over the batch's solvent unions.
 
     molsets: attention aggregation of each set's slots. wsum:
     weight-fraction-weighted sum of their embeddings. concat: the
@@ -395,7 +474,7 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
         raise ValueError(
             f"mixture has {sizes.max()} solvents, model accepts at most {cfg.max_solvents}"
         )
-    solvents = embed_graphs(params.phi_solvent, batch.solvent_graphs)
+    solvents = _embed_unions(params.phi_solvent, batch.packed("solvent"))
     if cfg.variant == "concat":
         slots = cfg.max_solvents
         table = ad.concat([solvents, Tensor(np.zeros((1, cfg.representation_dim)))])
@@ -415,19 +494,20 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
 
 def mixture_representation(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
     """Solvent part of the head input of each mixture, (B, D)."""
-    return _set_representation(params, _batch_of(params, mixes))
+    return _set_representation(params, batch_of(params, mixes))
 
 
 def forward_columns(params: ModelParams, batch: MixtureBatch) -> Tensor:
     """Predictions of a columnar batch as a (B,) tensor (differentiable).
 
-    Each pathway's distinct graphs are embedded in one embed_graphs call
-    and each distinct solvent set is aggregated once; the head then runs
-    on the gathered [set, salt, molality] rows of the mixtures in blocks
-    of about _CHUNK rows, so its working memory does not grow with B.
+    Each pathway's distinct graphs are embedded in one pass over the
+    batch's unions (MixtureBatch.packed) and each distinct solvent set is
+    aggregated once; the head then runs on the gathered [set, salt,
+    molality] rows of the mixtures in blocks of about _CHUNK rows, so its
+    working memory does not grow with B.
     """
     z_set = _set_representation(params, batch)
-    salts = embed_graphs(params.phi_salt, batch.salt_graphs)
+    salts = _embed_unions(params.phi_salt, batch.packed("salt"))
     n = batch.set_of.size
     starts = (list(range(0, n - 1, _CHUNK)) or [0]) + [n]
     blocks = [
@@ -447,7 +527,7 @@ def forward_batch(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
     forward_columns with each mixture as its own solvent set."""
     if not mixes:
         raise ValueError("forward_batch needs at least one mixture")
-    return forward_columns(params, _batch_of(params, mixes))
+    return forward_columns(params, batch_of(params, mixes))
 
 
 def forward(params: ModelParams, mix: MixtureInput) -> Tensor:

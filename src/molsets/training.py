@@ -5,8 +5,11 @@ rate of 1e-3 with weight decay 1e-4, a plateau scheduler that halves the
 learning rate after 10 epochs without validation improvement, and early
 stopping after 20 such epochs, restoring the parameters from the epoch
 with the lowest validation loss. Training updates the given parameters
-in place and returns them restored to that epoch. The loop is
-single-threaded and deterministic given the seed.
+in place and returns them restored to that epoch. The training and
+validation sets are each built into one columnar batch per call; a step
+runs on a slice of the training batch (`MixtureBatch.take`), and
+validation on the whole validation batch. The loop is single-threaded
+and deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .model import MixtureInput, ModelParams, forward_batch, named_parameters
+from .model import (
+    MixtureBatch,
+    MixtureInput,
+    ModelParams,
+    batch_of,
+    forward_batch,
+    forward_columns,
+    named_parameters,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -189,11 +200,6 @@ def _predictions(params: ModelParams, examples: list[Example]) -> np.ndarray:
     return forward_batch(params, [mix for mix, _ in examples]).data
 
 
-def _validation_loss(params: ModelParams, examples: list[Example]) -> float:
-    targets = np.array([target for _, target in examples])
-    return float(np.mean((_predictions(params, examples) - targets) ** 2))
-
-
 def train(
     params: ModelParams,
     train_data: list[Example],
@@ -204,13 +210,17 @@ def train(
     to the best epoch (kept as a copy of the optimizer's parameter vector),
     with the history.
 
-    Each minibatch is one forward_batch: every distinct molecule of the
-    batch is embedded once, in one disjoint-union GNN pass per pathway,
-    and shared by the mixtures that contain it (gradients accumulate
-    through the shared subgraph). With the module logger at DEBUG, each
-    epoch logs one JSON event: losses, lr, wall seconds, and per-step
-    means of tape nodes, the global L2 norm of the parameter gradients
-    and the number of distinct molecules embedded.
+    The training and validation sets are each one MixtureBatch, built once
+    per call. Each minibatch is the slice take(rows) of the training batch:
+    every distinct molecule of the slice is embedded once, in one
+    disjoint-union GNN pass per pathway, and shared by the mixtures that
+    contain it (gradients accumulate through the shared subgraph). A slice
+    that embeds the same graphs as the one before it reuses its unions'
+    topology, and validation reuses the validation batch's. With the
+    module logger at DEBUG, each epoch logs one JSON event: losses, lr,
+    wall seconds, per-step means of tape nodes, the global L2 norm of the
+    parameter gradients and the number of distinct molecules embedded, and
+    the unions built and reused over the epoch.
     """
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
@@ -224,6 +234,10 @@ def train(
     )
     scheduler = PlateauScheduler(optimizer, config.scheduler_factor, config.scheduler_patience)
     rng = np.random.default_rng(config.seed)
+    train_batch = batch_of(params, [mix for mix, _ in train_data])
+    train_targets = np.array([target for _, target in train_data])
+    val_batch = batch_of(params, [mix for mix, _ in val_data])
+    val_targets = np.array([target for _, target in val_data])
 
     history: list[HistoryEntry] = []
     val_losses: list[float] = []
@@ -235,16 +249,19 @@ def train(
         if debug:
             epoch_start = time.perf_counter()
             tape_nodes, grad_norms, embedded = [], [], []
+            unions = [0, 0]  # built, reused
         lr_used = optimizer.lr
         order = rng.permutation(len(train_data))
         epoch_squares = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_data[i] for i in order[start : start + config.batch_size]]
+            rows = order[start : start + config.batch_size]
+            batch = train_batch.take(rows)
+            if debug:
+                reused = _union_count(batch)
             with Tape() as tape:
                 tape.watch(*tensors)
-                preds = forward_batch(params, [mix for mix, _ in batch])
-                targets = Tensor(np.array([target for _, target in batch]))
-                loss = mse_loss(preds, targets)
+                preds = forward_columns(params, batch)
+                loss = mse_loss(preds, Tensor(train_targets[rows]))
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise TrainingError(
@@ -253,23 +270,27 @@ def train(
                 )
             grads = ad.backward(tape, loss)
             optimizer.step(grads)
-            epoch_squares += loss_value * len(batch)
+            epoch_squares += loss_value * rows.size
             if debug:
                 tape_nodes.append(len(tape))
                 squares = sum(float(np.vdot(grads[t], grads[t])) for t in tensors)
                 grad_norms.append(math.sqrt(squares))
-                embedded.append(
-                    len({g for mix, _ in batch for g, _ in mix.solvents})
-                    + len({mix.salt for mix, _ in batch})
-                )
+                embedded.append(len(batch.solvent_graphs) + len(batch.salt_graphs))
+                unions[0] += _union_count(batch) - reused
+                unions[1] += reused
 
         train_loss = epoch_squares / len(train_data)
-        val_loss = _validation_loss(params, val_data)
+        if debug:
+            reused = _union_count(val_batch)
+        val_preds = forward_columns(params, val_batch).data
+        val_loss = float(np.mean((val_preds - val_targets) ** 2))
         if not math.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss {val_loss} at epoch {epoch}, lr {lr_used}")
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
         val_losses.append(val_loss)
         if debug:
+            unions[0] += _union_count(val_batch) - reused
+            unions[1] += reused
             logger.debug(
                 json.dumps(
                     {
@@ -282,6 +303,8 @@ def train(
                         "tape_nodes_per_step": float(np.mean(tape_nodes)),
                         "grad_norm": float(np.mean(grad_norms)),
                         "molecules_embedded_per_step": float(np.mean(embedded)),
+                        "unions_built": unions[0],
+                        "unions_reused": unions[1],
                     }
                 )
             )
@@ -303,6 +326,11 @@ def train(
 
     optimizer.values[...] = best_values
     return params, history
+
+
+def _union_count(batch: MixtureBatch) -> int:
+    """Unions the batch holds, over both pathways."""
+    return sum(len(unions) for unions in batch.unions.values())
 
 
 def write_history(history: list[HistoryEntry], path: str) -> None:

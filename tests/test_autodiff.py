@@ -505,6 +505,15 @@ def test_backward_requires_scalar_on_tape():
         ad.backward(Tape(), Tensor([1.0]))
 
 
+def test_item_returns_the_one_value_of_any_size_one_tensor():
+    for data in (2.5, [1.5], [[-3.0]]):
+        value = Tensor(data).item()
+        assert type(value) is float and value == np.asarray(data).reshape(())
+    for data in ([1.0, 2.0], np.zeros((0,)), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match=rf"got shape \({np.shape(data)[0]},"):
+            Tensor(data).item()
+
+
 def test_backward_untouched_param_gets_zeros():
     x = Tensor([1.0])
     unused = Tensor(np.ones((2, 2)))

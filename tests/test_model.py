@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import os
 import tempfile
+import weakref
 from dataclasses import replace
 
 import frozen_ops as F
@@ -26,6 +28,7 @@ from molsets.model import (
     embed_molecule,
     forward,
     forward_batch,
+    forward_columns,
     load_checkpoint,
     mixture_from_record,
     mixture_representation,
@@ -155,6 +158,12 @@ def test_predict_is_pure():
     params = micro_model(seed=6)
     mix = MixtureInput([(THF, 0.4), (GLYME, 0.6)], SALT, 1.2)
     assert predict(params, mix) == predict(params, mix)
+
+
+def test_forward_item_is_the_prediction():
+    params = micro_model(seed=6)
+    mix = MixtureInput([(THF, 0.4), (GLYME, 0.6)], SALT, 1.2)
+    assert forward(params, mix).item() == predict(params, mix)
 
 
 def test_predict_permutation_invariance():
@@ -295,7 +304,7 @@ def test_head_blocks_match_one_head_over_the_batch(variant, n):
     params = micro_model(variant, seed=23)
     pool = [MixtureInput(gws, salt, 0.5) for gws in EQUIVALENCE_MIXTURES for salt in SALTS]
     mixes = [replace(pool[i % len(pool)], molality=0.01 * (i % 97)) for i in range(n)]
-    batch = model_mod._batch_of(params, mixes)
+    batch = model_mod.batch_of(params, mixes)
     salts = embed_graphs(params.phi_salt, batch.salt_graphs)
     whole = transform_head(
         params.rho,
@@ -630,3 +639,94 @@ def test_forward_batch_gradients_match_per_mixture_losses(variant, conv):
     reference = _parameter_gradients(params, summed_losses)
     for name, grad in batched.items():
         assert np.abs(grad - reference[name]).max() <= 1e-12, name
+
+
+# Slices of one dataset batch (MixtureBatch.take) against a batch built
+# from the sliced mixtures. The dataset's two long chains put more than
+# _UNION_ATOMS solvent atoms in some slices, so those span two unions.
+_TAKE_POOL = POOL + [build_graph("C" * 100), build_graph("CCO" * 35)]
+
+
+def _take_dataset(n, seed):
+    rng = np.random.default_rng(seed)
+    mixes = []
+    for _ in range(n):
+        size = int(rng.integers(1, MAX_SOLVENTS + 1))
+        graphs = [_TAKE_POOL[i] for i in rng.choice(len(_TAKE_POOL), size, replace=False)]
+        raw = rng.uniform(0.1, 1.0, size)
+        salt = SALTS[int(rng.integers(len(SALTS)))]
+        mixes.append(MixtureInput(list(zip(graphs, raw / raw.sum())), salt, float(rng.uniform(0, 3))))
+    return mixes
+
+
+TAKE_MIXES = _take_dataset(48, seed=12)
+
+
+def _slots(batch):
+    """(graph, weight) of each slot and the size of each set, graphs by identity."""
+    return [batch.solvent_graphs[k] for k in batch.slot_graph], batch.slot_weight, batch.set_sizes
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.integers(0, len(TAKE_MIXES) - 1), min_size=1, max_size=64))
+def test_take_matches_a_batch_of_the_same_mixtures(variant, conv, rows):
+    params = _model(variant, conv)
+    whole = model_mod.batch_of(params, TAKE_MIXES)
+    piece = whole.take(rows)
+    mixes = [TAKE_MIXES[i] for i in rows]
+    ref = model_mod.batch_of(params, mixes)
+    # The same columns up to renumbering of the graphs.
+    (graphs, weights, sizes), (ref_graphs, ref_weights, ref_sizes) = _slots(piece), _slots(ref)
+    assert len(graphs) == len(ref_graphs) and all(a is b for a, b in zip(graphs, ref_graphs))
+    assert np.array_equal(weights, ref_weights) and np.array_equal(sizes, ref_sizes)
+    assert np.array_equal(piece.set_of, ref.set_of)
+    assert all(piece.salt_graphs[a] is ref.salt_graphs[b] for a, b in zip(piece.salt_of, ref.salt_of))
+    assert np.array_equal(piece.molality, ref.molality)
+    # The slice keeps the dataset's graph order and holds each graph once.
+    for part, parent in ((piece.solvent_graphs, whole.solvent_graphs), (piece.salt_graphs, whole.salt_graphs)):
+        position = [next(k for k, g in enumerate(parent) if g is graph) for graph in part]
+        assert position == sorted(set(position))
+    value = forward_columns(params, piece).data
+    assert np.abs(value - forward_batch(params, mixes).data).max() <= 1e-12
+
+
+def test_take_hands_the_last_slice_unions_on():
+    params = _model("molsets", "graphconv")
+    whole = model_mod.batch_of(params, TAKE_MIXES)
+    long_chain = _TAKE_POOL[-1]
+    with_chain = [i for i, mix in enumerate(TAKE_MIXES) if any(g is long_chain for g, _ in mix.solvents)]
+    without = [i for i in range(len(TAKE_MIXES)) if i not in with_chain]
+    first = whole.take(with_chain[:6])
+    forward_columns(params, first)
+    built = {pathway: list(unions) for pathway, unions in first.unions.items()}
+    # The same graph list, in any row order: the very same unions.
+    again = whole.take(with_chain[5::-1])
+    assert again.unions["solvent"] is first.unions["solvent"]
+    assert again.unions["salt"] is first.unions["salt"]
+    forward_columns(params, again)
+    assert all(a is b for a, b in zip(again.packed("solvent"), built["solvent"]))
+    # A different solvent list gets fresh solvent unions.
+    other = whole.take(without[:6])
+    assert "solvent" not in other.unions
+    forward_columns(params, other)
+    assert not any(gt is old for gt in other.packed("solvent") for old in built["solvent"])
+    # Only the last slice is remembered: once the earlier slices are gone,
+    # so are their unions, and their graph list builds afresh.
+    watched = weakref.ref(built["solvent"][0])
+    del first, again, built
+    gc.collect()
+    assert watched() is None
+    back = whole.take(with_chain[:6])
+    assert "solvent" not in back.unions
+
+
+def test_take_needs_each_mixture_its_own_set():
+    params = _model("molsets", "graphconv")
+    shared = model_mod.batch_of(params, TAKE_MIXES[:2])
+    shared.set_of = np.array([0, 0])
+    with pytest.raises(ValueError, match="its own set"):
+        shared.take([0])
+    with pytest.raises(ValueError, match="at least one row"):
+        model_mod.batch_of(params, TAKE_MIXES[:2]).take([])

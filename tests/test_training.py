@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from frozen_training import train_reference
 from molsets import autodiff as ad
+from molsets import gnn
 from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
 from molsets.chem import NODE_FEATURE_DIM
 from molsets.data import generate_synthetic
 from molsets.model import (
+    VARIANTS,
     GraphStore,
     ModelConfig,
     build_model,
@@ -371,7 +374,7 @@ def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
     assert sum(t.data.shape[0] for t in features) == sum(g.n_nodes for g in graphs)
     assert targets in constants
     if variant == "wsum":
-        slot_weight = model_mod._batch_of(params, mixes).slot_weight
+        slot_weight = model_mod.batch_of(params, mixes).slot_weight
         assert any(np.array_equal(t.data, slot_weight[:, None]) for t in constants)
     assert not any(t in grads for t in constants)
     assert watched <= set(grads)
@@ -522,6 +525,12 @@ def test_epoch_event_pins_tape_nodes_of_a_fused_step(caplog, conv, per_pathway, 
     assert event["tape_nodes_per_step"] == 2 * per_pathway + 2 + 7 + 1 == total
 
 
+def _distinct_graphs(mixes):
+    """The distinct solvent graphs and the distinct salt graphs of mixes."""
+    solvents = list({g: None for mix in mixes for g, _ in mix.solvents})
+    return solvents, list({mix.salt: None for mix in mixes})
+
+
 def test_telemetry_events_leave_results_unchanged(caplog):
     examples = _examples(16, seed=29)
     cands = enumerate_binary_candidates(["C1CCOC1", "COCOC", "CCO", "NotSmiles!"], ["[Li+].[Cl-]"])
@@ -548,17 +557,34 @@ def test_telemetry_events_leave_results_unchanged(caplog):
         )
         assert event["wall_s"] > 0 and event["tape_nodes_per_step"] > 0
         assert math.isfinite(event["grad_norm"]) and event["grad_norm"] > 0
-    # Replay the epoch shuffles (seed 2, batches of 5) and count the distinct
-    # solvent and salt graphs of each minibatch.
+    # Replay the epoch shuffles (seed 2, batches of 5): count the distinct
+    # solvent and salt graphs of each minibatch, and its unions, which are
+    # reused when a pathway embeds the graphs of the step before it. The
+    # validation unions are built in epoch 0 and reused after it.
     rng = np.random.default_rng(2)
+    val_unions = sum(
+        len(model_mod._unions(graphs))
+        for graphs in _distinct_graphs([mix for mix, _ in examples[12:]])
+    )
+    previous = None
     for event in epochs:
         order = rng.permutation(12)
         counts = []
+        built = 0 if event["epoch"] else val_unions
+        reused = val_unions - built
         for start in range(0, 12, 5):
-            mixes = [examples[i][0] for i in order[start : start + 5]]
-            solvents = {g for mix in mixes for g, _ in mix.solvents}
-            counts.append(len(solvents) + len({mix.salt for mix in mixes}))
+            pathways = _distinct_graphs([examples[i][0] for i in order[start : start + 5]])
+            counts.append(sum(len(graphs) for graphs in pathways))
+            for k, graphs in enumerate(pathways):
+                unions = len(model_mod._unions(graphs))
+                if previous is not None and {*graphs} == {*previous[k]}:
+                    reused += unions
+                else:
+                    built += unions
+            previous = pathways
         assert event["molecules_embedded_per_step"] == np.mean(counts)
+        assert (event["unions_built"], event["unions_reused"]) == (built, reused)
+    assert sum(e["unions_reused"] for e in epochs) > 0
 
     # One full-batch step: grad_norm is the L2 norm of the initial gradient.
     train_part = examples[:12]
@@ -583,3 +609,56 @@ def test_telemetry_events_leave_results_unchanged(caplog):
         "molecules_embedded": 4,
         "solvent_sets": 3,
     }
+
+
+# Slicing one dataset batch per step (train) against the loop it replaced,
+# one forward_batch per minibatch and per validation pass (frozen in
+# tests/frozen_training.py). The slices number their graphs in dataset
+# order, not in each minibatch's first-seen order, so the sums of a step
+# run in another order and the results agree up to roundoff. AdamW divides
+# by sqrt(v) + eps, so a parameter whose gradient is near eps carries a
+# roundoff difference on at up to lr / eps times its size; lr0 = 0.02
+# still lets the plateau scheduler and early stopping fire in every run.
+@pytest.mark.parametrize("conv", gnn.CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_matches_the_per_step_forward_batch_loop(variant, conv):
+    examples = _examples(40, seed=25)
+    model_config = ModelConfig.for_conv(conv, variant=variant, seed=4, **MICRO)
+    config = TrainConfig(
+        lr0=0.02, max_epochs=40, batch_size=8, scheduler_patience=1,
+        early_stop_patience=3, seed=3,
+    )
+    params, history = train(build_model(model_config), examples[:30], examples[30:], config)
+    ref_params, ref_history = train_reference(
+        build_model(model_config), examples[:30], examples[30:], config
+    )
+    assert len(history) == len(ref_history) < config.max_epochs  # early stopping fired
+    lrs = [h.lr for h in history]
+    assert lrs == [h.lr for h in ref_history] and len(set(lrs)) > 1  # so did the scheduler
+    for entry, ref in zip(history, ref_history):
+        for value, ref_value in ((entry.train_loss, ref.train_loss), (entry.val_loss, ref.val_loss)):
+            assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
+    for (name, tensor), (_, ref_tensor) in zip(named_parameters(params), named_parameters(ref_params)):
+        assert np.abs(tensor.data - ref_tensor.data).max() <= 1e-8, name
+
+
+def test_train_builds_union_topology_once_per_graph_list(monkeypatch):
+    # A bench-shaped set: 400 training and 100 validation mixtures of 10
+    # solvents and 3 salts, 3 epochs of 13 steps of at most 32 mixtures.
+    # The per-step loop builds 2 unions per forward: (39 + 3) * 2 = 84.
+    examples = _examples(500, seed=7)
+    builds = []
+    init = gnn.GraphTensors.__init__
+
+    def counted(self, graphs):
+        builds.append(len(graphs))
+        init(self, graphs)
+
+    monkeypatch.setattr(gnn.GraphTensors, "__init__", counted)
+    config = TrainConfig(max_epochs=3, early_stop_patience=4, batch_size=32, seed=7)
+    model_config = ModelConfig.for_conv("graphconv", seed=7)
+    train_reference(build_model(model_config), examples[:400], examples[400:], config)
+    assert len(builds) == 84
+    builds.clear()
+    train(build_model(model_config), examples[:400], examples[400:], config)
+    assert 4 <= len(builds) <= 8
