@@ -32,8 +32,7 @@ from .model import (
     ModelParams,
     aggregate_mixture,
     build_model,
-    embed_graphs,
-    embed_molecule,
+    embed_unions,
     forward_batch,
     forward_columns,
     load_checkpoint,

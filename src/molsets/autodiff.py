@@ -4,21 +4,23 @@ Operations compute eagerly with numpy. While a Tape is active (used as a
 context manager), every operation is recorded so that `backward` can
 accumulate gradients in reverse order. Tapes are thread-confined: each
 thread sees only its own active tape, so independent forward/backward
-passes may run concurrently. `mul` takes equal shapes or an (N, k)
-matrix times an (N, 1) column; no other op broadcasts.
+passes may run concurrently. No op broadcasts except `affine`, which
+adds its bias to every row.
 
 Every model layer is one node with a hand-written backward, its ReLU
 included: `affine` (dense), `graph_conv` (graphconv, sageconv, gcnconv),
 `gat_conv` (GAT), `dmpnn` (all DMPNN iterations and the readout),
-`segment_mean` (mean pooling), `set_attention` (attention aggregation)
-and `mse` (the loss). Each evaluates the numpy expressions of the
-primitive composition it stands for, in the same order, so its value
-and gradients are bit-identical to that composition's.
+`segment_mean` (mean pooling), `set_attention` (attention aggregation),
+`segment_sum` (the weighted sum of the wsum ablation) and `mse` (the
+loss). Each evaluates the numpy expressions of the primitive composition
+it stands for, in the same order, so its value and gradients are
+bit-identical to that composition's.
 
 `backward` reports no gradient for a constant input, one neither
-produced on the tape nor watched (node features, weight fractions,
-targets). The selective nodes `graph_conv`, `gat_conv`, `dmpnn`,
-`set_attention` and `mul` do not even form it.
+produced on the tape nor watched (node features, targets). The selective
+nodes `graph_conv`, `gat_conv`, `dmpnn` and `set_attention` do not even
+form it. Arguments passed as ndarrays (operators, edge lists, weight
+fractions) are not tape inputs at all.
 """
 
 from __future__ import annotations
@@ -138,25 +140,6 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
         if tensor not in grads:
             grads[tensor] = np.zeros_like(tensor.data)
     return grads
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise a * b: equal shapes, or an (N, k) a times an (N, 1)
-    column b, which scales row i of a by b[i]."""
-    av, bv = a.data, b.data
-    column = av.ndim == 2 and bv.shape == (av.shape[0], 1)
-    if not (av.shape == bv.shape or column):
-        raise DimensionError(f"mul shapes {av.shape} and {bv.shape} do not match")
-
-    def grad(g, needed):
-        gb = None
-        if needed[1]:
-            gb = g * av
-            if column:
-                gb = gb.sum(axis=1, keepdims=True)
-        return g * bv if needed[0] else None, gb
-
-    return _record(Tensor(av * bv), (a, b), grad, selective=True)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -406,14 +389,16 @@ def _segment_softmax_grad(y: np.ndarray, g: np.ndarray, seg: np.ndarray, n_segme
     return y * (g - np.bincount(seg, g * y, n_segments)[seg])
 
 
-def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
-    """Rows of x summed within segments: row s of the (n_segments, ...)
-    result adds the rows whose id is s, in order; an empty segment is zero."""
+def segment_sum(x: Tensor, segment, n_segments: int, weights) -> Tensor:
+    """Weighted rows of a 2-D x summed within segments: row s of the
+    (n_segments, k) result adds weights[i] * x[i] over the rows i whose id
+    is s, in order; an empty segment is zero."""
     xv, seg = x.data, np.asarray(segment, dtype=np.intp)
-    if xv.ndim not in (1, 2) or seg.shape != xv.shape[:1]:
-        raise DimensionError(f"segment_sum shapes {xv.shape} and {seg.shape} differ")
-    out = Tensor(_scatter_rows(xv, seg, n_segments))
-    return _record(out, (x,), lambda g: (g[seg],))
+    w = np.asarray(weights, dtype=np.float64)
+    if xv.ndim != 2 or seg.shape != xv.shape[:1] or w.shape != seg.shape:
+        raise DimensionError(f"segment_sum shapes {xv.shape}, {seg.shape} and {w.shape} differ")
+    out = Tensor(_scatter_rows(xv * w[:, None], seg, n_segments))
+    return _record(out, (x,), lambda g: (g[seg] * w[:, None],))
 
 
 def segment_mean(x: Tensor, segment, sizes) -> Tensor:

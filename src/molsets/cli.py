@@ -241,6 +241,7 @@ def _cmd_screen(args) -> int:
                 good.append(smiles)
             except (SmilesParseError, FeaturizationError) as exc:
                 dropped.append(f"skipped {smiles!r}: {exc}")
+                print(dropped[-1], file=sys.stderr)  # before enumeration, which may fail
         return good
 
     solvents = usable(_read_smiles_list(args.solvents))
@@ -249,7 +250,7 @@ def _cmd_screen(args) -> int:
     results, skipped = run_screening(params, candidates)
     dropped.extend(skipped)
     write_screening_csv(results, args.out)
-    for line in dropped:
+    for line in skipped:
         print(line, file=sys.stderr)
     print(f"ranked {len(results)} candidates into {args.out}")
     return 2 if dropped else 0

@@ -1,4 +1,5 @@
-"""Graph convolution operators, directed message passing, pooling, dense layers.
+"""Graph convolution operators, directed message passing, pooling, and
+the parameters of dense layers, which run as `ad.affine`.
 
 Topology is one directed edge list, built for one graph or for many
 as a disjoint union (GraphTensors(graphs)): each `edge_index` row
@@ -151,13 +152,6 @@ def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:
     if gt.sizes.min() < 1:
         raise ad.DimensionError("mean pooling needs at least one node per graph")
     return ad.segment_mean(x, gt.node_graph, gt.sizes)
-
-
-def dense_forward(params: DenseParams, x: Tensor, activation: str = "none") -> Tensor:
-    """activation(x @ W + b) for each row of a (B, input_dim) matrix."""
-    if activation not in ("none", "relu"):
-        raise ValueError(f"unknown activation {activation!r}")
-    return ad.affine(x, params.w, params.b, relu=activation == "relu")
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

@@ -12,20 +12,21 @@ There is one forward pass, over a columnar batch (`MixtureBatch`,
 `forward_columns`): each pathway's distinct molecules, the distinct
 solvent sets as slots (graph row, weight fraction), and per mixture a
 set row, a salt row and a molality. The distinct molecules are embedded
-in one GNN pass per pathway: they are packed, in the batch's graph order, into
-disjoint-union graphs of at most a few hundred atoms, each conv layer
-runs once per union, each molecule's node rows are mean pooled by a
-segment sum, and the readout runs on one row per molecule. Each distinct
-solvent set is aggregated once, with a fixed number of tape nodes per
-batch: molsets gathers the slot rows by index and runs one attention
-node (`ad.set_attention`: q/k/v products, segment softmax and weighted
-segment sum), wsum gathers, weights and sums the rows, and concat
-gathers a padded block of rows per set. The head then runs on
-the gathered set and salt rows of the mixtures, in blocks of bounded
-size. A list of mixtures (`forward_batch`) is the batch in which each
-mixture is its own set; a single mixture is a batch of one (`forward`,
-`predict`). Screening builds its batch directly, so candidates that
-share a solvent set share its aggregation.
+in one GNN pass per pathway (`embed_unions`): they are packed, in the
+batch's graph order, into disjoint-union graphs of at most a few hundred
+atoms, each conv layer runs once per union, each molecule's node rows
+are mean pooled by a segment sum, and the readout runs on one row per
+molecule. Each distinct solvent set is aggregated once, with a fixed
+number of tape nodes per batch: molsets gathers the slot rows by index
+and runs one attention node (`ad.set_attention`: q/k/v products, segment
+softmax and weighted segment sum), wsum gathers the rows and sums them
+weighted by weight fraction (`ad.segment_sum`), and concat gathers a
+padded block of rows per set. The head then runs on the gathered set and
+salt rows of the mixtures, in blocks of bounded size. A list of mixtures
+(`forward_batch`) is the batch in which each mixture is its own set; a
+single mixture is a batch of one (`forward`, `predict`). Screening
+builds its batch directly, so candidates that share a solvent set share
+its aggregation.
 
 A batch keeps its unions (`MixtureBatch.unions`, one `GraphTensors` each,
 with its stacked node features, log masses and operators): they are
@@ -67,7 +68,6 @@ from .gnn import (
     GraphTensors,
     conv_forward,
     conv_param_tensors,
-    dense_forward,
     dmpnn_forward,
     init_conv,
     init_dense,
@@ -102,6 +102,10 @@ DEFAULT_HPARAMS = {
 
 _SIZE_FIELDS = ("num_layers", "hidden_dim", "representation_dim", "attention_dim", "max_solvents")
 
+# Most learnable values (80 MB of float64) a config may ask for; a larger
+# one is refused before any array is allocated.
+_MAX_PARAMETERS = 10_000_000
+
 
 @dataclass
 class ModelConfig:
@@ -128,6 +132,11 @@ class ModelConfig:
         for name, value, least in checks + [("seed", self.seed, 0)]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        count = _parameter_count(self)
+        if count > _MAX_PARAMETERS:
+            raise ValueError(
+                f"model would have {count} parameters, more than the {_MAX_PARAMETERS} allowed"
+            )
 
     @classmethod
     def for_conv(cls, conv: str, variant: str = "molsets", seed: int = 0, **overrides) -> "ModelConfig":
@@ -146,14 +155,25 @@ class ModelConfig:
         return cls(**base)
 
     def rho_input_dim(self) -> int:
-        if self.variant == "concat":
-            return (
-                self.max_solvents * self.representation_dim
-                + self.max_solvents
-                + self.representation_dim
-                + 1
-            )
-        return 2 * self.representation_dim + 1
+        s, r = int(self.max_solvents), int(self.representation_dim)
+        return s * r + s + r + 1 if self.variant == "concat" else 2 * r + 1
+
+
+def _parameter_count(config: ModelConfig) -> int:
+    """Learnable values build_model(config) allocates, in Python ints."""
+    f, layers = NODE_FEATURE_DIM, int(config.num_layers)
+    h, r = int(config.hidden_dim), int(config.representation_dim)
+    if config.conv == "dmpnn":
+        convs = (f + 1) * h + h * h + (f + h) * h
+    else:
+        matrices = 1 if config.conv == "gcnconv" else 2
+        convs = matrices * (f + (layers - 1) * h) * h
+        if config.conv == "gatconv":
+            convs += 2 * h * layers  # one attention vector per layer
+    attention = r * (2 * int(config.attention_dim) + r) if config.variant == "molsets" else 0
+    dims = [config.rho_input_dim(), *map(int, config.rho_hidden_dims), 1]
+    rho = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+    return 2 * (convs + (h + 2) * r) + attention + rho  # readout: (h + 1, r) and (r,)
 
 
 @dataclass
@@ -185,10 +205,9 @@ class GnnParams:
 
 @dataclass
 class AttentionParams:
-    wq: Tensor  # (representation_dim, d_k)
-    wk: Tensor  # (representation_dim, d_k)
+    wq: Tensor  # (representation_dim, attention_dim)
+    wk: Tensor  # (representation_dim, attention_dim)
     wv: Tensor  # (representation_dim, representation_dim)
-    d_k: int
 
 
 @dataclass
@@ -226,7 +245,6 @@ def build_model(config: ModelConfig) -> ModelParams:
             wq=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, config.attention_dim))),
             wk=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, config.attention_dim))),
             wv=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, d))),
-            d_k=config.attention_dim,
         )
 
     rho = []
@@ -297,24 +315,16 @@ def _embed_union(phi: GnnParams, gt: GraphTensors) -> Tensor:
     else:
         for idx, conv in enumerate(convs):
             x = conv_forward(conv, x, gt, relu=idx < len(convs) - 1)
-    return dense_forward(phi.readout, ad.concat([mean_pool(x, gt), Tensor(gt.log_mass)], axis=1))
+    with_mass = ad.concat([mean_pool(x, gt), Tensor(gt.log_mass)], axis=1)
+    return ad.affine(with_mass, phi.readout.w, phi.readout.b)
 
 
-def _embed_unions(phi: GnnParams, unions: list[GraphTensors]) -> Tensor:
+def embed_unions(phi: GnnParams, unions: list[GraphTensors]) -> Tensor:
+    """Molecule representations of one pathway, one row per member graph
+    of the unions in order, (G, d): conv stack, mean pool, concat log M,
+    dense; one pass per disjoint union."""
     tables = [_embed_union(phi, gt) for gt in unions]
     return tables[0] if len(tables) == 1 else ad.concat(tables)
-
-
-def embed_graphs(phi: GnnParams, graphs: list[MolecularGraph]) -> Tensor:
-    """Molecule representations, one row per graph, (G, d): conv stack,
-    mean pool, concat log M, dense; one pass per disjoint union."""
-    return _embed_unions(phi, _pack(graphs))
-
-
-def embed_molecule(phi: GnnParams, graph: MolecularGraph) -> Tensor:
-    """Representation of one molecule, (d,): embed_graphs of one graph."""
-    row = embed_graphs(phi, [graph])
-    return ad.reshape(row, (row.data.shape[1],))
 
 
 def aggregate_mixture(
@@ -323,7 +333,8 @@ def aggregate_mixture(
     """Attention-weighted aggregation of a batch of molecule sets.
 
     Row i of z (N, d) belongs to set segment[i] with weight fraction
-    weights[i]. Each row gets a scalar logit q.k / sqrt(d_k); a softmax
+    weights[i]. Each row gets a scalar logit q.k / sqrt(d_k), d_k the
+    columns of attention.wq; a softmax
     within its set scales its value vector, and each set sums its scaled
     values weighted by weight fraction. Returns (n_sets, d); every row is
     independent of the order of its set's members (up to float roundoff).
@@ -341,8 +352,8 @@ def transform_head(rho: list[DenseParams], z_solvent: Tensor, z_salt: Tensor, mo
     m = np.asarray(molality, dtype=np.float64).reshape(-1, 1)
     h = ad.concat([z_solvent, z_salt, Tensor(m)], axis=1)
     for layer in rho[:-1]:
-        h = dense_forward(layer, h, "relu")
-    return ad.reshape(dense_forward(rho[-1], h), (m.shape[0],))
+        h = ad.affine(h, layer.w, layer.b, relu=True)
+    return ad.reshape(ad.affine(h, rho[-1].w, rho[-1].b), (m.shape[0],))
 
 
 @dataclass
@@ -474,7 +485,7 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
         raise ValueError(
             f"mixture has {sizes.max()} solvents, model accepts at most {cfg.max_solvents}"
         )
-    solvents = _embed_unions(params.phi_solvent, batch.packed("solvent"))
+    solvents = embed_unions(params.phi_solvent, batch.packed("solvent"))
     if cfg.variant == "concat":
         slots = cfg.max_solvents
         table = ad.concat([solvents, Tensor(np.zeros((1, cfg.representation_dim)))])
@@ -489,7 +500,7 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
     z = ad.rows(solvents, batch.slot_graph)
     if cfg.variant == "molsets":
         return aggregate_mixture(params.attention, z, batch.slot_weight, segment, n_sets)
-    return ad.segment_sum(ad.mul(z, Tensor(batch.slot_weight[:, None])), segment, n_sets)
+    return ad.segment_sum(z, segment, n_sets, batch.slot_weight)
 
 
 def mixture_representation(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
@@ -507,7 +518,7 @@ def forward_columns(params: ModelParams, batch: MixtureBatch) -> Tensor:
     working memory does not grow with B.
     """
     z_set = _set_representation(params, batch)
-    salts = _embed_unions(params.phi_salt, batch.packed("salt"))
+    salts = embed_unions(params.phi_salt, batch.packed("salt"))
     n = batch.set_of.size
     starts = (list(range(0, n - 1, _CHUNK)) or [0]) + [n]
     blocks = [

@@ -343,12 +343,22 @@ def write_history(history: list[HistoryEntry], path: str) -> None:
             )
 
 
-def pearson(targets, preds) -> float:
-    """Pearson correlation (population convention)."""
+def _samples(targets, preds) -> tuple[np.ndarray, np.ndarray]:
+    """The two samples as float arrays; MetricError unless they are 1-D,
+    of one length >= 2 and finite."""
     x = np.asarray(targets, dtype=np.float64)
     y = np.asarray(preds, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise MetricError(f"need two equal-length 1-D samples, got {x.shape} and {y.shape}")
+    bad = np.count_nonzero(~np.isfinite(x)) + np.count_nonzero(~np.isfinite(y))
+    if bad:
+        raise MetricError(f"samples must be finite, got {bad} non-finite values")
+    return x, y
+
+
+def pearson(targets, preds) -> float:
+    """Pearson correlation (population convention)."""
+    x, y = _samples(targets, preds)
     dx = x - x.mean()
     dy = y - y.mean()
     var_x = float(np.dot(dx, dx))
@@ -380,10 +390,7 @@ def spearman(targets, preds) -> float:
     A side whose ranks have zero variance (all values tied) yields 0.0
     with a warning rather than an error.
     """
-    x = np.asarray(targets, dtype=np.float64)
-    y = np.asarray(preds, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise MetricError(f"need two equal-length 1-D samples, got {x.shape} and {y.shape}")
+    x, y = _samples(targets, preds)
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:

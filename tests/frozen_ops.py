@@ -1,14 +1,16 @@
 """The tape primitives and layer compositions that the fused nodes
-`ad.gat_conv`, `ad.dmpnn` and `ad.set_attention` replaced, frozen
-verbatim as equivalence references for the tests.
+`ad.gat_conv`, `ad.dmpnn`, `ad.set_attention` and the weighted
+`ad.segment_sum` replaced, frozen verbatim as equivalence references for
+the tests.
 
 The primitives record on `ad._record` like the package's own ops, so a
 composition of them runs on a `Tape` and `ad.backward` differentiates
 it. `mul` is the broadcasting version: an operand of total size 1 against
 any tensor, a (k,) vector against the rows of a (B, k) matrix, and an
-(N, 1) column against the columns of an (N, k) matrix. The compositions
-are the layer bodies as they stood before the fusion, with these
-primitives in place of the deleted `ad.` ones. Not a test module: pytest
+(N, 1) column against the columns of an (N, k) matrix. `segment_sum` is
+the unweighted one. The compositions are the layer bodies as they stood
+before the fusion, with these primitives in place of the deleted `ad.`
+ones; the attention scale reads d_k off `wq`. Not a test module: pytest
 does not collect it.
 """
 
@@ -130,6 +132,16 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     return _record(out, (x,), grad)
 
 
+def segment_sum(x: Tensor, segment, n_segments: int) -> Tensor:
+    """Rows of x summed within segments: row s of the (n_segments, ...)
+    result adds the rows whose id is s, in order; an empty segment is zero."""
+    xv, seg = x.data, np.asarray(segment, dtype=np.intp)
+    if xv.ndim not in (1, 2) or seg.shape != xv.shape[:1]:
+        raise DimensionError(f"segment_sum shapes {xv.shape} and {seg.shape} differ")
+    out = Tensor(ad._scatter_rows(xv, seg, n_segments))
+    return _record(out, (x,), lambda g: (g[seg],))
+
+
 def coo_matrix(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
     """coo_to_dense of a 1-D tensor; a value's gradient is g at its entry."""
     vv, r, c = values.data, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
@@ -185,10 +197,10 @@ def dmpnn_composition(params: ConvParams, x: Tensor, gt: GraphTensors, iteration
     h0 = relu(matmul(ad.concat([ad.rows(x, gt.src), edge_feat], axis=1), params.w_in))
     h = h0
     for _ in range(iterations):
-        incoming = ad.segment_sum(h, gt.dst, gt.n)
+        incoming = segment_sum(h, gt.dst, gt.n)
         msg = sub(ad.rows(incoming, gt.src), ad.rows(h, reverse))
         h = relu(add(h0, matmul(msg, params.w_h)))
-    summed = ad.segment_sum(h, gt.dst, gt.n)  # incoming-edge state sum per node
+    summed = segment_sum(h, gt.dst, gt.n)  # incoming-edge state sum per node
     return relu(matmul(ad.concat([x, summed], axis=1), params.w_out))
 
 
@@ -210,7 +222,14 @@ def attention_composition(
     q = matmul(z, attention.wq)
     k = matmul(z, attention.wk)
     v = matmul(z, attention.wv)
-    logits = scale(reduce_sum(mul(q, k), axis=1), 1.0 / math.sqrt(attention.d_k))
+    logits = scale(reduce_sum(mul(q, k), axis=1), 1.0 / math.sqrt(attention.wq.data.shape[1]))
     scores = ad.reshape(segment_softmax(logits, seg, n_sets), (n, 1))
     weighted = mul(mul(v, scores), Tensor(np.reshape(weights, (n, 1))))
-    return ad.segment_sum(weighted, seg, n_sets)
+    return segment_sum(weighted, seg, n_sets)
+
+
+def wsum_composition(table: Tensor, slot_graph, slot_weight, segment, n_sets: int) -> Tensor:
+    """The wsum aggregation: the slot rows of the embedding table, each
+    scaled by its weight fraction, summed within their sets."""
+    z = ad.rows(table, slot_graph)
+    return segment_sum(mul(z, Tensor(slot_weight[:, None])), segment, n_sets)

@@ -12,6 +12,7 @@ import numpy as np
 from molsets import autodiff as ad
 from molsets.autodiff import Tape, Tensor
 from molsets.chem import build_graph
+from molsets.gnn import GraphTensors
 from molsets.data import (
     ConductivityPoint,
     arrhenius_fit,
@@ -24,7 +25,7 @@ from molsets.model import (
     MixtureInput,
     ModelConfig,
     build_model,
-    embed_molecule,
+    embed_unions,
     aggregate_mixture,
     forward,
     mixture_from_record,
@@ -86,7 +87,7 @@ def test_criterion_01_permutation_invariance():
             worst = max(worst, abs(out - base))
 
         # set-level invariance of the aggregation itself, unsorted inputs
-        z = np.array([embed_molecule(params.phi_solvent, g).data for g, _ in mix.solvents])
+        z = embed_unions(params.phi_solvent, [GraphTensors([g]) for g, _ in mix.solvents]).data
         w = np.array([w for _, w in mix.solvents])
         seg = np.zeros(len(w), dtype=int)
         z0 = aggregate_mixture(params.attention, Tensor(z), w, seg, 1).data

@@ -483,3 +483,44 @@ def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
     captured = capsys.readouterr()
     assert "non-finite metrics: mse" in captured.err
     assert captured.out == ""
+
+
+def test_oversized_model_config_is_one_line_data_error(tmp_path, synthetic_csv, capsys):
+    doc = _micro_checkpoint_doc(tmp_path)
+    doc["config"]["hidden_dim"] = 10**12
+    ckpt = tmp_path / "huge-config.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    config = tmp_path / "huge-train.json"
+    config.write_text(json.dumps({"model": {"hidden_dim": 10**12}}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    train = ["train", "--config", str(config), "--data", synthetic_csv, "--val", synthetic_csv]
+    for argv in (
+        ["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv],
+        train + ["--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: model would have ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert not out.exists()
+
+
+def test_screen_prints_skip_lines_when_enumeration_fails(tmp_path, capsys):
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc(tmp_path)), encoding="utf-8")
+    solvents = tmp_path / "solvents.txt"
+    salts = tmp_path / "salts.txt"
+    solvents.write_text("C1CCOC1\nCOCOC\n", encoding="utf-8")
+    salts.write_text("XX\n", encoding="utf-8")
+    ranked = tmp_path / "ranked.csv"
+    code = cli(
+        ["screen", "--checkpoint", str(ckpt), "--solvents", str(solvents), "--salts", str(salts), "--out", str(ranked)]
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("skipped 'XX': ")
+    assert lines[1] == "data error: need at least 1 salt"
+    assert not ranked.exists()

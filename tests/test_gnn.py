@@ -14,17 +14,15 @@ from molsets.gnn import (
     CONV_KINDS,
     GAT_LEAKY_SLOPE,
     ConvParams,
-    DenseParams,
     GraphTensors,
     conv_forward,
     conv_param_tensors,
-    dense_forward,
     dmpnn_forward,
     init_conv,
     mean_pool,
     uniform_init,
 )
-from molsets.model import ModelConfig, build_model, embed_graphs
+from molsets.model import ModelConfig, build_model, embed_unions
 
 
 def _graph(n, edges):
@@ -175,17 +173,6 @@ def test_dmpnn_builds_no_edge_by_edge_matrix():
     for name, value in vars(gt).items():
         shape = np.shape(value.data if isinstance(value, Tensor) else value)
         assert len(shape) < 2 or m not in shape, name
-
-
-def test_dense_forward_examples():
-    identity = DenseParams(w=Tensor(np.eye(2)), b=Tensor(np.zeros(2)))
-    x = Tensor([[-1.0, 1.0]])
-    assert np.array_equal(dense_forward(identity, x).data, [[-1.0, 1.0]])
-    assert np.array_equal(dense_forward(identity, x, "relu").data, [[0.0, 1.0]])
-    doubler = DenseParams(w=Tensor([[2.0, 0.0], [0.0, 2.0]]), b=Tensor([1.0, 1.0]))
-    assert np.array_equal(dense_forward(doubler, Tensor([[1.0, 1.0]])).data, [[3.0, 3.0]])
-    rows = Tensor([[1.0, 1.0], [0.0, -2.0], [0.5, 0.0]])  # the bias is added to every row
-    assert np.array_equal(dense_forward(doubler, rows).data, [[3.0, 3.0], [1.0, -3.0], [2.0, 1.0]])
 
 
 def test_conv_rejects_wrong_feature_dim():
@@ -473,7 +460,7 @@ def _reference_embedding(phi, graph):
             if idx < len(convs) - 1:
                 x = F.relu(x)
     with_mass = ad.concat([F.reduce_mean(x, axis=0), Tensor([graph.log_mol_weight])])
-    return dense_forward(phi.readout, ad.reshape(with_mass, (1, with_mass.data.size)))
+    return ad.affine(ad.reshape(with_mass, (1, with_mass.data.size)), phi.readout.w, phi.readout.b)
 
 
 def _random_molecule(n, seed):
@@ -519,7 +506,7 @@ def test_union_embedding_matches_per_graph_reference(kind, sizes, seed):
             loss = F.reduce_sum(F.mul(out, proj))
         return out.data, ad.backward(tape, loss)
 
-    out, grads = run(lambda: embed_graphs(phi, graphs))
+    out, grads = run(lambda: embed_unions(phi, model_mod._pack(graphs)))
     ref_out, ref_grads = run(lambda: ad.concat([_reference_embedding(phi, g) for g in graphs]))
     assert out.shape == (len(graphs), 4)
     assert np.abs(out - ref_out).max() <= 1e-12

@@ -24,8 +24,7 @@ from molsets.model import (
     GraphStore,
     aggregate_mixture,
     build_model,
-    embed_graphs,
-    embed_molecule,
+    embed_unions,
     forward,
     forward_batch,
     forward_columns,
@@ -37,7 +36,7 @@ from molsets.model import (
     save_checkpoint,
     transform_head,
 )
-from molsets.gnn import CONV_KINDS, DenseParams
+from molsets.gnn import CONV_KINDS, DenseParams, GraphTensors
 
 THF = build_graph("C1CCOC1")
 GLYME = build_graph("COCOC")
@@ -52,13 +51,18 @@ def micro_model(variant="molsets", conv="graphconv", seed=0):
     return build_model(ModelConfig.for_conv(conv, variant=variant, seed=seed, **MICRO))
 
 
+def _embed(phi, graph):
+    """Representation of one molecule, (d,): its own union's one row."""
+    return embed_unions(phi, [GraphTensors([graph])]).data[0]
+
+
 def test_embed_with_zero_weights_returns_readout_bias():
     params = micro_model(seed=1)
     phi = params.phi_solvent
     for _, tensor in named_parameters(params):
         tensor.data[...] = 0.0
     phi.readout.b.data[...] = np.array([0.5, -1.0, 2.0, 0.25])
-    z = embed_molecule(phi, THF).data
+    z = _embed(phi, THF)
     assert np.array_equal(z, [0.5, -1.0, 2.0, 0.25])
 
 
@@ -66,8 +70,8 @@ def test_embed_isomorphic_graphs_agree():
     params = micro_model(seed=2)
     a = build_graph("C1CCOC1")
     b = build_graph("O1CCCC1")  # same ring, different atom order
-    za = embed_molecule(params.phi_solvent, a).data
-    zb = embed_molecule(params.phi_solvent, b).data
+    za = _embed(params.phi_solvent, a)
+    zb = _embed(params.phi_solvent, b)
     assert np.abs(za - zb).max() <= 1e-10
 
 
@@ -76,7 +80,6 @@ def _random_attention(rng, d=4, dk=3):
         wq=Tensor(rng.uniform(-1, 1, (d, dk))),
         wk=Tensor(rng.uniform(-1, 1, (d, dk))),
         wv=Tensor(rng.uniform(-1, 1, (d, d))),
-        d_k=dk,
     )
 
 
@@ -177,10 +180,9 @@ def test_predict_permutation_invariance():
 
 def test_predict_singleton_equals_degenerate_path():
     params = micro_model(seed=20)
-    d = params.config.representation_dim
-    z = ad.reshape(embed_molecule(params.phi_solvent, THF), (1, d))
+    z = embed_unions(params.phi_solvent, [GraphTensors([THF])])
     z_mix = aggregate_mixture(params.attention, z, [1.0], [0], 1)
-    z_salt = ad.reshape(embed_molecule(params.phi_salt, SALT), (1, d))
+    z_salt = embed_unions(params.phi_salt, [GraphTensors([SALT])])
     expected = transform_head(params.rho, z_mix, z_salt, [1.0]).data[0]
     assert predict(params, MixtureInput([(THF, 1.0)], SALT, 1.0)) == expected
 
@@ -257,11 +259,11 @@ EQUIVALENCE_MIXTURES = [
 
 
 def _reference_prediction(params, mix):
-    """One mixture's prediction in plain numpy from embed_molecule outputs."""
+    """One mixture's prediction in plain numpy from one-molecule embeddings."""
     cfg = params.config
 
     def embed(graph):
-        return embed_molecule(params.phi_solvent, graph).data
+        return _embed(params.phi_solvent, graph)
 
     if cfg.variant == "concat":
         pad = cfg.max_solvents - len(mix.solvents)
@@ -274,13 +276,13 @@ def _reference_prediction(params, mix):
         w = np.array([w for _, w in mix.solvents])
         if cfg.variant == "molsets":
             att = params.attention
-            logits = ((z @ att.wq.data) * (z @ att.wk.data)).sum(axis=1) / np.sqrt(att.d_k)
+            logits = ((z @ att.wq.data) * (z @ att.wk.data)).sum(axis=1) / np.sqrt(att.wq.data.shape[1])
             alpha = np.exp(logits - logits.max())
             alpha /= alpha.sum()
             z_mix = ((z @ att.wv.data) * (alpha * w)[:, None]).sum(axis=0)
         else:
             z_mix = (z * w[:, None]).sum(axis=0)
-    h = np.concatenate([z_mix, embed_molecule(params.phi_salt, mix.salt).data, [mix.molality]])
+    h = np.concatenate([z_mix, _embed(params.phi_salt, mix.salt), [mix.molality]])
     for layer in params.rho[:-1]:
         h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
     return float((h @ params.rho[-1].w.data + params.rho[-1].b.data)[0])
@@ -305,7 +307,7 @@ def test_head_blocks_match_one_head_over_the_batch(variant, n):
     pool = [MixtureInput(gws, salt, 0.5) for gws in EQUIVALENCE_MIXTURES for salt in SALTS]
     mixes = [replace(pool[i % len(pool)], molality=0.01 * (i % 97)) for i in range(n)]
     batch = model_mod.batch_of(params, mixes)
-    salts = embed_graphs(params.phi_salt, batch.salt_graphs)
+    salts = embed_unions(params.phi_salt, batch.packed("salt"))
     whole = transform_head(
         params.rho,
         mixture_representation(params, mixes),
@@ -321,7 +323,7 @@ def test_concat_representation_layout():
     rep = mixture_representation(params, [mix]).data[0]
     d = params.config.representation_dim
     assert rep.shape == (params.config.max_solvents * (d + 1),)
-    glyme, thf = embed_graphs(params.phi_solvent, [GLYME, THF]).data  # the same union
+    glyme, thf = embed_unions(params.phi_solvent, [GraphTensors([GLYME, THF])]).data
     assert np.array_equal(rep[:d], glyme)
     assert np.array_equal(rep[d : 2 * d], thf)
     assert not rep[2 * d : 4 * d].any()
@@ -338,8 +340,7 @@ def test_mixture_representation_dimensions():
 def test_export_singleton_equals_constituent():
     params = micro_model(seed=16)
     single = mixture_representation(params, [MixtureInput([(THF, 1.0)], SALT, 1.0)]).data[0]
-    z = embed_molecule(params.phi_solvent, THF)
-    assert np.array_equal(single, z.data @ params.attention.wv.data)
+    assert np.array_equal(single, _embed(params.phi_solvent, THF) @ params.attention.wv.data)
 
 
 def test_export_mixture_is_not_weighted_sum_of_constituents():
@@ -495,6 +496,31 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
 def test_model_config_rejects_non_positive_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_count_is_what_build_model_allocates(variant, conv):
+    for overrides in ({}, MICRO, dict(num_layers=1, rho_hidden_dims=()), dict(max_solvents=7)):
+        cfg = ModelConfig.for_conv(conv, variant=variant, **overrides)
+        allocated = sum(t.data.size for _, t in named_parameters(build_model(cfg)))
+        assert model_mod._parameter_count(cfg) == allocated
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(hidden_dim=10**12),
+        dict(num_layers=10**6),
+        dict(rho_hidden_dims=(4000, 4000)),
+        dict(variant="concat", max_solvents=10**6),
+        dict(hidden_dim=np.int64(2**62)),  # counted in Python ints, so it does not wrap
+    ],
+)
+def test_model_config_rejects_too_many_parameters(overrides):
+    # The config itself refuses, so build_model never allocates.
+    with pytest.raises(ValueError, match="parameters, more than the 10000000 allowed"):
+        ModelConfig(**overrides)
 
 
 def test_failed_checkpoint_save_leaves_previous_file_intact(tmp_path, monkeypatch):

@@ -347,9 +347,10 @@ def test_batch_loss_gradient_matches_finite_differences():
 )
 def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
     # The node features of the first conv layer (graph_conv, gat_conv or
-    # dmpnn), the log-mass column (concat), wsum's weight column (mul) and
-    # the targets (mse) enter the tape as constants, so backward forms no
-    # gradient for them; every parameter still gets one.
+    # dmpnn), the log-mass column (concat) and the targets (mse) enter the
+    # tape as constants, so backward forms no gradient for them; wsum's
+    # weight fractions are an ndarray argument of segment_sum, not a tape
+    # input at all. Every parameter still gets a gradient.
     examples = _examples(6, seed=27)
     params = build_model(ModelConfig.for_conv(conv, variant=variant, seed=8, **MICRO))
     tensors = [t for _, t in named_parameters(params)]
@@ -373,9 +374,8 @@ def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
     features = [t for t in constants if t.data.shape[1:] == (NODE_FEATURE_DIM,)]
     assert sum(t.data.shape[0] for t in features) == sum(g.n_nodes for g in graphs)
     assert targets in constants
-    if variant == "wsum":
-        slot_weight = model_mod.batch_of(params, mixes).slot_weight
-        assert any(np.array_equal(t.data, slot_weight[:, None]) for t in constants)
+    slot_weight = model_mod.batch_of(params, mixes).slot_weight
+    assert not any(np.array_equal(t.data, slot_weight[:, None]) for t in constants)
     assert not any(t in grads for t in constants)
     assert watched <= set(grads)
 
@@ -403,6 +403,15 @@ def test_pearson_rejects_overflowing_variance():
     # finite variances of about 2e200 whose product overflows
     with pytest.raises(MetricError, match="overflow"):
         pearson([1e100, -1e100, 0.0], [1e100, -1e100, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", [pearson, spearman])
+def test_metrics_reject_non_finite_samples(metric, bad):
+    finite, spoiled = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0]
+    for targets, preds in ((spoiled, finite), (finite, spoiled)):
+        with pytest.raises(MetricError, match="got 1 non-finite values"):
+            metric(targets, preds)
 
 
 def test_pearson_affine_invariance():
