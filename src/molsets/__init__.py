@@ -52,11 +52,8 @@ from .screening import (
 from .training import (
     AdamW,
     MetricsReport,
-    PlateauScheduler,
     TrainConfig,
-    early_stopping,
     evaluate,
-    mse_loss,
     pearson,
     spearman,
     train,

@@ -418,6 +418,8 @@ def mse(preds: Tensor, targets: Tensor) -> Tensor:
     pv, tv = preds.data, targets.data
     if pv.shape != tv.shape:
         raise DimensionError(f"mse shapes {pv.shape} and {tv.shape} differ")
+    if pv.size == 0:
+        raise DimensionError("mse of empty tensors")
     diff = pv - tv
     out = Tensor((diff * diff).mean())
 

@@ -126,12 +126,15 @@ class ModelConfig:
             raise ValueError(f"unknown convolution kind {self.conv!r}")
         if not isinstance(self.rho_hidden_dims, (list, tuple)):
             raise ValueError(f"rho_hidden_dims must be a list, got {self.rho_hidden_dims!r}")
-        self.rho_hidden_dims = tuple(self.rho_hidden_dims)
         checks = [(name, getattr(self, name), 1) for name in _SIZE_FIELDS]
         checks += [("rho_hidden_dims", d, 1) for d in self.rho_hidden_dims]
         for name, value, least in checks + [("seed", self.seed, 0)]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # Python ints, so that sizes cannot overflow and checkpoints serialize.
+        for name in (*_SIZE_FIELDS, "seed"):
+            setattr(self, name, int(getattr(self, name)))
+        self.rho_hidden_dims = tuple(map(int, self.rho_hidden_dims))
         count = _parameter_count(self)
         if count > _MAX_PARAMETERS:
             raise ValueError(
@@ -155,14 +158,14 @@ class ModelConfig:
         return cls(**base)
 
     def rho_input_dim(self) -> int:
-        s, r = int(self.max_solvents), int(self.representation_dim)
+        s, r = self.max_solvents, self.representation_dim
         return s * r + s + r + 1 if self.variant == "concat" else 2 * r + 1
 
 
 def _parameter_count(config: ModelConfig) -> int:
-    """Learnable values build_model(config) allocates, in Python ints."""
-    f, layers = NODE_FEATURE_DIM, int(config.num_layers)
-    h, r = int(config.hidden_dim), int(config.representation_dim)
+    """Learnable values build_model(config) allocates."""
+    f, layers = NODE_FEATURE_DIM, config.num_layers
+    h, r = config.hidden_dim, config.representation_dim
     if config.conv == "dmpnn":
         convs = (f + 1) * h + h * h + (f + h) * h
     else:
@@ -170,8 +173,8 @@ def _parameter_count(config: ModelConfig) -> int:
         convs = matrices * (f + (layers - 1) * h) * h
         if config.conv == "gatconv":
             convs += 2 * h * layers  # one attention vector per layer
-    attention = r * (2 * int(config.attention_dim) + r) if config.variant == "molsets" else 0
-    dims = [config.rho_input_dim(), *map(int, config.rho_hidden_dims), 1]
+    attention = r * (2 * config.attention_dim + r) if config.variant == "molsets" else 0
+    dims = [config.rho_input_dim(), *config.rho_hidden_dims, 1]
     rho = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
     return 2 * (convs + (h + 2) * r) + attention + rho  # readout: (h + 1, r) and (r,)
 

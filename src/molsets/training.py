@@ -1,15 +1,15 @@
-"""Training loop, optimizer, LR scheduling, early stopping, and metrics.
+"""Training loop, AdamW optimizer, and metrics.
 
 The protocol: AdamW (decoupled weight decay) from an initial learning
-rate of 1e-3 with weight decay 1e-4, a plateau scheduler that halves the
-learning rate after 10 epochs without validation improvement, and early
-stopping after 20 such epochs, restoring the parameters from the epoch
-with the lowest validation loss. Training updates the given parameters
-in place and returns them restored to that epoch. The training and
-validation sets are each built into one columnar batch per call; a step
-runs on a slice of the training batch (`MixtureBatch.take`), and
-validation on the whole validation batch. The loop is single-threaded
-and deterministic given the seed.
+rate of 1e-3 with weight decay 1e-4. `train` counts the epochs since the
+last strict improvement of the validation loss: every 10 of them halve
+the learning rate, and 20 stop training, restoring the parameters from
+the epoch with the lowest validation loss. Training updates the given
+parameters in place and returns them restored to that epoch. The
+training and validation sets are each built into one columnar batch per
+call; a step runs on a slice of the training batch (`MixtureBatch.take`),
+and validation on the whole validation batch. The loop is
+single-threaded and deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.eps == 0:  # AdamW divides by sqrt(v) + eps
+            raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
         betas = self.betas
         if not (
             isinstance(betas, (list, tuple))
@@ -104,17 +106,6 @@ class MetricsReport:
     spearman_rs: float
     mse: float
     n: int
-
-
-def mse_loss(preds: Tensor, targets: Tensor) -> Tensor:
-    """Mean squared error over 1-D tensors; differentiable."""
-    if preds.data.shape != targets.data.shape or preds.data.ndim != 1:
-        raise ad.DimensionError(
-            f"mse_loss shapes {preds.data.shape} and {targets.data.shape}"
-        )
-    if preds.data.size < 1:
-        raise ad.DimensionError("mse_loss of empty vectors")
-    return ad.mse(preds, targets)
 
 
 class AdamW:
@@ -162,44 +153,6 @@ class AdamW:
         self.values -= self.lr * (update + self.weight_decay * self.values)
 
 
-class PlateauScheduler:
-    """Multiply the optimizer lr by `factor` after `patience` consecutive
-    epochs without a strict improvement of the best validation loss."""
-
-    def __init__(self, optimizer: AdamW, factor: float = 0.5, patience: int = 10):
-        self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.best = math.inf
-        self.stale_epochs = 0
-
-    def step(self, val_loss: float) -> bool:
-        """Returns True when the learning rate was reduced this epoch."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.stale_epochs = 0
-            return False
-        self.stale_epochs += 1
-        if self.stale_epochs >= self.patience:
-            self.optimizer.lr *= self.factor
-            self.stale_epochs = 0
-            return True
-        return False
-
-
-def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[bool, int]:
-    """(stop now?, index of the best epoch). Improvement means strictly lower."""
-    if not val_loss_history:
-        raise ValueError("empty validation history")
-    best_epoch = int(np.argmin(val_loss_history))
-    since_best = len(val_loss_history) - 1 - best_epoch
-    return since_best >= max(patience, 1), best_epoch
-
-
-def _predictions(params: ModelParams, examples: list[Example]) -> np.ndarray:
-    return forward_batch(params, [mix for mix, _ in examples]).data
-
-
 def train(
     params: ModelParams,
     train_data: list[Example],
@@ -232,7 +185,6 @@ def train(
         betas=config.betas,
         eps=config.eps,
     )
-    scheduler = PlateauScheduler(optimizer, config.scheduler_factor, config.scheduler_patience)
     rng = np.random.default_rng(config.seed)
     train_batch = batch_of(params, [mix for mix, _ in train_data])
     train_targets = np.array([target for _, target in train_data])
@@ -240,9 +192,9 @@ def train(
     val_targets = np.array([target for _, target in val_data])
 
     history: list[HistoryEntry] = []
-    val_losses: list[float] = []
     best_values = optimizer.values.copy()
     best_val = math.inf
+    since_best = 0  # epochs since the last strict improvement of best_val
 
     debug = logger.isEnabledFor(logging.DEBUG)
     for epoch in range(config.max_epochs):
@@ -261,7 +213,7 @@ def train(
             with Tape() as tape:
                 tape.watch(*tensors)
                 preds = forward_columns(params, batch)
-                loss = mse_loss(preds, Tensor(train_targets[rows]))
+                loss = ad.mse(preds, Tensor(train_targets[rows]))
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise TrainingError(
@@ -287,7 +239,6 @@ def train(
         if not math.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss {val_loss} at epoch {epoch}, lr {lr_used}")
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
-        val_losses.append(val_loss)
         if debug:
             unions[0] += _union_count(val_batch) - reused
             unions[1] += reused
@@ -312,14 +263,16 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_values = optimizer.values.copy()
-
-        scheduler.step(val_loss)
-        stop, best_epoch = early_stopping(val_losses, config.early_stop_patience)
-        if stop:
+            since_best = 0
+            continue
+        since_best += 1
+        if since_best % max(config.scheduler_patience, 1) == 0:
+            optimizer.lr *= config.scheduler_factor
+        if since_best >= max(config.early_stop_patience, 1):
             logger.info(
                 "early stop at epoch %d (best epoch %d, val loss %.6g)",
                 epoch,
-                best_epoch,
+                epoch - since_best,
                 best_val,
             )
             break
@@ -359,10 +312,11 @@ def _samples(targets, preds) -> tuple[np.ndarray, np.ndarray]:
 def pearson(targets, preds) -> float:
     """Pearson correlation (population convention)."""
     x, y = _samples(targets, preds)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    var_x = float(np.dot(dx, dx))
-    var_y = float(np.dot(dy, dy))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        dx = x - x.mean()
+        dy = y - y.mean()
+        var_x = float(np.dot(dx, dx))
+        var_y = float(np.dot(dy, dy))
     if not math.isfinite(var_x * var_y):
         raise MetricError(f"pearson overflows: sample variances {var_x} and {var_y}")
     if var_x == 0.0 or var_y == 0.0:
@@ -403,17 +357,19 @@ def evaluate(params: ModelParams, examples: list[Example]) -> MetricsReport:
     if len(examples) < 2:
         raise ValueError(f"evaluate needs at least two examples, got {len(examples)}")
     targets = np.array([target for _, target in examples])
-    preds = _predictions(params, examples)
+    preds = forward_batch(params, [mix for mix, _ in examples]).data
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
         raise MetricError(
             f"model made {bad.size} non-finite predictions of {len(examples)}, "
             f"the first for example {bad[0]}"
         )
+    with np.errstate(over="ignore"):  # an overflowing mse is refused below
+        mse = float(np.mean((preds - targets) ** 2))
     report = MetricsReport(
         pearson_rp=pearson(targets, preds),
         spearman_rs=spearman(targets, preds),
-        mse=float(np.mean((preds - targets) ** 2)),
+        mse=mse,
         n=len(examples),
     )
     bad_metrics = [name for name, value in asdict(report).items() if not math.isfinite(value)]

@@ -6,7 +6,10 @@ minibatch and every validation pass is one `forward_batch` of its
 mixtures, so each numbers its graphs in its own first-seen order and
 builds its unions afresh. The DEBUG epoch event is left out; everything
 else (shuffle, AdamW, plateau scheduler, early stopping, restoring the
-best epoch) is verbatim. Not a test module: pytest does not collect it.
+best epoch) is verbatim. `PlateauScheduler`, `early_stopping` and
+`mse_loss` are the loss and the two plateau rules that `train` used
+before one stale-epoch counter replaced them, copied verbatim. Not a test
+module: pytest does not collect it.
 """
 
 import math
@@ -16,14 +19,52 @@ import numpy as np
 from molsets import autodiff as ad
 from molsets.autodiff import Tape, Tensor
 from molsets.model import forward_batch, named_parameters
-from molsets.training import (
-    AdamW,
-    HistoryEntry,
-    PlateauScheduler,
-    TrainingError,
-    early_stopping,
-    mse_loss,
-)
+from molsets.training import AdamW, HistoryEntry, TrainingError
+
+
+def mse_loss(preds: Tensor, targets: Tensor) -> Tensor:
+    """Mean squared error over 1-D tensors; differentiable."""
+    if preds.data.shape != targets.data.shape or preds.data.ndim != 1:
+        raise ad.DimensionError(
+            f"mse_loss shapes {preds.data.shape} and {targets.data.shape}"
+        )
+    if preds.data.size < 1:
+        raise ad.DimensionError("mse_loss of empty vectors")
+    return ad.mse(preds, targets)
+
+
+class PlateauScheduler:
+    """Multiply the optimizer lr by `factor` after `patience` consecutive
+    epochs without a strict improvement of the best validation loss."""
+
+    def __init__(self, optimizer: AdamW, factor: float = 0.5, patience: int = 10):
+        self.optimizer = optimizer
+        self.factor = factor
+        self.patience = patience
+        self.best = math.inf
+        self.stale_epochs = 0
+
+    def step(self, val_loss: float) -> bool:
+        """Returns True when the learning rate was reduced this epoch."""
+        if val_loss < self.best:
+            self.best = val_loss
+            self.stale_epochs = 0
+            return False
+        self.stale_epochs += 1
+        if self.stale_epochs >= self.patience:
+            self.optimizer.lr *= self.factor
+            self.stale_epochs = 0
+            return True
+        return False
+
+
+def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[bool, int]:
+    """(stop now?, index of the best epoch). Improvement means strictly lower."""
+    if not val_loss_history:
+        raise ValueError("empty validation history")
+    best_epoch = int(np.argmin(val_loss_history))
+    since_best = len(val_loss_history) - 1 - best_epoch
+    return since_best >= max(patience, 1), best_epoch
 
 
 def _validation_loss(params, examples):

@@ -231,6 +231,23 @@ def test_mse_matches_sub_mul_reduce_mean(n, exact, seed):
     _assert_same_node(lambda: ad.mse(preds, targets), composed, [preds, targets])
 
 
+def test_mse_examples():
+    assert ad.mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
+    assert ad.mse(Tensor([0.0]), Tensor([2.0])).item() == 4.0
+    assert ad.mse(Tensor([1.0, 3.0]), Tensor([0.0, 0.0])).item() == 5.0
+    with pytest.raises(DimensionError, match="empty"):
+        ad.mse(Tensor([]), Tensor([]))
+
+
+def test_mse_is_differentiable():
+    preds = Tensor([1.0, 3.0])
+    with Tape() as tape:
+        tape.watch(preds)
+        loss = ad.mse(preds, Tensor([0.0, 0.0]))
+    grads = ad.backward(tape, loss)
+    assert np.allclose(grads[preds], [1.0, 3.0])  # 2 * diff / n
+
+
 _ORDERS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
 
 
@@ -723,9 +740,10 @@ def test_every_tape_op_has_a_caller():
 
 
 def test_every_public_function_has_a_caller():
-    # A public function of a molsets module is called as `name(` from the
-    # package, a demo or the benchmark, its own `def` not counted; a function
-    # that nothing calls is deleted, not kept alive by tests.
+    # A public function or class of a molsets module is called or constructed
+    # as `name(` from the package, a demo or the benchmark, its own `def` or
+    # `class` line not counted; one that nothing calls is deleted, not kept
+    # alive by tests.
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for folder in ("src", "demos", "perfbench")
@@ -734,9 +752,13 @@ def test_every_public_function_has_a_caller():
     uncalled = []
     for info in pkgutil.iter_modules(molsets.__path__):
         module = importlib.import_module(f"molsets.{info.name}")
-        for name, fn in vars(module).items():
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_":
+        for name, obj in vars(module).items():
+            if (
+                (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == module.__name__
+                and name[0] != "_"
+            ):
                 calls = len(re.findall(rf"\b{name}\(", text))
-                if calls == len(re.findall(rf"\bdef {name}\(", text)):
+                if calls == len(re.findall(rf"\b(?:def|class) {name}\(", text)):
                     uncalled.append(f"{module.__name__}.{name}")
     assert uncalled == []

@@ -471,7 +471,6 @@ def test_non_finite_prediction_is_numeric_failure(tmp_path, synthetic_csv, capsy
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
     doc = _micro_checkpoint_doc(tmp_path)
     # Finite, distinct predictions near 1e155: the squared error overflows.

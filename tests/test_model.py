@@ -390,6 +390,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert doc["feature_schema_version"] == model_mod.FEATURE_SCHEMA_VERSION
 
 
+def test_checkpoint_of_numpy_integer_config_equals_int_config(tmp_path):
+    sizes = dict(num_layers=2, hidden_dim=4, representation_dim=6, attention_dim=3, max_solvents=3, seed=7)
+    saved = []
+    for cast in (int, np.int64):
+        config = ModelConfig(
+            conv="gatconv", rho_hidden_dims=[cast(5)], **{k: cast(v) for k, v in sizes.items()}
+        )
+        path = tmp_path / f"{cast.__name__}.json"
+        save_checkpoint(build_model(config), str(path))
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
 @pytest.mark.parametrize("conv", CONV_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from frozen_training import train_reference
+from frozen_training import PlateauScheduler, early_stopping, train_reference
 from molsets import autodiff as ad
 from molsets import gnn
 from molsets import model as model_mod
@@ -27,12 +27,9 @@ from molsets.screening import enumerate_binary_candidates, run_screening
 from molsets.training import (
     AdamW,
     MetricError,
-    PlateauScheduler,
     TrainConfig,
     TrainingError,
-    early_stopping,
     evaluate,
-    mse_loss,
     pearson,
     spearman,
     train,
@@ -48,21 +45,6 @@ def _examples(n, seed, store=None):
         (mixture_from_record(r, store), r.target_298K)
         for r in generate_synthetic(n, seed=seed)
     ]
-
-
-def test_mse_examples():
-    assert mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
-    assert mse_loss(Tensor([0.0]), Tensor([2.0])).item() == 4.0
-    assert mse_loss(Tensor([1.0, 3.0]), Tensor([0.0, 0.0])).item() == 5.0
-
-
-def test_mse_is_differentiable():
-    preds = Tensor([1.0, 3.0])
-    with Tape() as tape:
-        tape.watch(preds)
-        loss = mse_loss(preds, Tensor([0.0, 0.0]))
-    grads = ad.backward(tape, loss)
-    assert np.allclose(grads[preds], [1.0, 3.0])  # 2 * diff / n
 
 
 def test_adamw_first_step_closed_form():
@@ -111,50 +93,42 @@ def test_adamw_without_decay_matches_scalar_adam_trace():
     assert theta.data[0] == pytest.approx(theta_ref, abs=1e-14)
 
 
-def test_scheduler_halves_after_patience():
-    opt = AdamW([Tensor([1.0])], lr=0.001)
-    sched = PlateauScheduler(opt, factor=0.5, patience=10)
-    sched.step(1.0)
-    for _ in range(9):
-        assert not sched.step(1.0)
-    assert opt.lr == 0.001
-    assert sched.step(1.0)
-    assert opt.lr == 0.0005
-
-
-def test_scheduler_improvement_resets_counter():
-    opt = AdamW([Tensor([1.0])], lr=0.001)
-    sched = PlateauScheduler(opt, factor=0.5, patience=10)
-    sched.step(1.0)
-    for _ in range(8):
-        sched.step(1.0)
-    sched.step(0.5)  # improvement on the 9th following epoch
-    for _ in range(9):
-        sched.step(0.5)
-    assert opt.lr == 0.001
-
-
-def test_scheduler_two_plateau_cycles():
-    opt = AdamW([Tensor([1.0])], lr=0.001)
-    sched = PlateauScheduler(opt, factor=0.5, patience=10)
-    sched.step(1.0)
-    for _ in range(20):
-        sched.step(1.0)
-    assert opt.lr == pytest.approx(0.00025)
-
-
-def test_early_stopping_rules():
-    decreasing = [1.0 / (i + 1) for i in range(50)]
-    assert early_stopping(decreasing, 20) == (False, 49)
-
-    history = [1.0, 0.8, 0.6, 0.5] + [0.5] * 20  # min at epoch 3, then 20 flat
-    stop, best = early_stopping(history, 20)
-    assert stop and best == 3
-    stop_early, _ = early_stopping(history[:-1], 20)
-    assert not stop_early
-
-    assert early_stopping([1.0, 0.9], 0) == (False, 1)
-    assert early_stopping([1.0, 0.9, 0.9], 0) == (True, 1)
+def test_train_lr_cuts_and_stop_match_the_plateau_rules():
+    # train() keeps one count of epochs since the last strict improvement.
+    # Replay each run's validation losses through the scheduler and the
+    # early-stopping rule it replaced (frozen_training): every epoch's lr
+    # and the epoch the run stopped at must match.
+    store = GraphStore()
+    examples = [
+        (mixture_from_record(r, store), r.target_298K)
+        for r in generate_synthetic(40, seed=3, noise_scale=0.05)
+    ]
+    max_epochs = 40
+    most_cuts = resets = early_stops = 0
+    for scheduler_patience, early_stop_patience in [(0, 0), (1, 3), (2, 4), (3, 6), (10, 20)]:
+        config = TrainConfig(
+            lr0=0.02, max_epochs=max_epochs, batch_size=8, scheduler_patience=scheduler_patience,
+            early_stop_patience=early_stop_patience, seed=3,
+        )
+        params = build_model(ModelConfig.for_conv("graphconv", seed=3, **MICRO))
+        _, history = train(params, examples[:30], examples[30:], config)
+        optimizer = AdamW([Tensor([0.0])], lr=config.lr0)
+        scheduler = PlateauScheduler(optimizer, config.scheduler_factor, scheduler_patience)
+        cuts, val_losses = 0, []
+        for entry in history:
+            assert entry.lr == optimizer.lr
+            val_losses.append(entry.val_loss)
+            # an improvement after stale epochs that did not yet cut the lr
+            resets += entry.val_loss < scheduler.best and scheduler.stale_epochs > 0
+            cuts += scheduler.step(entry.val_loss)
+            stop, _ = early_stopping(val_losses, early_stop_patience)
+            if stop:
+                break
+        assert len(val_losses) == len(history)  # the rules did not stop sooner
+        assert stop or len(history) == max_epochs  # nor later
+        most_cuts = max(most_cuts, cuts)
+        early_stops += len(history) < max_epochs
+    assert most_cuts >= 2 and resets >= 1 and early_stops >= 1
 
 
 def test_train_memorizes_small_set():
@@ -223,6 +197,7 @@ def test_train_rejects_empty_sets():
         dict(lr0=float("nan")),
         dict(weight_decay=float("inf")),
         dict(eps="1e-8"),
+        dict(eps=0.0),
         dict(betas=(0.9,)),
         dict(betas=(0.9, 1.0)),
         dict(betas=0.9),
@@ -234,7 +209,7 @@ def test_train_rejects_empty_sets():
         dict(seed=True),
     ],
     ids=["float-epochs", "zero-epochs", "float-batch", "bool-epochs", "nan-lr", "inf-decay", "text-eps",
-         "one-beta", "beta-one", "scalar-betas", "negative-scheduler-patience",
+         "zero-eps", "one-beta", "beta-one", "scalar-betas", "negative-scheduler-patience",
          "negative-early-stop-patience", "text-seed", "float-seed", "negative-seed", "bool-seed"],
 )
 def test_train_config_rejects_bad_values(fields):
@@ -329,7 +304,7 @@ def test_batch_loss_gradient_matches_finite_differences():
 
     def run():
         preds = ad.concat([forward(params, mix) for mix, _ in examples])
-        return mse_loss(preds, targets)
+        return ad.mse(preds, targets)
 
     with Tape() as tape:
         tape.watch(*tensors)
@@ -359,7 +334,7 @@ def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
         tape.watch(*tensors)
         preds = forward_batch(params, mixes)
         targets = Tensor(np.array([y for _, y in examples]))
-        loss = mse_loss(preds, targets)
+        loss = ad.mse(preds, targets)
     grads = ad.backward(tape, loss)
     watched = set(tensors)
     constants = {
@@ -394,7 +369,6 @@ def test_pearson_rejects_degenerate_input():
         pearson([1.0], [1.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pearson_rejects_overflowing_variance():
     with pytest.raises(MetricError, match="overflow"):
         pearson([1, 2, 3], [1e200, -1e200, 5e199])
@@ -403,6 +377,9 @@ def test_pearson_rejects_overflowing_variance():
     # finite variances of about 2e200 whose product overflows
     with pytest.raises(MetricError, match="overflow"):
         pearson([1e100, -1e100, 0.0], [1e100, -1e100, 0.0])
+    # finite values whose sum, and so the mean, overflows
+    with pytest.raises(MetricError, match="overflow"):
+        pearson([1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -472,7 +449,6 @@ def test_evaluate_rejects_fewer_than_two_examples(monkeypatch):
         assert not isinstance(err.value, MetricError)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_rejects_non_finite_metrics():
     examples = _examples(6, seed=28)
     params = build_model(ModelConfig.for_conv("graphconv", seed=9, **MICRO))
@@ -602,7 +578,7 @@ def test_telemetry_events_leave_results_unchanged(caplog):
     with Tape() as tape:
         tape.watch(*tensors)
         preds = forward_batch(params, [mix for mix, _ in train_part])
-        loss = mse_loss(preds, Tensor([target for _, target in train_part]))
+        loss = ad.mse(preds, Tensor([target for _, target in train_part]))
     grads = ad.backward(tape, loss)
     expected = math.sqrt(sum(float((grads[t] ** 2).sum()) for t in tensors))
     caplog.clear()
