@@ -131,6 +131,81 @@ def test_train_lr_cuts_and_stop_match_the_plateau_rules():
     assert most_cuts >= 2 and resets >= 1 and early_stops >= 1
 
 
+def _train_on_val_losses(monkeypatch, val_losses, **config_fields):
+    # Runs train() for at most len(val_losses) epochs with the validation
+    # pass replaced: epoch k's validation predictions are a constant column
+    # whose loss against zero targets is val_losses[k] (exactly: each is the
+    # square of a dyadic fraction). Training steps run the
+    # real forward; returns train's history.
+    import molsets.training as training_mod
+
+    batches, scripted = [], iter(val_losses)
+    real_batch_of, real_forward = training_mod.batch_of, training_mod.forward_columns
+
+    def recorded_batch_of(params, mixtures):
+        batches.append(real_batch_of(params, mixtures))
+        return batches[-1]
+
+    def scripted_forward(params, batch):
+        if batch is batches[1]:  # the validation batch
+            return Tensor(np.full(batch.set_of.size, math.sqrt(next(scripted))))
+        return real_forward(params, batch)
+
+    monkeypatch.setattr(training_mod, "batch_of", recorded_batch_of)
+    monkeypatch.setattr(training_mod, "forward_columns", scripted_forward)
+    examples = _examples(6, seed=5)
+    config = TrainConfig(
+        lr0=0.001, max_epochs=len(val_losses), batch_size=4, seed=5, **config_fields
+    )
+    params = build_model(ModelConfig.for_conv("graphconv", seed=5, **MICRO))
+    _, history = train(params, examples[:4], [(mix, 0.0) for mix, _ in examples[4:]], config)
+    assert [entry.val_loss for entry in history] == val_losses[: len(history)]
+    return history
+
+
+def test_scheduler_halves_after_patience(monkeypatch):
+    history = _train_on_val_losses(
+        monkeypatch, [1.0] * 12, scheduler_patience=10, early_stop_patience=30
+    )
+    # epoch 0 sets the best; epochs 1-9 are 9 stale epochs, no cut yet
+    assert [entry.lr for entry in history[:11]] == [0.001] * 11
+    assert history[11].lr == 0.0005  # the 10th stale epoch (epoch 10) cut it
+
+
+def test_scheduler_improvement_resets_counter(monkeypatch):
+    # 8 stale epochs, an improvement on the 9th, then 9 more stale epochs
+    losses = [1.0] + [1.0] * 8 + [0.25] + [0.25] * 9 + [0.25]
+    history = _train_on_val_losses(
+        monkeypatch, losses, scheduler_patience=10, early_stop_patience=30
+    )
+    assert len(history) == len(losses)
+    assert all(entry.lr == 0.001 for entry in history)
+
+
+def test_scheduler_two_plateau_cycles(monkeypatch):
+    history = _train_on_val_losses(
+        monkeypatch, [1.0] * 22, scheduler_patience=10, early_stop_patience=30
+    )
+    assert history[11].lr == pytest.approx(0.0005)
+    assert history[21].lr == pytest.approx(0.00025)
+
+
+def test_early_stopping_rules(monkeypatch, caplog):
+    decreasing = [1.0 / 4**i for i in range(50)]
+    assert len(_train_on_val_losses(monkeypatch, decreasing, early_stop_patience=20)) == 50
+
+    plateau = [1.0, 0.5625, 0.390625, 0.25] + [0.25] * 30  # min at epoch 3, then flat
+    with caplog.at_level(logging.INFO, logger="molsets.training"):
+        history = _train_on_val_losses(monkeypatch, plateau, early_stop_patience=20)
+    assert len(history) == 24  # stopped on the 20th flat epoch, epoch 23
+    assert "early stop at epoch 23 (best epoch 3," in caplog.text
+    assert len(_train_on_val_losses(monkeypatch, plateau[:23], early_stop_patience=20)) == 23
+
+    # patience 0 stops like patience 1: on the first epoch without improvement
+    assert len(_train_on_val_losses(monkeypatch, [1.0, 0.25], early_stop_patience=0)) == 2
+    assert len(_train_on_val_losses(monkeypatch, [1.0, 0.25, 0.25, 0.25], early_stop_patience=0)) == 3
+
+
 def test_train_memorizes_small_set():
     examples = _examples(20, seed=21)
     params = build_model(
