@@ -30,12 +30,13 @@ its aggregation.
 
 A batch keeps its unions (`MixtureBatch.unions`, one `GraphTensors` each,
 with its stacked node features, log masses and operators): they are
-built on its first forward and reused by every later one. Training
+built on first use and reused by every later forward. Training
 builds one batch per dataset and slices it per step
-(`MixtureBatch.take`); a slice keeps the dataset's graph order, and one
-whose pathway embeds the same graphs as the slice before it gets that
-slice's unions, so steady-state steps build no topology. Everywhere
-else graphs are numbered in first-seen order.
+(`MixtureBatch.take`); a slice keeps the dataset's graph order, so one
+that holds all of a pathway's graphs gets the dataset batch's own
+unions, built at most once per batch (`train` logs them as built by the
+step whose `take` builds them and as reused at every later hand-over).
+Everywhere else graphs are numbered in first-seen order.
 
 Solvents are sorted by their source SMILES before aggregation so that
 repeated evaluations are bit-identical; the aggregation itself is a set
@@ -372,7 +373,7 @@ class MixtureBatch:
 
     unions maps a pathway ("solvent", "salt") to its graphs packed into
     disjoint unions (GraphTensors, with their operators); each is built on
-    the first forward and kept with the batch.
+    first use (packed) and kept with the batch.
     """
 
     solvent_graphs: list[MolecularGraph]
@@ -384,7 +385,6 @@ class MixtureBatch:
     salt_of: np.ndarray
     molality: np.ndarray
     unions: dict[str, list[GraphTensors]] = field(default_factory=dict, init=False, repr=False)
-    _last_take: tuple | None = field(default=None, init=False, repr=False)
 
     def packed(self, pathway: str) -> list[GraphTensors]:
         """The unions of the "solvent" or "salt" pathway, built on first use."""
@@ -399,9 +399,10 @@ class MixtureBatch:
         is its own set, as a batch of their own.
 
         The slice keeps this batch's graph order: the graphs it uses are
-        renumbered by a presence mask and its cumsum. A pathway whose
-        graphs are those of the previous slice gets that slice's unions;
-        only the last slice is remembered.
+        renumbered by a presence mask and its cumsum. A pathway whose graphs
+        are all of this batch's has this batch's graph list, so it gets this
+        batch's unions (packed, built on first use); any other pathway
+        builds its own. The result depends only on this batch and rows.
         """
         rows = np.asarray(rows, dtype=np.intp)
         n = self.set_of.size
@@ -424,15 +425,12 @@ class MixtureBatch:
             salt_of=salt_of,
             molality=self.molality[rows],
         )
-        if self._last_take is not None:
-            last_solvents, last_salts, last = self._last_take
-            for pathway, kept, last_kept in (
-                ("solvent", solvents, last_solvents),
-                ("salt", salts, last_salts),
-            ):
-                if pathway in last.unions and np.array_equal(kept, last_kept):
-                    piece.unions[pathway] = last.unions[pathway]
-        self._last_take = (solvents, salts, piece)
+        for pathway, kept, graphs in (
+            ("solvent", solvents, self.solvent_graphs),
+            ("salt", salts, self.salt_graphs),
+        ):
+            if kept.size == len(graphs):
+                piece.unions[pathway] = self.packed(pathway)
         return piece
 
 

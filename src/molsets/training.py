@@ -168,12 +168,13 @@ def train(
     every distinct molecule of the slice is embedded once, in one
     disjoint-union GNN pass per pathway, and shared by the mixtures that
     contain it (gradients accumulate through the shared subgraph). A slice
-    that embeds the same graphs as the one before it reuses its unions'
-    topology, and validation reuses the validation batch's. With the
+    that holds all of a pathway's graphs uses the training batch's own
+    unions for it, and validation reuses the validation batch's. With the
     module logger at DEBUG, each epoch logs one JSON event: losses, lr,
     wall seconds, per-step means of tape nodes, the global L2 norm of the
     parameter gradients and the number of distinct molecules embedded, and
-    the unions built and reused over the epoch.
+    the unions built (by the step or validation pass whose take or forward
+    builds them) and reused (at every later use) over the epoch.
     """
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
@@ -207,9 +208,12 @@ def train(
         epoch_squares = 0.0
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
+            if debug:
+                own = _union_count(train_batch)
             batch = train_batch.take(rows)
             if debug:
-                reused = _union_count(batch)
+                # What take handed over, less the unions it built just now.
+                reused = _union_count(batch) - (_union_count(train_batch) - own)
             with Tape() as tape:
                 tape.watch(*tensors)
                 preds = forward_columns(params, batch)
@@ -235,7 +239,8 @@ def train(
         if debug:
             reused = _union_count(val_batch)
         val_preds = forward_columns(params, val_batch).data
-        val_loss = float(np.mean((val_preds - val_targets) ** 2))
+        with np.errstate(over="ignore"):  # a non-finite loss is refused below
+            val_loss = float(np.mean((val_preds - val_targets) ** 2))
         if not math.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss {val_loss} at epoch {epoch}, lr {lr_used}")
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
@@ -326,16 +331,9 @@ def pearson(targets, preds) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties share the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (((ends - counts) + (ends - 1)) / 2.0 + 1.0)[group]
 
 
 def spearman(targets, preds) -> float:

@@ -8,8 +8,9 @@ builds its unions afresh. The DEBUG epoch event is left out; everything
 else (shuffle, AdamW, plateau scheduler, early stopping, restoring the
 best epoch) is verbatim. `PlateauScheduler`, `early_stopping` and
 `mse_loss` are the loss and the two plateau rules that `train` used
-before one stale-epoch counter replaced them, copied verbatim. Not a test
-module: pytest does not collect it.
+before one stale-epoch counter replaced them, and `average_ranks` is the
+tie loop that one `np.unique` pass replaced in `_average_ranks`, each
+copied verbatim. Not a test module: pytest does not collect it.
 """
 
 import math
@@ -65,6 +66,20 @@ def early_stopping(val_loss_history: list[float], patience: int = 20) -> tuple[b
     best_epoch = int(np.argmin(val_loss_history))
     since_best = len(val_loss_history) - 1 - best_epoch
     return since_best >= max(patience, 1), best_epoch
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks starting at 1; ties share the average of their positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def _validation_loss(params, examples):

@@ -1,10 +1,8 @@
-import gc
 import itertools
 import json
 import os
 import tempfile
-import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import frozen_ops as F
 import numpy as np
@@ -731,34 +729,35 @@ def test_take_matches_a_batch_of_the_same_mixtures(variant, conv, rows):
     assert np.abs(value - forward_batch(params, mixes).data).max() <= 1e-12
 
 
-def test_take_hands_the_last_slice_unions_on():
+def test_take_shares_the_batch_unions_when_it_holds_all_its_graphs():
     params = _model("molsets", "graphconv")
     whole = model_mod.batch_of(params, TAKE_MIXES)
+    before = {f.name: getattr(whole, f.name) for f in fields(whole) if f.name != "unions"}
+    contents = {name: list(value) for name, value in before.items()}
     long_chain = _TAKE_POOL[-1]
-    with_chain = [i for i, mix in enumerate(TAKE_MIXES) if any(g is long_chain for g, _ in mix.solvents)]
-    without = [i for i in range(len(TAKE_MIXES)) if i not in with_chain]
-    first = whole.take(with_chain[:6])
-    forward_columns(params, first)
-    built = {pathway: list(unions) for pathway, unions in first.unions.items()}
-    # The same graph list, in any row order: the very same unions.
-    again = whole.take(with_chain[5::-1])
-    assert again.unions["solvent"] is first.unions["solvent"]
-    assert again.unions["salt"] is first.unions["salt"]
-    forward_columns(params, again)
-    assert all(a is b for a, b in zip(again.packed("solvent"), built["solvent"]))
-    # A different solvent list gets fresh solvent unions.
-    other = whole.take(without[:6])
-    assert "solvent" not in other.unions
-    forward_columns(params, other)
-    assert not any(gt is old for gt in other.packed("solvent") for old in built["solvent"])
-    # Only the last slice is remembered: once the earlier slices are gone,
-    # so are their unions, and their graph list builds afresh.
-    watched = weakref.ref(built["solvent"][0])
-    del first, again, built
-    gc.collect()
-    assert watched() is None
-    back = whole.take(with_chain[:6])
-    assert "solvent" not in back.unions
+    without = [i for i, mix in enumerate(TAKE_MIXES) if all(g is not long_chain for g, _ in mix.solvents)]
+    one_salt = [i for i, mix in enumerate(TAKE_MIXES) if mix.salt is SALTS[0]]
+    # A slice that misses graphs of both pathways builds nothing for the batch.
+    few = whole.take(one_salt[:2])
+    forward_columns(params, few)
+    assert few.unions and not whole.unions
+    # One that holds all of them, in any row order and with repeats, gets
+    # the batch's own unions; so does the next, after a slice without the
+    # long chain, whose solvent unions are its own.
+    full = whole.take(np.arange(len(TAKE_MIXES)))
+    partial = whole.take(without)
+    again = whole.take([*range(len(TAKE_MIXES) - 1, -1, -1), 3, 3])
+    for piece in (full, again):
+        for pathway in ("solvent", "salt"):
+            assert piece.unions[pathway] is whole.packed(pathway)
+    assert len(partial.solvent_graphs) == len(whole.solvent_graphs) - 1
+    assert "solvent" not in partial.unions
+    forward_columns(params, partial)
+    assert not any(gt is own for gt in partial.packed("solvent") for own in whole.packed("solvent"))
+    # take changes no other field of the batch.
+    for name, value in before.items():
+        assert getattr(whole, name) is value
+        assert list(value) == contents[name], name  # graphs compare by identity
 
 
 def test_take_needs_each_mixture_its_own_set():

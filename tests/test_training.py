@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from frozen_training import PlateauScheduler, early_stopping, train_reference
+from frozen_training import PlateauScheduler, average_ranks, early_stopping, train_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from molsets import autodiff as ad
 from molsets import gnn
 from molsets import model as model_mod
@@ -29,6 +31,7 @@ from molsets.training import (
     MetricError,
     TrainConfig,
     TrainingError,
+    _average_ranks,
     evaluate,
     pearson,
     spearman,
@@ -361,7 +364,7 @@ def test_train_aborts_on_non_finite_validation_loss():
     examples = _examples(4, seed=26)
     val = [(dataclasses.replace(mix, molality=1e300), target) for mix, target in examples]
     params = build_model(ModelConfig.for_conv("graphconv", seed=7, **MICRO))
-    with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+    with pytest.raises(TrainingError) as err:
         train(params, examples, val, TrainConfig(max_epochs=3))
     assert "non-finite validation loss inf at epoch 0" in str(err.value)
 
@@ -484,6 +487,21 @@ def test_spearman_tie_handling():
     assert spearman([1.0, 1.0, 2.0], [3.0, 4.0, 5.0]) == pytest.approx(
         math.sqrt(3) / 2, abs=1e-12
     )
+
+
+# One np.unique pass against the tie loop it replaced (frozen_training):
+# both rank a tie group starting at position i and ending at j as
+# (i + j) / 2 + 1, so the ranks are equal, -0.0 tying with 0.0.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, -1e300]) | st.floats(allow_nan=False),
+        max_size=40,
+    )
+)
+def test_average_ranks_match_the_tie_loop(values):
+    x = np.array(values, dtype=np.float64)
+    assert np.array_equal(_average_ranks(x), average_ranks(x))
 
 
 def test_spearman_all_tied_returns_zero(caplog):
@@ -618,15 +636,18 @@ def test_telemetry_events_leave_results_unchanged(caplog):
         assert event["wall_s"] > 0 and event["tape_nodes_per_step"] > 0
         assert math.isfinite(event["grad_norm"]) and event["grad_norm"] > 0
     # Replay the epoch shuffles (seed 2, batches of 5): count the distinct
-    # solvent and salt graphs of each minibatch, and its unions, which are
-    # reused when a pathway embeds the graphs of the step before it. The
-    # validation unions are built in epoch 0 and reused after it.
+    # solvent and salt graphs of each minibatch, and its unions, packed in
+    # the training set's graph order. A pathway that holds all of the
+    # training set's graphs uses the training batch's unions: built by the
+    # first such step, reused by every later one. The validation unions are
+    # built in epoch 0 and reused after it.
     rng = np.random.default_rng(2)
     val_unions = sum(
         len(model_mod._unions(graphs))
         for graphs in _distinct_graphs([mix for mix, _ in examples[12:]])
     )
-    previous = None
+    dataset = _distinct_graphs([mix for mix, _ in examples[:12]])
+    own = [False, False]  # the training batch's unions, built yet
     for event in epochs:
         order = rng.permutation(12)
         counts = []
@@ -636,17 +657,20 @@ def test_telemetry_events_leave_results_unchanged(caplog):
             pathways = _distinct_graphs([examples[i][0] for i in order[start : start + 5]])
             counts.append(sum(len(graphs) for graphs in pathways))
             for k, graphs in enumerate(pathways):
-                unions = len(model_mod._unions(graphs))
-                if previous is not None and {*graphs} == {*previous[k]}:
+                held = [g for g in dataset[k] if g in graphs]
+                unions = len(model_mod._unions(held))
+                if len(held) == len(dataset[k]) and own[k]:
                     reused += unions
                 else:
                     built += unions
-            previous = pathways
+                own[k] |= len(held) == len(dataset[k])
         assert event["molecules_embedded_per_step"] == np.mean(counts)
         assert (event["unions_built"], event["unions_reused"]) == (built, reused)
     assert sum(e["unions_reused"] for e in epochs) > 0
 
-    # One full-batch step: grad_norm is the L2 norm of the initial gradient.
+    # Full-batch steps: grad_norm is the L2 norm of the initial gradient,
+    # and each step holds the whole training set, so it uses the training
+    # batch's unions, built in epoch 0 and reused in epoch 1.
     train_part = examples[:12]
     params = build_model(ModelConfig.for_conv("graphconv", seed=8, **MICRO))
     tensors = [t for _, t in named_parameters(params)]
@@ -657,9 +681,12 @@ def test_telemetry_events_leave_results_unchanged(caplog):
     grads = ad.backward(tape, loss)
     expected = math.sqrt(sum(float((grads[t] ** 2).sum()) for t in tensors))
     caplog.clear()
-    train(params, train_part, examples[12:], TrainConfig(max_epochs=1, batch_size=12, seed=2))
-    [event] = [json.loads(r.getMessage()) for r in caplog.records if r.name == "molsets.training"]
+    train(params, train_part, examples[12:], TrainConfig(max_epochs=2, batch_size=12, seed=2))
+    event, later = [json.loads(r.getMessage()) for r in caplog.records if r.name == "molsets.training"]
     assert abs(event["grad_norm"] - expected) <= 1e-9 * expected
+    unions = val_unions + sum(len(model_mod._unions(graphs)) for graphs in dataset)
+    assert (event["unions_built"], event["unions_reused"]) == (unions, 0)
+    assert (later["unions_built"], later["unions_reused"]) == (0, unions)
     [screen] = [json.loads(r.getMessage()) for r in records if r.name == "molsets.screening"]
     assert screen == {
         "event": "screening",
