@@ -325,7 +325,7 @@ def cli(argv: list[str]) -> int:
         FeaturizationError,
         DataError,
         json.JSONDecodeError,
-        FileNotFoundError,
+        OSError,
         KeyError,
         ValueError,
     ) as exc:

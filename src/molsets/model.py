@@ -46,6 +46,7 @@ roundoff.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -599,7 +600,12 @@ def mixture_from_record(record, store: GraphStore | None = None) -> MixtureInput
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Single JSON document; float arrays round-trip bit-exactly.
+    """Write `params` as one JSON document; float arrays round-trip bit-exactly.
+
+    The document holds `config` (the `ModelConfig` fields),
+    `feature_schema_version` and `params`, which maps each parameter name
+    to `{"shape": [...], "float64": "<base64>"}`: the base64 of the
+    array's float64 values as little-endian bytes in C order.
 
     The document is written to `path` + ".tmp" and renamed over `path`,
     so a failed or interrupted save never leaves a partial checkpoint.
@@ -608,7 +614,10 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "config": asdict(params.config),
         "feature_schema_version": FEATURE_SCHEMA_VERSION,
         "params": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(t.data.shape),
+                "float64": base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii"),
+            }
             for name, t in named_parameters(params)
         },
     }
@@ -625,6 +634,15 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a checkpoint written by `save_checkpoint` into a freshly built model.
+
+    Each parameter is decoded from its base64 little-endian float64 bytes
+    into a writable, native-endian, C-contiguous copy. Raises ValueError
+    when the document is not a checkpoint of this feature schema version,
+    its config is invalid, a parameter is unknown or missing, or an entry
+    is not `{"shape", "float64"}` with a base64 string whose byte count
+    fits the expected shape and whose values are all finite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
@@ -655,13 +673,16 @@ def load_checkpoint(path: str) -> ModelParams:
         if name not in stored:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
         entry = stored[name]
-        if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+        if not isinstance(entry, dict) or set(entry) != {"shape", "float64"}:
             raise ValueError(
-                f"checkpoint parameter {name!r} must be an object with 'shape' and 'values'"
+                f"checkpoint parameter {name!r} must be an object with 'shape' and 'float64'"
             )
+        if not isinstance(entry["float64"], str):
+            raise ValueError(f"checkpoint parameter {name!r} must hold a base64 string")
         try:
-            values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        except TypeError as exc:
+            raw = base64.b64decode(entry["float64"], validate=True)
+            values = np.frombuffer(raw, "<f8").astype(np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint parameter {name!r} is malformed: {exc}") from None
         if not np.isfinite(values).all():
             raise ValueError(f"checkpoint parameter {name!r} has non-finite values")

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from molsets.cli import cli
 from molsets.data import CSV_COLUMNS, generate_synthetic, load_dataset, write_dataset
-from molsets.model import ModelConfig, build_model, save_checkpoint
+from molsets.model import ModelConfig, build_model, named_parameters, save_checkpoint
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -422,18 +424,49 @@ def test_malformed_checkpoint_is_data_error(tmp_path, synthetic_csv, capsys):
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 2
 
 
-def _micro_checkpoint_doc(tmp_path):
-    path = tmp_path / "micro.json"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--checkpoint", "{dir}", "--data", "{csv}"],
+        ["eval", "--checkpoint", "{ckpt}", "--data", "{dir}"],
+        ["screen", "--checkpoint", "{ckpt}", "--solvents", "{dir}", "--salts", "{salts}", "--out", "{out}"],
+    ],
+    ids=["eval-checkpoint", "eval-data", "screen-solvents"],
+)
+def test_directory_path_is_one_line_data_error(tmp_path, synthetic_csv, capsys, argv):
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    salts = tmp_path / "salts.txt"
+    salts.write_text("F[P-](F)(F)(F)(F)F.[Li+]\n", encoding="utf-8")
+    paths = dict(
+        dir=str(tmp_path), csv=synthetic_csv, ckpt=str(ckpt), salts=str(salts), out=str(tmp_path / "ranked.csv")
+    )
+    assert cli([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "ranked.csv").exists()
+
+
+def _micro_checkpoint_doc(edit=None):
+    """The document `save_checkpoint` writes for a micro model, after
+    `edit` has changed its parameters (given as a name -> Tensor dict)."""
     config = ModelConfig(
         num_layers=2, hidden_dim=4, representation_dim=6, attention_dim=3, rho_hidden_dims=(4,)
     )
-    save_checkpoint(build_model(config), str(path))
-    return json.loads(path.read_text(encoding="utf-8"))
+    params = build_model(config)
+    if edit is not None:
+        edit(dict(named_parameters(params)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "micro.json")
+        save_checkpoint(params, path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
 
 
-def _nan_first_value(doc):
-    doc["params"]["rho0.b"]["values"][0] = float("nan")
-    return doc
+def _nan_first_value(named):
+    named["rho0.b"].data[0] = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -443,7 +476,7 @@ def _nan_first_value(doc):
         lambda doc: {**doc, "config": {**doc["config"], "dropout": 0.1}},
         lambda doc: {**doc, "config": {**doc["config"], "hidden_dim": 0}},
         lambda doc: {**doc, "config": {**doc["config"], "max_solvents": 0}},
-        _nan_first_value,
+        lambda doc: _micro_checkpoint_doc(_nan_first_value),
         lambda doc: {**doc, "config": {**doc["config"], "seed": "x"}},
     ],
     ids=["json-list", "unknown-config-key", "zero-hidden-dim", "zero-max-solvents", "nan-parameter",
@@ -451,33 +484,37 @@ def _nan_first_value(doc):
 )
 def test_bad_checkpoint_document_is_data_error(tmp_path, synthetic_csv, capsys, corrupt):
     ckpt = tmp_path / "bad.json"
-    ckpt.write_text(json.dumps(corrupt(_micro_checkpoint_doc(tmp_path))), encoding="utf-8")
+    ckpt.write_text(json.dumps(corrupt(_micro_checkpoint_doc())), encoding="utf-8")
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("data error:")
     assert captured.out == ""
 
 
+def _huge_head(named):
+    for name in ("rho1.w", "rho1.b"):  # finite, but the head overflows to inf
+        named[name].data = np.full_like(named[name].data, 1e308)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_prediction_is_numeric_failure(tmp_path, synthetic_csv, capsys):
-    doc = _micro_checkpoint_doc(tmp_path)
-    for name in ("rho1.w", "rho1.b"):  # finite, but the head overflows to inf
-        doc["params"][name]["values"] = [1e308] * len(doc["params"][name]["values"])
     ckpt = tmp_path / "huge.json"
-    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc(_huge_head)), encoding="utf-8")
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 3
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == ""
 
 
-def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
-    doc = _micro_checkpoint_doc(tmp_path)
+def _distinct_huge_predictions(named):
     # Finite, distinct predictions near 1e155: the squared error overflows.
-    doc["params"]["rho1.w"]["values"] = [v * 1e150 for v in doc["params"]["rho1.w"]["values"]]
-    doc["params"]["rho1.b"]["values"] = [1e155] * len(doc["params"]["rho1.b"]["values"])
+    named["rho1.w"].data = named["rho1.w"].data * 1e150
+    named["rho1.b"].data = np.full_like(named["rho1.b"].data, 1e155)
+
+
+def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
     ckpt = tmp_path / "huge.json"
-    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc(_distinct_huge_predictions)), encoding="utf-8")
     assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 3
     captured = capsys.readouterr()
     assert "non-finite metrics: mse" in captured.err
@@ -485,7 +522,7 @@ def test_non_finite_metric_is_numeric_failure(tmp_path, synthetic_csv, capsys):
 
 
 def test_oversized_model_config_is_one_line_data_error(tmp_path, synthetic_csv, capsys):
-    doc = _micro_checkpoint_doc(tmp_path)
+    doc = _micro_checkpoint_doc()
     doc["config"]["hidden_dim"] = 10**12
     ckpt = tmp_path / "huge-config.json"
     ckpt.write_text(json.dumps(doc), encoding="utf-8")
@@ -508,7 +545,7 @@ def test_oversized_model_config_is_one_line_data_error(tmp_path, synthetic_csv, 
 
 def test_screen_prints_skip_lines_when_enumeration_fails(tmp_path, capsys):
     ckpt = tmp_path / "micro.json"
-    ckpt.write_text(json.dumps(_micro_checkpoint_doc(tmp_path)), encoding="utf-8")
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
     solvents = tmp_path / "solvents.txt"
     salts = tmp_path / "salts.txt"
     solvents.write_text("C1CCOC1\nCOCOC\n", encoding="utf-8")

@@ -1,9 +1,12 @@
+import base64
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
+import frozen_checkpoint
 import frozen_ops as F
 import numpy as np
 import pytest
@@ -41,6 +44,8 @@ GLYME = build_graph("COCOC")
 BENZENE = build_graph("C1=CC=CC=C1")
 TOLUENE = build_graph("CC1=CC=CC=C1")
 SALT = build_graph("F[P-](F)(F)(F)(F)F.[Li+]")
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 MICRO = dict(num_layers=2, hidden_dim=3, representation_dim=4, attention_dim=2, rho_hidden_dims=(3,))
 
@@ -422,10 +427,68 @@ def test_checkpoint_roundtrip_property(variant, conv, seed, scale):
     assert after.tobytes() == before.tobytes()
 
 
+# Values whose decimal text and raw bytes are easy to get wrong: signed
+# zero, subnormals and the ends of the finite range.
+EXTREME_VALUES = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1e-315, 1e-3, 1.0, 1e300]),
+    planted=st.lists(st.sampled_from(EXTREME_VALUES), min_size=1, max_size=len(EXTREME_VALUES)),
+)
+def test_checkpoint_loads_what_the_values_encoder_wrote(variant, conv, seed, scale, planted):
+    params = micro_model(variant, conv, seed=seed)
+    for _, tensor in named_parameters(params):
+        tensor.data = tensor.data * scale
+        k = min(tensor.data.size, len(planted))
+        tensor.data.flat[:k] = planted[:k]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, frozen_path = os.path.join(tmp, "model.json"), os.path.join(tmp, "values.json")
+        save_checkpoint(params, path)
+        frozen_checkpoint.save_checkpoint(params, frozen_path)
+        loaded = load_checkpoint(path)
+        with open(frozen_path, encoding="utf-8") as fh:
+            frozen = json.load(fh)["params"]
+    for (name, original), (_, tensor) in zip(named_parameters(params), named_parameters(loaded)):
+        entry = frozen[name]
+        values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        assert tensor.data.tobytes() == original.data.tobytes() == values.tobytes(), name
+        assert tensor.data.shape == original.data.shape, name
+        assert tensor.data.flags.writeable and tensor.data.flags.c_contiguous, name
+        assert tensor.data.dtype == np.float64 and tensor.data.dtype.isnative, name
+
+
+GOLDEN_MICRO_PREDICTION = 2.156720842495902  # predict() of micro_model(seed=20) on the mixture below
+
+
+def test_golden_checkpoint_pins_the_format(tmp_path):
+    golden = GOLDEN / "checkpoint_micro.json"
+    path = tmp_path / "model.json"
+    save_checkpoint(micro_model(seed=20), str(path))
+    assert path.read_bytes() == golden.read_bytes()
+    mix = MixtureInput([(GLYME, 0.3), (THF, 0.7)], SALT, 1.3)
+    assert predict(load_checkpoint(str(golden)), mix) == GOLDEN_MICRO_PREDICTION
+
+
 def _saved_checkpoint_doc(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(micro_model(seed=23), str(path))
     return path, json.loads(path.read_text())
+
+
+def _with_saved_value(name, value):
+    """The document of the same model saved with the first value of `name` set to `value`."""
+    params = micro_model(seed=23)
+    dict(named_parameters(params))[name].data.flat[0] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_checkpoint(params, path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
 
 
 def test_checkpoint_rejects_other_feature_schema_version(tmp_path):
@@ -438,7 +501,7 @@ def test_checkpoint_rejects_other_feature_schema_version(tmp_path):
 
 def test_checkpoint_rejects_unknown_parameter(tmp_path):
     path, doc = _saved_checkpoint_doc(tmp_path)
-    doc["params"]["attention.extra"] = {"shape": [1], "values": [0.0]}
+    doc["params"]["attention.extra"] = doc["params"]["rho0.b"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="attention.extra"):
         load_checkpoint(str(path))
@@ -448,10 +511,13 @@ def _with_config(doc, **changes):
     return {**doc, "config": {**doc["config"], **changes}}
 
 
-def _with_param_value(doc, name, value):
-    params = json.loads(json.dumps(doc["params"]))
-    params[name]["values"][0] = value
-    return {**doc, "params": params}
+def _with_entry(doc, name, **entry):
+    return {**doc, "params": {**doc["params"], name: {"shape": doc["params"][name]["shape"], **entry}}}
+
+
+def _one_float_short(doc, name):
+    raw = base64.b64decode(doc["params"][name]["float64"])
+    return _with_entry(doc, name, float64=base64.b64encode(raw[:-8]).decode("ascii"))
 
 
 @pytest.mark.parametrize(
@@ -464,9 +530,16 @@ def _with_param_value(doc, name, value):
         (lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "seed"}}, "seed"),
         (lambda doc: _with_config(doc, hidden_dim=0), "hidden_dim"),
         (lambda doc: _with_config(doc, max_solvents=0), "max_solvents"),
-        (lambda doc: _with_param_value(doc, "rho0.b", float("nan")), "rho0.b"),
-        (lambda doc: _with_param_value(doc, "attention.wq", float("-inf")), "attention.wq"),
+        (lambda doc: _with_saved_value("rho0.b", float("nan")), "rho0.b"),
+        (lambda doc: _with_saved_value("attention.wq", float("-inf")), "attention.wq"),
         (lambda doc: {**doc, "params": {**doc["params"], "rho0.w": [0.0]}}, "rho0.w"),
+        (
+            lambda doc: _with_entry(doc, "rho0.w", float64="!" + doc["params"]["rho0.w"]["float64"]),
+            "rho0.w",
+        ),
+        (lambda doc: _one_float_short(doc, "rho0.w"), "rho0.w"),
+        (lambda doc: _with_entry(doc, "rho0.w", float64=[0.0] * 12), "rho0.w.*base64 string"),
+        (lambda doc: _with_entry(doc, "rho0.w", values=[0.0] * 12), "rho0.w.*'shape' and 'float64'"),
     ],
     ids=[
         "json-list",
@@ -479,6 +552,10 @@ def _with_param_value(doc, name, value):
         "nan-parameter",
         "inf-parameter",
         "parameter-not-object",
+        "payload-not-base64",
+        "payload-one-float-short",
+        "payload-list",
+        "old-values-entry",
     ],
 )
 def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
