@@ -44,6 +44,7 @@ from .model import (
 )
 from .screening import (
     CandidateSpec,
+    CandidateTable,
     ScreeningResult,
     enumerate_binary_candidates,
     permute_mixture,

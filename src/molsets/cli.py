@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -135,6 +136,15 @@ def _read_smiles_list(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that cannot take a file, before any work."""
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise DataError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def _cmd_featurize(args) -> int:
     graph = build_graph(args.smiles)
     doc = {
@@ -201,6 +211,9 @@ def _cmd_train(args) -> int:
         train_config = TrainConfig(**sections.get("train", {}))
     except TypeError as exc:
         raise UsageError(f"bad config file {args.config}: {exc}") from exc
+    for path in (args.out, args.history):
+        if path is not None:
+            _check_out_path(path)
 
     store = GraphStore()
     train_examples = _load_examples(args.data, store)
@@ -229,6 +242,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    _check_out_path(args.out)
     params = load_checkpoint(args.checkpoint)
     store = GraphStore()
     dropped: list[str] = []

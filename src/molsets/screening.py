@@ -1,13 +1,19 @@
 """Combinatorial candidate enumeration and ranked virtual screening.
 
 Candidates are equal-weight binary solvent mixtures (unordered distinct
-pairs) combined with each salt at 1 mol/kg. Screening makes one pass over
-the candidates: it parses every distinct SMILES once, numbers the
-distinct solvent sets (pair and weights) and salts, and records per
-candidate a set row, a salt row and a molality. One forward over that
-columnar batch embeds every distinct molecule once and aggregates every
-distinct solvent set once, however many candidates share it; the head
-runs per candidate. The predictions are then ranked in descending order.
+pairs) combined with each salt at 1 mol/kg. `enumerate_binary_candidates`
+returns them as a `CandidateTable`: their `CandidateSpec`s, plus integer
+columns that code each candidate's two solvents and salt into the sorted
+distinct SMILES and its weight pair into a small table, and its molality.
+Screening works on those columns with numpy, with no Python loop per
+candidate: it parses each distinct SMILES once, skips the candidates that
+use a failed one (a boolean mask), numbers the distinct solvent sets
+(pair and weights), solvents and salts in first-seen order, and builds
+one columnar batch. One forward over that batch embeds every distinct
+molecule once and aggregates every distinct solvent set once, however
+many candidates share it; the head runs per candidate. The predictions
+are ranked in descending order by one `np.lexsort` over the values and
+the SMILES codes.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,15 +90,89 @@ class CandidateSpec:
         return (self.solvent_a, self.solvent_b, self.salt)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScreeningResult:
     candidate: CandidateSpec
     predicted_log10_sigma: float
 
 
-def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> list[CandidateSpec]:
-    """All unordered distinct solvent pairs crossed with every salt,
-    in lexicographic order; the count is C(n, 2) * s."""
+class CandidateTable(Sequence):
+    """Screening candidates as integer columns, and as a read-only sequence
+    of their `CandidateSpec`s: len, indexing and iteration give the specs
+    in input order, and item assignment is refused.
+
+    `smiles` holds the sorted distinct SMILES of the candidates. For
+    candidate i, `solvent_a[i]`, `solvent_b[i]` and `salt[i]` are codes into
+    `smiles`; codes follow SMILES order, so sorting by code sorts by
+    SMILES. `weight_code[i]` is a row of `weight_pairs`, the distinct
+    (weight of solvent_a, weight of solvent_b) pairs as float64, kept
+    apart by their bits (so -0.0 and 0.0 are two rows). `molality[i]` is
+    its molality as float64. The columns are read-only arrays.
+
+    Screening combines codes into int64 keys, so a table refuses more
+    distinct SMILES and weight pairs than those keys can hold
+    (len(smiles) ** 3 * len(weight_pairs) < 2 ** 63).
+    """
+
+    __slots__ = ("_specs", "smiles", "solvent_a", "solvent_b", "salt", "weight_code", "weight_pairs", "molality")
+
+    def __init__(self, specs, smiles, solvent_a, solvent_b, salt, weight_code, weight_pairs, molality):
+        self._specs = np.fromiter(specs, dtype=object)
+        self.smiles = tuple(smiles)
+        self.solvent_a = _frozen(solvent_a, np.intp)
+        self.solvent_b = _frozen(solvent_b, np.intp)
+        self.salt = _frozen(salt, np.intp)
+        self.weight_code = _frozen(weight_code, np.intp)
+        self.weight_pairs = _frozen(weight_pairs, np.float64).reshape(-1, 2)
+        self.molality = _frozen(molality, np.float64)
+        columns = (self.solvent_a, self.solvent_b, self.salt, self.weight_code, self.molality)
+        if any(column.shape != self._specs.shape for column in columns):
+            raise ValueError(f"every column needs one entry for each of the {len(self._specs)} candidates")
+        if len(self.smiles) ** 3 * len(self.weight_pairs) >= 2**63:
+            raise ValueError(
+                f"{len(self.smiles)} distinct SMILES and {len(self.weight_pairs)} weight pairs "
+                "are too many for one candidate table"
+            )
+
+    @classmethod
+    def from_specs(cls, specs) -> "CandidateTable":
+        """The table of a sequence of specs, holding those same spec objects."""
+        specs = tuple(specs)
+        names = [(spec.solvent_a, spec.solvent_b, spec.salt) for spec in specs]
+        smiles = sorted(set(itertools.chain.from_iterable(names)))
+        code = {s: i for i, s in enumerate(smiles)}
+        codes = np.array([[code[s] for s in row] for row in names], dtype=np.intp).reshape(-1, 3)
+        weights = np.array([spec.weights for spec in specs], dtype=np.float64).reshape(-1, 2)
+        bits, weight_code = np.unique(weights.view(np.uint64), axis=0, return_inverse=True)
+        molality = np.array([spec.molality for spec in specs], dtype=np.float64)
+        return cls(specs, smiles, *codes.T, weight_code.reshape(-1), bits.view(np.float64), molality)
+
+    def __len__(self) -> int:
+        return len(self._specs)
+
+    def __getitem__(self, index):
+        item = self._specs[index]
+        return item.tolist() if isinstance(item, np.ndarray) else item
+
+    def __iter__(self):
+        return iter(self._specs.tolist())
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> CandidateTable:
+    """All unordered distinct solvent pairs crossed with every salt, in
+    lexicographic order, as a `CandidateTable` of equal-weight candidates
+    at 1 mol/kg; the count is C(n, 2) * s.
+
+    The specs are built here, once; the code columns come from
+    `np.triu_indices` over the sorted solvents, crossed with the sorted
+    salts, which is the same order.
+    """
     if len(set(solvents)) != len(solvents):
         raise ValueError("duplicate solvent entries")
     if len(set(salts)) != len(salts):
@@ -100,110 +181,128 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> list[C
         raise ValueError(f"need at least 2 solvents, got {len(solvents)}")
     if len(salts) < 1:
         raise ValueError("need at least 1 salt")
-    return [
-        CandidateSpec(a, b, salt)
-        for a, b in itertools.combinations(sorted(solvents), 2)
-        for salt in sorted(salts)
-    ]
+    solvents, salts = sorted(solvents), sorted(salts)
+    specs = [CandidateSpec(a, b, salt) for a, b in itertools.combinations(solvents, 2) for salt in salts]
+    smiles = sorted(set(solvents) | set(salts))
+    code = {s: i for i, s in enumerate(smiles)}
+    solvent_code = np.array([code[s] for s in solvents], dtype=np.intp)
+    salt_code = np.array([code[s] for s in salts], dtype=np.intp)
+    first, second = np.triu_indices(len(solvents), 1)
+    return CandidateTable(
+        specs,
+        smiles,
+        solvent_a=np.repeat(solvent_code[first], len(salts)),
+        solvent_b=np.repeat(solvent_code[second], len(salts)),
+        salt=np.tile(salt_code, first.size),
+        weight_code=np.zeros(len(specs), dtype=np.intp),
+        weight_pairs=[specs[0].weights],
+        molality=np.full(len(specs), specs[0].molality),
+    )
 
 
 def run_screening(
     params: ModelParams,
-    candidates: list[CandidateSpec],
+    candidates: CandidateTable | list[CandidateSpec],
 ) -> tuple[list[ScreeningResult], list[str]]:
     """Predict every candidate and rank descending by predicted value.
 
-    Returns (ranked results, report lines for skipped candidates).
-    Unparseable candidates are skipped with a report line; ties in the
-    ranking fall back to the candidates' lexicographic order. With the
-    module logger at INFO, one JSON event reports the counts.
+    `candidates` is a `CandidateTable` or a list of specs (turned into a
+    table). Returns (ranked results, report lines for skipped
+    candidates); each result holds the caller's own spec object.
+    Unparseable candidates are skipped, in input order, with a line that
+    names the first of (solvent_a, solvent_b, salt) that fails; ties in
+    the ranking fall back to the candidates' lexicographic order, then
+    to input order. With the module logger at INFO, one JSON event
+    reports the counts.
     """
+    table = candidates if isinstance(candidates, CandidateTable) else CandidateTable.from_specs(candidates)
     store = GraphStore()
+    graphs: list[MolecularGraph | None] = []
+    errors: dict[int, ValueError] = {}
+    for code, smiles in enumerate(table.smiles):
+        try:
+            graphs.append(store.get(smiles))
+        except (SmilesParseError, FeaturizationError) as exc:
+            graphs.append(None)
+            errors[code] = exc
+
+    n = len(table.smiles)
+    a, b, salt = table.solvent_a, table.solvent_b, table.salt
+    kept = np.arange(len(table))
     skipped: list[str] = []
-    kept: list[CandidateSpec] = []
-    set_of: list[int] = []
-    salt_of: list[int] = []
-    # A solvent set (pair and weights), a salt and a solvent are numbered at
-    # the first candidate whose three SMILES all parse; later candidates
-    # that share its set and salt are two dict lookups.
-    sets: dict[tuple[str, str, tuple[float, float]], int] = {}
-    salts: dict[str, int] = {}
-    solvents: dict[str, int] = {}
-    solvent_graphs: list[MolecularGraph] = []
-    salt_graphs: list[MolecularGraph] = []
-    slot_graph: list[int] = []
-    slot_weight: list[float] = []
-    for cand in candidates:
-        key = (cand.solvent_a, cand.solvent_b, cand.weights)
-        set_id = sets.get(key)
-        salt_id = salts.get(cand.salt)
-        if set_id is None or salt_id is None:
-            try:
-                a, b = store.get(cand.solvent_a), store.get(cand.solvent_b)
-                salt = store.get(cand.salt)
-            except (SmilesParseError, FeaturizationError) as exc:
-                skipped.append(f"skipped {cand.describe()}: {exc}")
-                continue
-            if set_id is None:
-                set_id = sets[key] = len(sets)
-                for smiles, graph in ((cand.solvent_a, a), (cand.solvent_b, b)):
-                    if smiles not in solvents:
-                        solvents[smiles] = len(solvent_graphs)
-                        solvent_graphs.append(graph)
-                    slot_graph.append(solvents[smiles])
-                slot_weight.extend(cand.weights)
-            if salt_id is None:
-                salt_id = salts[cand.salt] = len(salt_graphs)
-                salt_graphs.append(salt)
-        kept.append(cand)
-        set_of.append(set_id)
-        salt_of.append(salt_id)
+    if errors:
+        failed = np.zeros(n, dtype=bool)
+        failed[list(errors)] = True
+        bad = failed[a] | failed[b] | failed[salt]
+        for i in np.flatnonzero(bad).tolist():
+            first = next(c for c in (int(a[i]), int(b[i]), int(salt[i])) if c in errors)
+            skipped.append(f"skipped {table[i].describe()}: {errors[first]}")
+        kept = np.flatnonzero(~bad)
+        a, b, salt = a[kept], b[kept], salt[kept]
+
+    # Solvent sets (the pair and the weight values, so -0.0 and 0.0 are one
+    # set), salts and solvents are numbered in first-seen order over the
+    # kept candidates; each set takes its slot weights from its first kept
+    # candidate.
+    values_of: dict[tuple[float, float], int] = {}
+    weight_value = np.array(
+        [values_of.setdefault(tuple(pair), len(values_of)) for pair in table.weight_pairs.tolist()],
+        dtype=np.intp,
+    )
+    weight_code = table.weight_code[kept]
+    pair = a * n + b
+    set_first, set_of = _first_seen(pair * len(table.weight_pairs) + weight_value[weight_code])
+    salt_first, salt_of = _first_seen(salt)
+    slot_code = np.column_stack((a[set_first], b[set_first])).reshape(-1)
+    solvent_first, slot_graph = _first_seen(slot_code)
+    solvent_graphs = [graphs[c] for c in slot_code[solvent_first].tolist()]
+    salt_graphs = [graphs[c] for c in salt[salt_first].tolist()]
 
     results: list[ScreeningResult] = []
-    if kept:
+    if kept.size:
         batch = MixtureBatch(
             solvent_graphs=solvent_graphs,
             salt_graphs=salt_graphs,
-            slot_graph=np.array(slot_graph, dtype=np.intp),
-            slot_weight=np.array(slot_weight, dtype=np.float64),
-            set_sizes=np.full(len(sets), 2, dtype=np.intp),
-            set_of=np.array(set_of, dtype=np.intp),
-            salt_of=np.array(salt_of, dtype=np.intp),
-            molality=np.array([cand.molality for cand in kept], dtype=np.float64),
+            slot_graph=slot_graph,
+            slot_weight=table.weight_pairs[weight_code[set_first]].reshape(-1),
+            set_sizes=np.full(set_first.size, 2, dtype=np.intp),
+            set_of=set_of,
+            salt_of=salt_of,
+            molality=table.molality[kept],
         )
         values = forward_columns(params, batch).data
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ScreeningError(f"non-finite prediction for {kept[bad[0]].describe()}")
-        # Rank by (-value, solvent pair, salt): the same order as sorting on
-        # (-value, sort_key()), and stable, so equal keys keep input order.
-        pair_rank = _dense_rank([(a, b) for a, b, _ in sets])
-        salt_rank = _dense_rank(list(salts))
-        order = np.lexsort((salt_rank[batch.salt_of], pair_rank[batch.set_of], -values))
-        results = [
-            ScreeningResult(kept[i], value)
-            for i, value in zip(order.tolist(), values[order].tolist())
-        ]
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        if nonfinite.size:
+            raise ScreeningError(f"non-finite prediction for {table[int(kept[nonfinite[0]])].describe()}")
+        # Rank by (-value, solvent pair, salt): codes sort as their SMILES
+        # do, and lexsort is stable, so equal keys keep input order.
+        order = np.lexsort((pair * n + salt, -values))
+        specs = table._specs[kept[order]].tolist()
+        results = list(map(ScreeningResult, specs, values[order].tolist()))
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             json.dumps(
                 {
                     "event": "screening",
-                    "candidates": len(candidates),
-                    "parsed": len(kept),
+                    "candidates": len(table),
+                    "parsed": int(kept.size),
                     "skipped": len(skipped),
                     "molecules_embedded": len(solvent_graphs) + len(salt_graphs),
-                    "solvent_sets": len(sets),
+                    "solvent_sets": int(set_first.size),
                 }
             )
         )
     return results, skipped
 
 
-def _dense_rank(keys: list) -> np.ndarray:
-    """Rank of each key among the distinct keys in sorted order."""
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return np.array([rank[key] for key in keys], dtype=np.intp)
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys in order of first appearance. Returns
+    (index of each number's first key, number of each key)."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[inverse.reshape(-1)]
 
 
 SCREENING_COLUMNS = (

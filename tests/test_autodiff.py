@@ -741,9 +741,9 @@ def test_every_tape_op_has_a_caller():
 
 def test_every_public_function_has_a_caller():
     # A public function or class of a molsets module is called or constructed
-    # as `name(` from the package, a demo or the benchmark, its own `def` or
-    # `class` line not counted; one that nothing calls is deleted, not kept
-    # alive by tests.
+    # as `name(`, or mapped as `map(name, `, from the package, a demo or the
+    # benchmark, its own `def` or `class` line not counted; one that nothing
+    # calls is deleted, not kept alive by tests.
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for folder in ("src", "demos", "perfbench")
@@ -758,7 +758,7 @@ def test_every_public_function_has_a_caller():
                 and obj.__module__ == module.__name__
                 and name[0] != "_"
             ):
-                calls = len(re.findall(rf"\b{name}\(", text))
+                calls = len(re.findall(rf"\b{name}\(|\bmap\({name},", text))
                 if calls == len(re.findall(rf"\b(?:def|class) {name}\(", text)):
                     uncalled.append(f"{module.__name__}.{name}")
     assert uncalled == []

@@ -560,3 +560,54 @@ def test_screen_prints_skip_lines_when_enumeration_fails(tmp_path, capsys):
     assert lines[0].startswith("skipped 'XX': ")
     assert lines[1] == "data error: need at least 1 salt"
     assert not ranked.exists()
+
+
+def _must_not_run(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "flag, path",
+    [
+        ("--out", "{tmp}"),
+        ("--out", "{tmp}/missing/model.json"),
+        ("--history", "{tmp}"),
+        ("--history", "{tmp}/missing/history.csv"),
+    ],
+    ids=["out-directory", "out-missing-parent", "history-directory", "history-missing-parent"],
+)
+def test_train_refuses_an_unwritable_output_before_training(
+    tmp_path, synthetic_csv, micro_config, capsys, monkeypatch, flag, path
+):
+    monkeypatch.setattr("molsets.cli.train", _must_not_run("train"))
+    paths = {"--out": str(tmp_path / "model.json"), "--history": str(tmp_path / "history.csv")}
+    paths[flag] = path.format(tmp=tmp_path)
+    argv = ["train", "--config", micro_config, "--data", synthetic_csv, "--val", synthetic_csv]
+    code = cli(argv + [arg for item in paths.items() for arg in item])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"data error: cannot write {paths[flag]}: " + (
+        "it is a directory\n" if path == "{tmp}" else f"directory {tmp_path / 'missing'} does not exist\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "history.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/ranked.csv"], ids=["directory", "missing-parent"])
+def test_screen_refuses_an_unwritable_output_before_screening(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr("molsets.cli.run_screening", _must_not_run("run_screening"))
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    solvents = tmp_path / "solvents.txt"
+    salts = tmp_path / "salts.txt"
+    solvents.write_text("C1CCOC1\nCOCOC\n", encoding="utf-8")
+    salts.write_text("[Li+].[Cl-]\n", encoding="utf-8")
+    out = out.format(tmp=tmp_path)
+    code = cli(["screen", "--checkpoint", str(ckpt), "--solvents", str(solvents), "--salts", str(salts), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"data error: cannot write {out}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -1,14 +1,17 @@
 import csv
+import hashlib
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frozen_screening
 from molsets import model as model_mod
 from molsets import screening as screening_mod
 from molsets.autodiff import Tensor
@@ -25,6 +28,7 @@ from molsets.model import (
 )
 from molsets.screening import (
     CandidateSpec,
+    CandidateTable,
     ScreeningError,
     enumerate_binary_candidates,
     permute_mixture,
@@ -352,7 +356,7 @@ def test_screening_in_chunks_matches_uncached_forward(caplog):
 
 
 def test_screening_error_names_first_non_finite_candidate(monkeypatch):
-    cands = enumerate_binary_candidates(CHUNK_SOLVENTS, CHUNK_SALTS)
+    cands = list(enumerate_binary_candidates(CHUNK_SOLVENTS, CHUNK_SALTS))
     poisoned = [700, 1100, 40 + 2 * model_mod._CHUNK]  # head blocks 2 and 3, not in order
     for i in poisoned:
         cands[i] = replace(cands[i], molality=2.5)
@@ -422,13 +426,15 @@ POOL_SALTS = ["[Li+].[Cl-]", "F[B-](F)(F)F.[Li+]", "[Na+].[Br-]", "[Na+].[Q-]"]
 
 
 @st.composite
-def candidate_lists(draw):
+def candidate_lists(draw, signed_zeros=False):
     pairs = st.lists(st.sampled_from(POOL_SOLVENTS), min_size=2, max_size=2, unique=True)
-    weight = st.sampled_from([0.5, 0.25, 0.1, 0.0, 1.0])
+    weights = st.sampled_from([0.5, 0.25, 0.1, 0.0, 1.0]).map(lambda w: (w, 1.0 - w))
+    if signed_zeros:  # -0.0 == 0.0, so these share a solvent set with (0.0, 1.0) and (1.0, 0.0)
+        weights = st.one_of(weights, st.sampled_from([(-0.0, 1.0), (1.0, -0.0), (-0.0, 1)]))
     molality = st.sampled_from([1.0, 0.5, 2.0, 0.0])
     specs = st.builds(
-        lambda pair, w, salt, m: CandidateSpec(pair[0], pair[1], salt, (w, 1.0 - w), m),
-        pairs, weight, st.sampled_from(POOL_SALTS), molality,
+        lambda pair, w, salt, m: CandidateSpec(pair[0], pair[1], salt, w, m),
+        pairs, weights, st.sampled_from(POOL_SALTS), molality,
     )
     distinct = draw(st.lists(specs, min_size=1, max_size=8))
     # Repeat specs so that candidates share solvent sets and salts; a
@@ -450,18 +456,7 @@ TIE_CASE = [
 def test_columnar_screen_matches_per_candidate_reference(cands, variant, flat):
     params = SCREEN_PARAMS[(variant, flat)]
     expected, expected_skips, expected_counts = _reference_screen(params, cands)
-    logger = screening_mod.logger
-    events = []
-    handler = logging.Handler()
-    handler.emit = lambda record: events.append(json.loads(record.getMessage()))
-    logger.addHandler(handler)
-    level = logger.level
-    logger.setLevel(logging.INFO)
-    try:
-        results, skipped = run_screening(params, cands)
-    finally:
-        logger.setLevel(level)
-        logger.removeHandler(handler)
+    results, skipped, events, _ = _screen_logged(screening_mod, params, cands)
     assert skipped == expected_skips
     assert events == [expected_counts]
     keys = [(-r.predicted_log10_sigma, r.candidate.sort_key()) for r in results]
@@ -501,3 +496,158 @@ def test_screening_without_parsed_candidates_runs_no_forward(cands, monkeypatch,
         "molecules_embedded": 0,
         "solvent_sets": 0,
     }
+
+
+GOLDEN_SCREEN = Path(__file__).resolve().parent / "golden" / "screen_micro.json"
+
+
+def _ranking_digest(results) -> str:
+    ranking = [(r.candidate.sort_key(), repr(r.predicted_log10_sigma)) for r in results]
+    return hashlib.sha256(repr(ranking).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_screen_ranking_matches_golden(variant):
+    golden = json.loads(GOLDEN_SCREEN.read_text())
+    params = build_model(ModelConfig.for_conv("graphconv", variant=variant, seed=golden["seed"], **MICRO))
+    results, skipped = run_screening(params, enumerate_binary_candidates(golden["solvents"], golden["salts"]))
+    assert len(skipped) == golden["skipped"]
+    assert _ranking_digest(results) == golden["ranking_sha256"][variant], (
+        "the screen ranking changed; the golden pins the numpy and OpenBLAS kernels of the machine "
+        "that wrote it, so on another machine a last-bit difference in a product also fails here"
+    )
+
+
+def test_candidate_table_is_a_read_only_sequence_of_specs():
+    table = enumerate_binary_candidates(["c", "a", "b"], ["t", "s"])
+    specs = list(table)
+    assert len(table) == len(specs) == 6
+    assert [table[i] for i in range(len(table))] == specs and table[-1] is specs[-1]
+    with pytest.raises(TypeError):
+        table[0] = specs[1]
+    for column in (table.solvent_a, table.solvent_b, table.salt, table.weight_code, table.weight_pairs, table.molality):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    short = (table.solvent_a[:-1], table.solvent_b, table.salt, table.weight_code, table.weight_pairs, table.molality)
+    with pytest.raises(ValueError, match="one entry for each of the 6 candidates"):
+        CandidateTable(specs, table.smiles, *short)
+
+
+def test_candidate_table_from_specs_keeps_the_callers_objects():
+    specs = [
+        CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]", weights=(0.3, 0.7)),
+        CandidateSpec("CCO", "C1CCOC1", "[Na+].[Br-]", weights=(-0.0, 1.0), molality=2),
+        CandidateSpec("C1CCOC1", "CCO", "[Li+].[Cl-]", weights=(0.0, 1.0)),
+    ]
+    table = CandidateTable.from_specs(specs)
+    assert all(got is spec for got, spec in zip(table, specs)) and len(table) == 3
+    specs.pop()  # the table keeps its own sequence
+    assert len(table) == 3
+    _assert_columns_decode(table)
+    assert table.weight_pairs.shape == (3, 2)  # -0.0 and 0.0 are kept apart
+    assert table.molality.dtype == np.float64
+
+
+def _assert_columns_decode(table):
+    """Each candidate's columns name its own spec's fields."""
+    assert list(table.smiles) == sorted(set(table.smiles))
+    for i, spec in enumerate(table):
+        codes = (table.solvent_a[i], table.solvent_b[i], table.salt[i])
+        assert tuple(table.smiles[c] for c in codes) == spec.sort_key()
+        pair = table.weight_pairs[table.weight_code[i]]
+        assert [repr(w) for w in pair.tolist()] == [repr(float(w)) for w in spec.weights]
+        assert table.molality[i] == spec.molality
+
+
+def _batch_fields(batch):
+    """A MixtureBatch as comparable values: graphs by SMILES, arrays by
+    dtype and the repr of each entry."""
+    arrays = (batch.slot_graph, batch.slot_weight, batch.set_sizes, batch.set_of, batch.salt_of, batch.molality)
+    return (
+        [g.source_smiles for g in batch.solvent_graphs],
+        [g.source_smiles for g in batch.salt_graphs],
+        [(a.dtype, [repr(x) for x in a.tolist()]) for a in arrays],
+    )
+
+
+def _screen_logged(module, params, cands):
+    """module.run_screening(params, cands) with the module's logger at INFO:
+    (results, skip lines, events, the batches it passed to forward_columns)."""
+    events, batches = [], []
+    handler = logging.Handler()
+    handler.emit = lambda record: events.append(json.loads(record.getMessage()))
+    logger, real_forward = module.logger, module.forward_columns
+
+    def recording_forward(params, batch):
+        batches.append(_batch_fields(batch))
+        return real_forward(params, batch)
+
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    module.forward_columns = recording_forward
+    try:
+        results, skipped = module.run_screening(params, cands)
+    finally:
+        module.forward_columns = real_forward
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+    return results, skipped, events, batches
+
+
+def _assert_same_screen(params, cands, frozen_cands):
+    """The columnar screen of cands equals the frozen per-candidate screen of
+    frozen_cands bit for bit: the same spec objects in the same order,
+    the same values, skip lines and INFO event, and the same numbering of
+    sets, solvents and salts in the batch."""
+    want, want_skips, want_events, want_batches = _screen_logged(frozen_screening, params, frozen_cands)
+    got, skips, events, batches = _screen_logged(screening_mod, params, cands)
+    assert [id(r.candidate) for r in got] == [id(r.candidate) for r in want]
+    assert [repr(r.predicted_log10_sigma) for r in got] == [repr(r.predicted_log10_sigma) for r in want]
+    assert skips == want_skips
+    assert events == want_events
+    assert batches == want_batches
+
+
+@settings(max_examples=120, deadline=None)
+@given(cands=candidate_lists(signed_zeros=True), variant=st.sampled_from(VARIANTS), flat=st.booleans())
+@example(
+    cands=[  # the set's first candidate is skipped; its first kept one has weight 0.0
+        CandidateSpec("COCOC", "CCO", "[Na+].[Q-]", (1.0, -0.0)),
+        CandidateSpec("C1CC(C", "CCO", "[Li+].[Cl-]", (-0.0, 1.0)),
+        CandidateSpec("COCOC", "CCO", "[Li+].[Cl-]", (1.0, 0.0), 0.5),
+        CandidateSpec("COCOC", "CCO", "[Na+].[Br-]", (1.0, -0.0)),
+    ],
+    variant="wsum",
+    flat=False,
+)
+def test_screen_matches_the_frozen_per_candidate_loop(cands, variant, flat):
+    params = SCREEN_PARAMS[(variant, flat)]
+    _assert_same_screen(params, cands, cands)
+    table = CandidateTable.from_specs(cands)
+    _assert_columns_decode(table)
+    _assert_same_screen(params, table, cands)
+
+
+def _outcome(enumerate_fn, solvents, salts):
+    try:
+        return enumerate_fn(solvents, salts), None
+    except ValueError as exc:
+        return None, repr(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    solvents=st.lists(st.sampled_from(POOL_SOLVENTS + ["O=C1OCCO1"]), max_size=7),
+    salts=st.lists(st.sampled_from(POOL_SALTS + ["CCO"]), max_size=5),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_enumerated_table_matches_the_frozen_enumeration(solvents, salts, variant):
+    table, error = _outcome(enumerate_binary_candidates, solvents, salts)
+    frozen, frozen_error = _outcome(frozen_screening.enumerate_binary_candidates, solvents, salts)
+    assert error == frozen_error
+    if error is None:
+        assert [astuple(c) for c in table] == [astuple(c) for c in frozen]
+        assert [type(w) for c in table for w in c.weights] == [type(w) for c in frozen for w in c.weights]
+        _assert_columns_decode(table)
+        _assert_same_screen(SCREEN_PARAMS[(variant, False)], table, list(table))
