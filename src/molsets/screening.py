@@ -105,18 +105,41 @@ class CandidateTable(Sequence):
     candidate i, `solvent_a[i]`, `solvent_b[i]` and `salt[i]` are codes into
     `smiles`; codes follow SMILES order, so sorting by code sorts by
     SMILES. `weight_code[i]` is a row of `weight_pairs`, the distinct
-    (weight of solvent_a, weight of solvent_b) pairs as float64, kept
-    apart by their bits (so -0.0 and 0.0 are two rows). `molality[i]` is
-    its molality as float64. The columns are read-only arrays.
+    (weight of solvent_a, weight of solvent_b) pairs by value as float64
+    (so -0.0 and 0.0 are one pair; the spec keeps its own sign).
+    `molality[i]` is its molality as float64. The columns are read-only
+    arrays.
 
-    Screening combines codes into int64 keys, so a table refuses more
-    distinct SMILES and weight pairs than those keys can hold
-    (len(smiles) ** 3 * len(weight_pairs) < 2 ** 63).
+    A table is built by `enumerate_binary_candidates` or from a sequence
+    of specs (`CandidateTable(specs)`); both derive the columns from the
+    specs. Screening combines codes into int64 keys, so a table refuses
+    more distinct SMILES and weight pairs than those keys can hold:
+    len(smiles) ** 3 and len(smiles) ** 2 * len(weight_pairs) stay below
+    2 ** 63.
     """
 
     __slots__ = ("_specs", "smiles", "solvent_a", "solvent_b", "salt", "weight_code", "weight_pairs", "molality")
 
-    def __init__(self, specs, smiles, solvent_a, solvent_b, salt, weight_code, weight_pairs, molality):
+    def __init__(self, specs):
+        """The table of a sequence of specs, holding those same spec objects."""
+        specs = tuple(specs)
+        names = [(spec.solvent_a, spec.solvent_b, spec.salt) for spec in specs]
+        smiles = sorted(set(itertools.chain.from_iterable(names)))
+        code = {s: i for i, s in enumerate(smiles)}
+        codes = np.array([[code[s] for s in row] for row in names], dtype=np.intp).reshape(-1, 3)
+        weights = np.array([spec.weights for spec in specs], dtype=np.float64).reshape(-1, 2)
+        pairs, weight_code = np.unique(weights, axis=0, return_inverse=True)
+        molality = np.array([spec.molality for spec in specs], dtype=np.float64)
+        self._set_columns(specs, smiles, *codes.T, weight_code.reshape(-1), pairs, molality)
+
+    @classmethod
+    def _from_columns(cls, specs, smiles, solvent_a, solvent_b, salt, weight_code, weight_pairs, molality):
+        """The table of specs and the columns derived from them."""
+        table = object.__new__(cls)
+        table._set_columns(specs, smiles, solvent_a, solvent_b, salt, weight_code, weight_pairs, molality)
+        return table
+
+    def _set_columns(self, specs, smiles, solvent_a, solvent_b, salt, weight_code, weight_pairs, molality):
         self._specs = np.fromiter(specs, dtype=object)
         self.smiles = tuple(smiles)
         self.solvent_a = _frozen(solvent_a, np.intp)
@@ -128,24 +151,12 @@ class CandidateTable(Sequence):
         columns = (self.solvent_a, self.solvent_b, self.salt, self.weight_code, self.molality)
         if any(column.shape != self._specs.shape for column in columns):
             raise ValueError(f"every column needs one entry for each of the {len(self._specs)} candidates")
-        if len(self.smiles) ** 3 * len(self.weight_pairs) >= 2**63:
+        n = len(self.smiles)
+        if max(n**3, n**2 * len(self.weight_pairs)) >= 2**63:
             raise ValueError(
-                f"{len(self.smiles)} distinct SMILES and {len(self.weight_pairs)} weight pairs "
+                f"{n} distinct SMILES and {len(self.weight_pairs)} weight pairs "
                 "are too many for one candidate table"
             )
-
-    @classmethod
-    def from_specs(cls, specs) -> "CandidateTable":
-        """The table of a sequence of specs, holding those same spec objects."""
-        specs = tuple(specs)
-        names = [(spec.solvent_a, spec.solvent_b, spec.salt) for spec in specs]
-        smiles = sorted(set(itertools.chain.from_iterable(names)))
-        code = {s: i for i, s in enumerate(smiles)}
-        codes = np.array([[code[s] for s in row] for row in names], dtype=np.intp).reshape(-1, 3)
-        weights = np.array([spec.weights for spec in specs], dtype=np.float64).reshape(-1, 2)
-        bits, weight_code = np.unique(weights.view(np.uint64), axis=0, return_inverse=True)
-        molality = np.array([spec.molality for spec in specs], dtype=np.float64)
-        return cls(specs, smiles, *codes.T, weight_code.reshape(-1), bits.view(np.float64), molality)
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -188,7 +199,7 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> Candid
     solvent_code = np.array([code[s] for s in solvents], dtype=np.intp)
     salt_code = np.array([code[s] for s in salts], dtype=np.intp)
     first, second = np.triu_indices(len(solvents), 1)
-    return CandidateTable(
+    return CandidateTable._from_columns(
         specs,
         smiles,
         solvent_a=np.repeat(solvent_code[first], len(salts)),
@@ -215,7 +226,7 @@ def run_screening(
     to input order. With the module logger at INFO, one JSON event
     reports the counts.
     """
-    table = candidates if isinstance(candidates, CandidateTable) else CandidateTable.from_specs(candidates)
+    table = candidates if isinstance(candidates, CandidateTable) else CandidateTable(candidates)
     store = GraphStore()
     graphs: list[MolecularGraph | None] = []
     errors: dict[int, ValueError] = {}
@@ -240,18 +251,11 @@ def run_screening(
         kept = np.flatnonzero(~bad)
         a, b, salt = a[kept], b[kept], salt[kept]
 
-    # Solvent sets (the pair and the weight values, so -0.0 and 0.0 are one
-    # set), salts and solvents are numbered in first-seen order over the
-    # kept candidates; each set takes its slot weights from its first kept
-    # candidate.
-    values_of: dict[tuple[float, float], int] = {}
-    weight_value = np.array(
-        [values_of.setdefault(tuple(pair), len(values_of)) for pair in table.weight_pairs.tolist()],
-        dtype=np.intp,
-    )
-    weight_code = table.weight_code[kept]
+    # Solvent sets (the pair and the weight values), salts and solvents are
+    # numbered in first-seen order over the kept candidates; each set takes
+    # its slot weights from its first kept candidate's spec.
     pair = a * n + b
-    set_first, set_of = _first_seen(pair * len(table.weight_pairs) + weight_value[weight_code])
+    set_first, set_of = _first_seen(pair * len(table.weight_pairs) + table.weight_code[kept])
     salt_first, salt_of = _first_seen(salt)
     slot_code = np.column_stack((a[set_first], b[set_first])).reshape(-1)
     solvent_first, slot_graph = _first_seen(slot_code)
@@ -264,7 +268,9 @@ def run_screening(
             solvent_graphs=solvent_graphs,
             salt_graphs=salt_graphs,
             slot_graph=slot_graph,
-            slot_weight=table.weight_pairs[weight_code[set_first]].reshape(-1),
+            slot_weight=np.array(
+                [w for spec in table._specs[kept[set_first]].tolist() for w in spec.weights], dtype=np.float64
+            ),
             set_sizes=np.full(set_first.size, 2, dtype=np.intp),
             set_of=set_of,
             salt_of=salt_of,

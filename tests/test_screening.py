@@ -530,21 +530,33 @@ def test_candidate_table_is_a_read_only_sequence_of_specs():
             column[0] = 0
     short = (table.solvent_a[:-1], table.solvent_b, table.salt, table.weight_code, table.weight_pairs, table.molality)
     with pytest.raises(ValueError, match="one entry for each of the 6 candidates"):
-        CandidateTable(specs, table.smiles, *short)
+        CandidateTable._from_columns(specs, table.smiles, *short)
 
 
-def test_candidate_table_from_specs_keeps_the_callers_objects():
+def test_candidate_table_holds_what_its_int64_keys_can():
+    # 65,537 distinct SMILES and 32,768 weight pairs: n ** 3 * w is just
+    # above 2 ** 63, but the keys need only n ** 3 and n ** 2 * w.
+    specs = [
+        CandidateSpec(f"C{i}", f"N{i}", "[Li+].[Cl-]", weights=(i / 2**15, 1 - i / 2**15)) for i in range(2**15)
+    ]
+    table = CandidateTable(specs)
+    assert (len(table.smiles), len(table.weight_pairs)) == (2**16 + 1, 2**15)
+    assert len(table.smiles) ** 3 * len(table.weight_pairs) >= 2**63
+    _assert_columns_decode(table)
+
+
+def test_candidate_table_of_specs_keeps_the_callers_objects():
     specs = [
         CandidateSpec("COCOC", "C1CCOC1", "[Li+].[Cl-]", weights=(0.3, 0.7)),
         CandidateSpec("CCO", "C1CCOC1", "[Na+].[Br-]", weights=(-0.0, 1.0), molality=2),
-        CandidateSpec("C1CCOC1", "CCO", "[Li+].[Cl-]", weights=(0.0, 1.0)),
+        CandidateSpec("CCO", "C1CCOC1", "[Li+].[Cl-]", weights=(0.0, 1.0)),
     ]
-    table = CandidateTable.from_specs(specs)
+    table = CandidateTable(specs)
     assert all(got is spec for got, spec in zip(table, specs)) and len(table) == 3
     specs.pop()  # the table keeps its own sequence
     assert len(table) == 3
     _assert_columns_decode(table)
-    assert table.weight_pairs.shape == (3, 2)  # -0.0 and 0.0 are kept apart
+    assert table.weight_pairs.shape == (2, 2)  # -0.0 and 0.0 are one pair
     assert table.molality.dtype == np.float64
 
 
@@ -555,7 +567,7 @@ def _assert_columns_decode(table):
         codes = (table.solvent_a[i], table.solvent_b[i], table.salt[i])
         assert tuple(table.smiles[c] for c in codes) == spec.sort_key()
         pair = table.weight_pairs[table.weight_code[i]]
-        assert [repr(w) for w in pair.tolist()] == [repr(float(w)) for w in spec.weights]
+        assert pair.tolist() == [float(w) for w in spec.weights]
         assert table.molality[i] == spec.molality
 
 
@@ -624,7 +636,7 @@ def _assert_same_screen(params, cands, frozen_cands):
 def test_screen_matches_the_frozen_per_candidate_loop(cands, variant, flat):
     params = SCREEN_PARAMS[(variant, flat)]
     _assert_same_screen(params, cands, cands)
-    table = CandidateTable.from_specs(cands)
+    table = CandidateTable(cands)
     _assert_columns_decode(table)
     _assert_same_screen(params, table, cands)
 
