@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import itertools
 import json
 import os
@@ -625,6 +626,27 @@ def test_failed_checkpoint_save_leaves_previous_file_intact(tmp_path, monkeypatc
         save_checkpoint(micro_model(seed=25), str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def build_model_digest(config) -> str:
+    """sha256 of build_model(config): each parameter's name, shape and bytes."""
+    h = hashlib.sha256()
+    for name, tensor in named_parameters(build_model(config)):
+        h.update(f"{name}{tensor.data.shape}".encode())
+        h.update(tensor.data.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_model_matches_golden(variant, conv):
+    golden = json.loads((GOLDEN / "train_grid.json").read_text())["build_model"]
+    for seed in (0, 7, 123):
+        digest = build_model_digest(ModelConfig.for_conv(conv, variant=variant, seed=seed))
+        assert digest == golden[f"{conv}/{variant}/{seed}"], (
+            "the initial parameters changed; the golden pins the numpy kernels of the machine "
+            "that wrote it, so on another machine a last-bit difference also fails here"
+        )
 
 
 def test_build_model_is_seed_deterministic():

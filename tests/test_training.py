@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from molsets.model import (
     forward_batch,
     mixture_from_record,
     named_parameters,
+    save_checkpoint,
 )
 from molsets.screening import enumerate_binary_candidates, run_screening
 from molsets.training import (
@@ -749,3 +752,42 @@ def test_train_builds_union_topology_once_per_graph_list(monkeypatch):
     builds.clear()
     train(build_model(model_config), examples[:400], examples[400:], config)
     assert 4 <= len(builds) <= 8
+
+
+GOLDEN_TRAIN_GRID = Path(__file__).resolve().parent / "golden" / "train_grid.json"
+
+
+def _history_digest(history) -> str:
+    rows = [(e.epoch, e.train_loss, e.val_loss, e.lr) for e in history]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def train_grid_run(conv, variant, run, path):
+    """(history sha256, checkpoint sha256) of one golden grid training at
+    default sizes, its checkpoint saved to path."""
+    examples = _examples(run["records"], seed=run["data_seed"])
+    n = run["n_train"]
+    config = TrainConfig(
+        lr0=run["lr0"], max_epochs=run["epochs"], batch_size=run["batch_size"],
+        scheduler_patience=run["scheduler_patience"],
+        early_stop_patience=run["early_stop_patience"], seed=run["train_seed"],
+    )
+    model_config = ModelConfig.for_conv(conv, variant=variant, seed=run["model_seed"])
+    params, history = train(build_model(model_config), examples[:n], examples[n:], config)
+    save_checkpoint(params, str(path))
+    return _history_digest(history), hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Default sizes, 6 epochs at lr0 0.02 with patiences 1 and 2: the lr is cut
+# in 14 of the 15 runs and training stops early in 6, so the hashes pin the
+# plateau protocol and the best-epoch restore as well as each step.
+@pytest.mark.parametrize("conv", gnn.CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_grid_matches_golden(variant, conv, tmp_path):
+    golden = json.loads(GOLDEN_TRAIN_GRID.read_text())
+    digests = train_grid_run(conv, variant, golden["run"], tmp_path / "model.json")
+    assert list(digests) == golden["train"][f"{conv}/{variant}"], (
+        "the train history or checkpoint bytes changed; the golden pins the numpy and OpenBLAS "
+        "kernels of the machine that wrote it, so on another machine a last-bit difference in a "
+        "product also fails here"
+    )
