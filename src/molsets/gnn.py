@@ -41,15 +41,17 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ConvParams:
+    """One conv layer; the tensors its kind has (conv_shapes) are set."""
+
     kind: str
     input_dim: int
     output_dim: int
     w1: Tensor | None = None
     w2: Tensor | None = None
-    att: Tensor | None = None  # (2*output_dim,), gatconv only
-    w_in: Tensor | None = None  # (input_dim + 1, output_dim), dmpnn only
-    w_h: Tensor | None = None  # (output_dim, output_dim), dmpnn only
-    w_out: Tensor | None = None  # (input_dim + output_dim, output_dim), dmpnn only
+    att: Tensor | None = None
+    w_in: Tensor | None = None
+    w_h: Tensor | None = None
+    w_out: Tensor | None = None
 
 
 @dataclass
@@ -154,43 +156,30 @@ def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:
     return ad.segment_mean(x, gt.node_graph, gt.sizes)
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    s = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-s, s, size=shape))
+def conv_shapes(kind: str, input_dim: int, output_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each learnable tensor of one conv layer, in a fixed
+    order; every one is a weight, drawn with its fan-in the first axis."""
+    if kind == "gcnconv":
+        return [("w1", (input_dim, output_dim))]
+    if kind in ("graphconv", "sageconv", "gatconv"):
+        shapes = [("w1", (input_dim, output_dim)), ("w2", (input_dim, output_dim))]
+        if kind == "gatconv":
+            shapes.append(("att", (2 * output_dim,)))
+        return shapes
+    if kind == "dmpnn":
+        return [
+            ("w_in", (input_dim + 1, output_dim)),
+            ("w_h", (output_dim, output_dim)),
+            ("w_out", (input_dim + output_dim, output_dim)),
+        ]
+    raise ValueError(f"unknown convolution kind {kind!r}")
 
 
 def init_conv(kind: str, input_dim: int, output_dim: int, rng: np.random.Generator) -> ConvParams:
-    p = ConvParams(kind, input_dim, output_dim)
-    if kind in ("graphconv", "sageconv"):
-        p.w1 = uniform_init(rng, (input_dim, output_dim), input_dim)
-        p.w2 = uniform_init(rng, (input_dim, output_dim), input_dim)
-    elif kind == "gcnconv":
-        p.w1 = uniform_init(rng, (input_dim, output_dim), input_dim)
-    elif kind == "gatconv":
-        p.w1 = uniform_init(rng, (input_dim, output_dim), input_dim)
-        p.w2 = uniform_init(rng, (input_dim, output_dim), input_dim)
-        p.att = uniform_init(rng, (2 * output_dim,), 2 * output_dim)
-    elif kind == "dmpnn":
-        p.w_in = uniform_init(rng, (input_dim + 1, output_dim), input_dim + 1)
-        p.w_h = uniform_init(rng, (output_dim, output_dim), output_dim)
-        p.w_out = uniform_init(rng, (input_dim + output_dim, output_dim), input_dim + output_dim)
-    else:
-        raise ValueError(f"unknown convolution kind {kind!r}")
-    return p
-
-
-def init_dense(input_dim: int, output_dim: int, rng: np.random.Generator) -> DenseParams:
-    return DenseParams(
-        w=uniform_init(rng, (input_dim, output_dim), input_dim),
-        b=Tensor(np.zeros(output_dim)),
-    )
-
-
-def conv_param_tensors(p: ConvParams) -> list[tuple[str, Tensor]]:
-    """Named learnable tensors of one conv layer, in a deterministic order."""
-    named = []
-    for name in ("w1", "w2", "att", "w_in", "w_h", "w_out"):
-        t = getattr(p, name)
-        if t is not None:
-            named.append((name, t))
-    return named
+    """One conv layer on its own, each tensor of conv_shapes drawn in order
+    from U(+-1/sqrt(shape[0]))."""
+    tensors = {
+        name: Tensor(rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]), shape))
+        for name, shape in conv_shapes(kind, input_dim, output_dim)
+    }
+    return ConvParams(kind, input_dim, output_dim, **tensors)

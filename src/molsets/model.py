@@ -47,6 +47,7 @@ roundoff.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
@@ -69,10 +70,8 @@ from .gnn import (
     DenseParams,
     GraphTensors,
     conv_forward,
-    conv_param_tensors,
+    conv_shapes,
     dmpnn_forward,
-    init_conv,
-    init_dense,
     mean_pool,
 )
 
@@ -137,11 +136,14 @@ class ModelConfig:
         for name in (*_SIZE_FIELDS, "seed"):
             setattr(self, name, int(getattr(self, name)))
         self.rho_hidden_dims = tuple(map(int, self.rho_hidden_dims))
-        count = _parameter_count(self)
-        if count > _MAX_PARAMETERS:
-            raise ValueError(
-                f"model would have {count} parameters, more than the {_MAX_PARAMETERS} allowed"
-            )
+        count = 0
+        for _, shape, _ in parameter_layout(self):
+            count += math.prod(shape)
+            if count > _MAX_PARAMETERS:
+                raise ValueError(
+                    f"model would have at least {count} parameters, "
+                    f"more than the {_MAX_PARAMETERS} allowed"
+                )
 
     @classmethod
     def for_conv(cls, conv: str, variant: str = "molsets", seed: int = 0, **overrides) -> "ModelConfig":
@@ -164,21 +166,34 @@ class ModelConfig:
         return s * r + s + r + 1 if self.variant == "concat" else 2 * r + 1
 
 
-def _parameter_count(config: ModelConfig) -> int:
-    """Learnable values build_model(config) allocates."""
-    f, layers = NODE_FEATURE_DIM, config.num_layers
+def parameter_layout(config: ModelConfig):
+    """Yield (name, shape, drawn) for every learnable tensor of the model,
+    in the order of its parameter vector: each pathway's convs (conv_shapes)
+    and readout, the attention, then the dense head. A drawn tensor is a
+    weight initialized from U(+-1/sqrt(shape[0])); the others are biases,
+    initialized to zero. A generator, so that a caller may stop early."""
     h, r = config.hidden_dim, config.representation_dim
-    if config.conv == "dmpnn":
-        convs = (f + 1) * h + h * h + (f + h) * h
-    else:
-        matrices = 1 if config.conv == "gcnconv" else 2
-        convs = matrices * (f + (layers - 1) * h) * h
-        if config.conv == "gatconv":
-            convs += 2 * h * layers  # one attention vector per layer
-    attention = r * (2 * config.attention_dim + r) if config.variant == "molsets" else 0
+    for prefix in ("phi_solvent", "phi_salt"):
+        for idx, dim in enumerate(_conv_inputs(config)):
+            for name, shape in conv_shapes(config.conv, dim, h):
+                yield f"{prefix}.conv{idx}.{name}", shape, True
+        yield f"{prefix}.readout.w", (h + 1, r), True
+        yield f"{prefix}.readout.b", (r,), False
+    if config.variant == "molsets":
+        yield "attention.wq", (r, config.attention_dim), True
+        yield "attention.wk", (r, config.attention_dim), True
+        yield "attention.wv", (r, r), True
     dims = [config.rho_input_dim(), *config.rho_hidden_dims, 1]
-    rho = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
-    return 2 * (convs + (h + 2) * r) + attention + rho  # readout: (h + 1, r) and (r,)
+    for idx, (fan_in, width) in enumerate(zip(dims, dims[1:])):
+        yield f"rho{idx}.w", (fan_in, width), True
+        yield f"rho{idx}.b", (width,), False
+
+
+def _conv_inputs(config: ModelConfig):
+    """Input width of each conv layer of a pathway (an iterator, however
+    many layers)."""
+    more = 0 if config.conv == "dmpnn" else config.num_layers - 1
+    return itertools.chain([NODE_FEATURE_DIM], itertools.repeat(config.hidden_dim, more))
 
 
 @dataclass
@@ -204,87 +219,75 @@ class MixtureInput:
 @dataclass
 class GnnParams:
     convs: list[ConvParams]
-    readout: DenseParams  # (hidden + 1) -> representation_dim
+    readout: DenseParams
     num_layers: int
 
 
 @dataclass
 class AttentionParams:
-    wq: Tensor  # (representation_dim, attention_dim)
-    wk: Tensor  # (representation_dim, attention_dim)
-    wv: Tensor  # (representation_dim, representation_dim)
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
 
 
 @dataclass
 class ModelParams:
+    """The parameters of a model. `values` holds them all in one float64
+    vector, in parameter_layout order, and `tensors` views each one's slice
+    of it in that order; the pathways, attention and head hold those same
+    tensors. Write parameters in place (`tensor.data[...] = ...`): a tensor
+    whose data is rebound no longer views `values`, which AdamW steps."""
+
     config: ModelConfig
     phi_solvent: GnnParams
     phi_salt: GnnParams
     attention: AttentionParams | None
     rho: list[DenseParams]
+    values: np.ndarray = field(repr=False)
+    tensors: list[Tensor] = field(repr=False)
 
 
-def _build_gnn(config: ModelConfig, rng: np.random.Generator) -> GnnParams:
-    convs = []
-    if config.conv == "dmpnn":
-        convs.append(init_conv("dmpnn", NODE_FEATURE_DIM, config.hidden_dim, rng))
-    else:
-        dim = NODE_FEATURE_DIM
-        for _ in range(config.num_layers):
-            convs.append(init_conv(config.conv, dim, config.hidden_dim, rng))
-            dim = config.hidden_dim
-    readout = init_dense(config.hidden_dim + 1, config.representation_dim, rng)
-    return GnnParams(convs=convs, readout=readout, num_layers=config.num_layers)
+def _zero_model(config: ModelConfig) -> ModelParams:
+    """The model of config with every parameter zero, in one new vector."""
+    shapes = [shape for _, shape, _ in parameter_layout(config)]
+    sizes = [math.prod(shape) for shape in shapes]
+    values = np.zeros(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    tensors = [Tensor(values[lo : lo + n].reshape(shape)) for shape, n, lo in zip(shapes, sizes, starts)]
+    views = iter(tensors)  # handed out in parameter_layout order
+    kind, h = config.conv, config.hidden_dim
+
+    def pathway() -> GnnParams:
+        convs = [
+            ConvParams(kind, dim, h, **{name: next(views) for name, _ in conv_shapes(kind, dim, h)})
+            for dim in _conv_inputs(config)
+        ]
+        return GnnParams(convs, DenseParams(next(views), next(views)), config.num_layers)
+
+    phi_solvent, phi_salt = pathway(), pathway()
+    attention = None
+    if config.variant == "molsets":
+        attention = AttentionParams(next(views), next(views), next(views))
+    rho = [DenseParams(next(views), next(views)) for _ in range(len(config.rho_hidden_dims) + 1)]
+    return ModelParams(config, phi_solvent, phi_salt, attention, rho, values, tensors)
 
 
 def build_model(config: ModelConfig) -> ModelParams:
-    """Freshly initialized parameters for the configured variant."""
+    """Freshly initialized parameters for the configured variant: one
+    generator seeded by config.seed draws each weight of parameter_layout
+    in order; the biases stay zero."""
+    params = _zero_model(config)
     rng = np.random.default_rng(config.seed)
-    phi_solvent = _build_gnn(config, rng)
-    phi_salt = _build_gnn(config, rng)
-
-    attention = None
-    if config.variant == "molsets":
-        d = config.representation_dim
-        attention = AttentionParams(
-            wq=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, config.attention_dim))),
-            wk=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, config.attention_dim))),
-            wv=Tensor(rng.uniform(-1 / math.sqrt(d), 1 / math.sqrt(d), (d, d))),
-        )
-
-    rho = []
-    dim = config.rho_input_dim()
-    for hidden in config.rho_hidden_dims:
-        rho.append(init_dense(dim, hidden, rng))
-        dim = hidden
-    rho.append(init_dense(dim, 1, rng))
-
-    return ModelParams(
-        config=config,
-        phi_solvent=phi_solvent,
-        phi_salt=phi_salt,
-        attention=attention,
-        rho=rho,
-    )
+    for (_, shape, drawn), tensor in zip(parameter_layout(config), params.tensors):
+        if drawn:
+            tensor.data[...] = rng.uniform(-1 / math.sqrt(shape[0]), 1 / math.sqrt(shape[0]), shape)
+    return params
 
 
 def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
-    """All learnable tensors keyed by layer path, in a stable order."""
-    named: list[tuple[str, Tensor]] = []
-    for prefix, gnn in (("phi_solvent", params.phi_solvent), ("phi_salt", params.phi_salt)):
-        for idx, conv in enumerate(gnn.convs):
-            for name, tensor in conv_param_tensors(conv):
-                named.append((f"{prefix}.conv{idx}.{name}", tensor))
-        named.append((f"{prefix}.readout.w", gnn.readout.w))
-        named.append((f"{prefix}.readout.b", gnn.readout.b))
-    if params.attention is not None:
-        named.append(("attention.wq", params.attention.wq))
-        named.append(("attention.wk", params.attention.wk))
-        named.append(("attention.wv", params.attention.wv))
-    for idx, layer in enumerate(params.rho):
-        named.append((f"rho{idx}.w", layer.w))
-        named.append((f"rho{idx}.b", layer.b))
-    return named
+    """All learnable tensors keyed by layer path, in parameter_layout order."""
+    names = [name for name, _, _ in parameter_layout(params.config)]
+    return list(zip(names, params.tensors))
 
 
 def _unions(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
@@ -634,14 +637,15 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a checkpoint written by `save_checkpoint` into a freshly built model.
+    """Read a checkpoint written by `save_checkpoint` into a new model.
 
     Each parameter is decoded from its base64 little-endian float64 bytes
-    into a writable, native-endian, C-contiguous copy. Raises ValueError
-    when the document is not a checkpoint of this feature schema version,
-    its config is invalid, a parameter is unknown or missing, or an entry
-    is not `{"shape", "float64"}` with a base64 string whose byte count
-    fits the expected shape and whose values are all finite.
+    into its slice of the model's new parameter vector; a load draws no
+    random numbers. Raises ValueError when the document is not a
+    checkpoint of this feature schema version, its config is invalid, a
+    parameter is unknown or missing, or an entry is not `{"shape",
+    "float64"}` with the shape of parameter_layout, as a list of ints, and
+    a base64 string of that many finite values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -663,7 +667,7 @@ def load_checkpoint(path: str) -> ModelParams:
             f"checkpoint config has unknown keys {sorted(set(doc['config']) - config_keys)} "
             f"and lacks keys {sorted(config_keys - set(doc['config']))}"
         )
-    params = build_model(ModelConfig(**doc["config"]))
+    params = _zero_model(ModelConfig(**doc["config"]))
     stored = doc["params"]
     named = named_parameters(params)
     unknown = sorted(set(stored) - {name for name, _ in named})
@@ -677,19 +681,25 @@ def load_checkpoint(path: str) -> ModelParams:
             raise ValueError(
                 f"checkpoint parameter {name!r} must be an object with 'shape' and 'float64'"
             )
+        stored_shape = entry["shape"]
+        # Each entry's type is checked too: in Python, True == 1 and 2.0 == 2.
+        if not (
+            isinstance(stored_shape, list)
+            and all(type(d) is int for d in stored_shape)
+            and tuple(stored_shape) == tensor.data.shape
+        ):
+            raise ValueError(
+                f"checkpoint parameter {name!r} has shape {stored_shape!r}, "
+                f"expected {list(tensor.data.shape)}"
+            )
         if not isinstance(entry["float64"], str):
             raise ValueError(f"checkpoint parameter {name!r} must hold a base64 string")
         try:
             raw = base64.b64decode(entry["float64"], validate=True)
-            values = np.frombuffer(raw, "<f8").astype(np.float64).reshape(entry["shape"])
-        except (TypeError, ValueError) as exc:
+            values = np.frombuffer(raw, "<f8").reshape(tensor.data.shape)
+        except ValueError as exc:
             raise ValueError(f"checkpoint parameter {name!r} is malformed: {exc}") from None
         if not np.isfinite(values).all():
             raise ValueError(f"checkpoint parameter {name!r} has non-finite values")
-        if values.shape != tensor.data.shape:
-            raise ValueError(
-                f"checkpoint parameter {name!r} has shape {values.shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        tensor.data = values
+        tensor.data[...] = values
     return params

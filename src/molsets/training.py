@@ -32,7 +32,6 @@ from .model import (
     batch_of,
     forward_batch,
     forward_columns,
-    named_parameters,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,25 +111,23 @@ class AdamW:
     """Adam with decoupled weight decay:
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
-    The tensors' data is gathered, in the order given, into one float64
-    vector `values`, and each tensor's `.data` becomes a view of its
-    slice, so one element-wise update of `values` steps them all.
+    It steps the model's parameter vector (`values`, ModelParams.values) in
+    place, with one element-wise update per step; `step` takes each
+    parameter tensor's gradient, keyed by the tensor.
     """
 
     def __init__(
         self,
-        params: list[Tensor],
+        params: ModelParams,
         lr: float = 0.001,
         weight_decay: float = 0.0001,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        self.params = list(params)
-        self.values = np.concatenate([p.data for p in self.params], axis=None)
-        offset = 0
-        for p in self.params:
-            p.data = self.values[offset : offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
+        if any(t.data.base is not params.values for t in params.tensors):
+            raise ValueError("a parameter tensor no longer views the model's parameter vector")
+        self.tensors = params.tensors
+        self.values = params.values
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
@@ -143,7 +140,7 @@ class AdamW:
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
-        g = np.concatenate([grads[p] for p in self.params], axis=None)
+        g = np.concatenate([grads[t] for t in self.tensors], axis=None)
         m, v = self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -160,8 +157,8 @@ def train(
     config: TrainConfig,
 ) -> tuple[ModelParams, list[HistoryEntry]]:
     """Minibatch training; trains `params` in place and returns it, restored
-    to the best epoch (kept as a copy of the optimizer's parameter vector),
-    with the history.
+    to the best epoch (kept as a copy of its parameter vector), with the
+    history.
 
     The training and validation sets are each one MixtureBatch, built once
     per call. Each minibatch is the slice take(rows) of the training batch:
@@ -178,9 +175,9 @@ def train(
     """
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
-    tensors = [t for _, t in named_parameters(params)]
+    tensors = params.tensors
     optimizer = AdamW(
-        tensors,
+        params,
         lr=config.lr0,
         weight_decay=config.weight_decay,
         betas=config.betas,
@@ -193,7 +190,7 @@ def train(
     val_targets = np.array([target for _, target in val_data])
 
     history: list[HistoryEntry] = []
-    best_values = optimizer.values.copy()
+    best_values = params.values.copy()
     best_val = math.inf
     since_best = 0  # epochs since the last strict improvement of best_val
 
@@ -267,7 +264,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_values = optimizer.values.copy()
+            best_values = params.values.copy()
             since_best = 0
             continue
         since_best += 1
@@ -282,7 +279,7 @@ def train(
             )
             break
 
-    optimizer.values[...] = best_values
+    params.values[...] = best_values
     return params, history
 
 

@@ -93,7 +93,7 @@ def train_reference(params, train_data, val_data, config):
         raise ValueError("training and validation sets must be non-empty")
     tensors = [t for _, t in named_parameters(params)]
     optimizer = AdamW(
-        tensors,
+        params,
         lr=config.lr0,
         weight_decay=config.weight_decay,
         betas=config.betas,

@@ -16,13 +16,12 @@ from molsets.gnn import (
     ConvParams,
     GraphTensors,
     conv_forward,
-    conv_param_tensors,
+    conv_shapes,
     dmpnn_forward,
     init_conv,
     mean_pool,
-    uniform_init,
 )
-from molsets.model import ModelConfig, build_model, embed_unions
+from molsets.model import ModelConfig, build_model, embed_unions, named_parameters
 
 
 def _graph(n, edges):
@@ -227,7 +226,7 @@ def test_conv_gradients_match_finite_differences(kind):
     x = Tensor(rng.uniform(-1, 1, (4, 3)))
     params = init_conv(kind, 3, 2, rng)
     proj = Tensor(rng.uniform(-1, 1, (4, 2)))
-    tensors = [t for _, t in conv_param_tensors(params)]
+    tensors = [getattr(params, name) for name, _ in conv_shapes(kind, 3, 2)]
 
     def run():
         if kind == "dmpnn":
@@ -247,10 +246,13 @@ def test_conv_gradients_match_finite_differences(kind):
 
 
 def test_uniform_init_is_seeded_and_scaled():
-    a = uniform_init(np.random.default_rng(1), (4, 4), 16)
-    b = uniform_init(np.random.default_rng(1), (4, 4), 16)
-    assert np.array_equal(a.data, b.data)
-    assert np.abs(a.data).max() <= 0.25
+    for kind in CONV_KINDS:
+        a = init_conv(kind, 4, 3, np.random.default_rng(1))
+        b = init_conv(kind, 4, 3, np.random.default_rng(1))
+        for name, shape in conv_shapes(kind, 4, 3):
+            ta, tb = getattr(a, name), getattr(b, name)
+            assert ta.data.shape == shape and np.array_equal(ta.data, tb.data)
+            assert 0 < np.abs(ta.data).max() <= 1 / np.sqrt(shape[0])
 
 
 # Reference operators: the dense loop-built matrices and GAT's per-node loop
@@ -388,7 +390,7 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
     x = Tensor(rng.uniform(-1, 1, (n, 4)))
     params = init_conv(kind, 4, 3, rng)
     proj = Tensor(rng.uniform(-1, 1, (n, 3)))
-    tensors = [t for _, t in conv_param_tensors(params)]
+    tensors = [getattr(params, name) for name, _ in conv_shapes(kind, 4, 3)]
     gt = _tensors(n, edges)
 
     def run(forward):
@@ -492,9 +494,9 @@ UNION_MICRO = dict(num_layers=2, hidden_dim=3, representation_dim=4, attention_d
 @example(sizes=[1, 140, 3, 130, 120, 1], seed=1)  # at least two unions for every conv
 def test_union_embedding_matches_per_graph_reference(kind, sizes, seed):
     graphs = [_random_molecule(n, seed + k) for k, n in enumerate(sizes)]
-    phi = build_model(ModelConfig.for_conv(kind, seed=seed % 1000, **UNION_MICRO)).phi_solvent
-    tensors = [t for conv in phi.convs for _, t in conv_param_tensors(conv)]
-    tensors += [phi.readout.w, phi.readout.b]
+    params = build_model(ModelConfig.for_conv(kind, seed=seed % 1000, **UNION_MICRO))
+    phi = params.phi_solvent
+    tensors = [t for name, t in named_parameters(params) if name.startswith("phi_solvent.")]
     proj = Tensor(np.random.default_rng(seed).uniform(-1, 1, (len(graphs), 4)))
     if sum(sizes) > LIMIT:
         assert len(model_mod._unions(graphs)) >= 2

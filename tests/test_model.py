@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from molsets import autodiff as ad
 from molsets import model as model_mod
 from molsets.autodiff import Tape, Tensor
-from molsets.chem import build_graph
+from molsets.chem import NODE_FEATURE_DIM, build_graph
 from molsets.model import (
     AttentionParams,
     VARIANTS,
@@ -475,6 +475,21 @@ def test_golden_checkpoint_pins_the_format(tmp_path):
     assert predict(load_checkpoint(str(golden)), mix) == GOLDEN_MICRO_PREDICTION
 
 
+def test_checkpoint_load_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random number")
+
+    # default_rng, Generator and every other public numpy.random callable.
+    for name in dir(np.random):
+        if not name.startswith("_") and callable(getattr(np.random, name)):
+            monkeypatch.setattr(np.random, name, refuse)
+    with pytest.raises(AssertionError, match="drew a random number"):
+        build_model(ModelConfig())
+    params = load_checkpoint(str(GOLDEN / "checkpoint_micro.json"))
+    mix = MixtureInput([(GLYME, 0.3), (THF, 0.7)], SALT, 1.3)
+    assert predict(params, mix) == GOLDEN_MICRO_PREDICTION
+
+
 def _saved_checkpoint_doc(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(micro_model(seed=23), str(path))
@@ -516,6 +531,10 @@ def _with_entry(doc, name, **entry):
     return {**doc, "params": {**doc["params"], name: {"shape": doc["params"][name]["shape"], **entry}}}
 
 
+def _with_shape(doc, name, shape):
+    return {**doc, "params": {**doc["params"], name: {**doc["params"][name], "shape": shape}}}
+
+
 def _one_float_short(doc, name):
     raw = base64.b64decode(doc["params"][name]["float64"])
     return _with_entry(doc, name, float64=base64.b64encode(raw[:-8]).decode("ascii"))
@@ -541,6 +560,11 @@ def _one_float_short(doc, name):
         (lambda doc: _one_float_short(doc, "rho0.w"), "rho0.w"),
         (lambda doc: _with_entry(doc, "rho0.w", float64=[0.0] * 12), "rho0.w.*base64 string"),
         (lambda doc: _with_entry(doc, "rho0.w", values=[0.0] * 12), "rho0.w.*'shape' and 'float64'"),
+        (lambda doc: _with_shape(doc, "rho0.b", [-1]), r"rho0.b' has shape \[-1\], expected \[3\]"),
+        (lambda doc: _with_shape(doc, "phi_salt.readout.w", [-1, 4]), "phi_salt.readout.w' has shape"),
+        (lambda doc: _with_shape(doc, "rho1.b", [True]), r"rho1.b' has shape \[True\], expected \[1\]"),
+        (lambda doc: _with_shape(doc, "rho1.b", [1.0]), "rho1.b' has shape"),
+        (lambda doc: _with_shape(doc, "rho1.b", 1), "rho1.b' has shape"),
     ],
     ids=[
         "json-list",
@@ -557,6 +581,11 @@ def _one_float_short(doc, name):
         "payload-one-float-short",
         "payload-list",
         "old-values-entry",
+        "shape-minus-one",
+        "shape-minus-one-by-columns",
+        "shape-true",
+        "shape-float",
+        "shape-not-list",
     ],
 )
 def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
@@ -587,13 +616,32 @@ def test_model_config_rejects_non_positive_sizes(field, value):
         ModelConfig(**{field: value})
 
 
+def _hand_count(config) -> int:
+    """The parameter count worked out by hand, as the limit check did before
+    parameter_layout: the reference for the layout's sizes."""
+    f, layers = NODE_FEATURE_DIM, config.num_layers
+    h, r = config.hidden_dim, config.representation_dim
+    if config.conv == "dmpnn":
+        convs = (f + 1) * h + h * h + (f + h) * h
+    else:
+        matrices = 1 if config.conv == "gcnconv" else 2
+        convs = matrices * (f + (layers - 1) * h) * h
+        if config.conv == "gatconv":
+            convs += 2 * h * layers  # one attention vector per layer
+    attention = r * (2 * config.attention_dim + r) if config.variant == "molsets" else 0
+    dims = [config.rho_input_dim(), *config.rho_hidden_dims, 1]
+    rho = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+    return 2 * (convs + (h + 2) * r) + attention + rho  # readout: (h + 1, r) and (r,)
+
+
 @pytest.mark.parametrize("conv", CONV_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_parameter_count_is_what_build_model_allocates(variant, conv):
     for overrides in ({}, MICRO, dict(num_layers=1, rho_hidden_dims=()), dict(max_solvents=7)):
         cfg = ModelConfig.for_conv(conv, variant=variant, **overrides)
-        allocated = sum(t.data.size for _, t in named_parameters(build_model(cfg)))
-        assert model_mod._parameter_count(cfg) == allocated
+        params = build_model(cfg)
+        allocated = sum(t.data.size for _, t in named_parameters(params))
+        assert params.values.size == allocated == _hand_count(cfg)
 
 
 @pytest.mark.parametrize(
@@ -606,10 +654,22 @@ def test_parameter_count_is_what_build_model_allocates(variant, conv):
         dict(hidden_dim=np.int64(2**62)),  # counted in Python ints, so it does not wrap
     ],
 )
-def test_model_config_rejects_too_many_parameters(overrides):
-    # The config itself refuses, so build_model never allocates.
+def test_model_config_rejects_too_many_parameters(overrides, monkeypatch):
+    # The config itself refuses, so build_model never allocates; it stops
+    # reading the layout once the count passes the limit, so a million
+    # layers cost no million entries.
+    layout = model_mod.parameter_layout
+    entries = []
+
+    def counted(config):
+        for entry in layout(config):
+            entries.append(entry)
+            yield entry
+
+    monkeypatch.setattr(model_mod, "parameter_layout", counted)
     with pytest.raises(ValueError, match="parameters, more than the 10000000 allowed"):
         ModelConfig(**overrides)
+    assert len(entries) < 10**5
 
 
 def test_failed_checkpoint_save_leaves_previous_file_intact(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from molsets.model import (
     build_model,
     forward,
     forward_batch,
+    load_checkpoint,
     mixture_from_record,
     named_parameters,
     save_checkpoint,
@@ -53,29 +54,38 @@ def _examples(n, seed, store=None):
     ]
 
 
+def _micro_optimizer(start, **hyper):
+    """(AdamW on a micro model whose parameters all start at `start`, the model)."""
+    params = build_model(ModelConfig.for_conv("gatconv", seed=0, **MICRO))
+    params.values[...] = start
+    return AdamW(params, **hyper), params
+
+
+def _same_gradient(params, g):
+    return {t: np.full_like(t.data, g) for t in params.tensors}
+
+
 def test_adamw_first_step_closed_form():
-    theta = Tensor([1.0])
-    opt = AdamW([theta], lr=0.001, weight_decay=1e-4)
-    opt.step({theta: np.array([1.0])})
-    assert theta.data[0] == pytest.approx(0.9989999, abs=1e-7)
+    opt, params = _micro_optimizer(1.0, lr=0.001, weight_decay=1e-4)
+    opt.step(_same_gradient(params, 1.0))
+    assert params.values == pytest.approx(0.9989999, abs=1e-7)
 
 
 def test_adamw_zero_gradient_no_decay_is_identity():
-    theta = Tensor([0.7, -0.3])
-    opt = AdamW([theta], lr=0.01, weight_decay=0.0)
+    opt, params = _micro_optimizer(0.0, lr=0.01, weight_decay=0.0)
+    start = np.random.default_rng(0).uniform(-1, 1, params.values.size)
+    params.values[...] = start
     for _ in range(5):
-        opt.step({theta: np.zeros(2)})
-    assert np.array_equal(theta.data, [0.7, -0.3])
+        opt.step(_same_gradient(params, 0.0))
+    assert np.array_equal(params.values, start)
 
 
 def test_adamw_identical_gradients_evolve_identically():
-    a, b = Tensor([0.5]), Tensor([0.5])
-    opt = AdamW([a, b], lr=0.01, weight_decay=1e-4)
+    opt, params = _micro_optimizer(0.5, lr=0.01, weight_decay=1e-4)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        g = rng.normal()
-        opt.step({a: np.array([g]), b: np.array([g])})
-    assert a.data[0] == b.data[0]
+        opt.step(_same_gradient(params, rng.normal()))
+    assert np.unique(params.values).size == 1
 
 
 def test_adamw_without_decay_matches_scalar_adam_trace():
@@ -92,11 +102,10 @@ def test_adamw_without_decay_matches_scalar_adam_trace():
         v_hat = v / (1 - b2**t)
         theta_ref -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
-    theta = Tensor([0.4])
-    opt = AdamW([theta], lr=lr, weight_decay=0.0, betas=(b1, b2), eps=eps)
+    opt, params = _micro_optimizer(0.4, lr=lr, weight_decay=0.0, betas=(b1, b2), eps=eps)
     for g in gradient_sequence:
-        opt.step({theta: np.array([g])})
-    assert theta.data[0] == pytest.approx(theta_ref, abs=1e-14)
+        opt.step(_same_gradient(params, g))
+    assert params.values == pytest.approx(theta_ref, abs=1e-14)
 
 
 def test_train_lr_cuts_and_stop_match_the_plateau_rules():
@@ -118,7 +127,7 @@ def test_train_lr_cuts_and_stop_match_the_plateau_rules():
         )
         params = build_model(ModelConfig.for_conv("graphconv", seed=3, **MICRO))
         _, history = train(params, examples[:30], examples[30:], config)
-        optimizer = AdamW([Tensor([0.0])], lr=config.lr0)
+        optimizer = AdamW(params, lr=config.lr0)
         scheduler = PlateauScheduler(optimizer, config.scheduler_factor, scheduler_patience)
         cuts, val_losses = 0, []
         for entry in history:
@@ -303,21 +312,28 @@ def test_train_config_accepts_json_numbers():
     assert config.betas == (0.0, 0.5)
 
 
-def test_adamw_tensors_are_views_of_one_vector():
-    params = build_model(ModelConfig.for_conv("gatconv", seed=3, **MICRO))
-    tensors = [t for _, t in named_parameters(params)]
-    before = [t.data.copy() for t in tensors]
-    optimizer = AdamW(tensors, lr=0.01)
-    assert optimizer.values.shape == (sum(b.size for b in before),)
-    optimizer.step({t: np.ones_like(t.data) for t in tensors})
-    offset = 0
-    for tensor, old in zip(tensors, before):
-        assert tensor.data.shape == old.shape
-        assert np.shares_memory(tensor.data, optimizer.values)
-        assert np.array_equal(tensor.data.ravel(), optimizer.values[offset : offset + old.size])
-        assert not np.array_equal(tensor.data, old)
-        offset += old.size
-    assert offset == optimizer.values.size
+def test_adamw_tensors_are_views_of_one_vector(tmp_path):
+    built = build_model(ModelConfig.for_conv("gatconv", seed=3, **MICRO))
+    save_checkpoint(built, str(tmp_path / "model.json"))
+    for params in (built, load_checkpoint(str(tmp_path / "model.json"))):
+        named = named_parameters(params)
+        before = [t.data.copy() for _, t in named]
+        assert params.values.shape == (sum(b.size for b in before),)
+        optimizer = AdamW(params, lr=0.01)
+        optimizer.step({t: np.ones_like(t.data) for _, t in named})
+        offset = 0
+        for (name, tensor), old in zip(named, before):
+            assert tensor is dict(named_parameters(params))[name]
+            assert tensor.data.shape == old.shape
+            assert np.shares_memory(tensor.data, optimizer.values)
+            assert np.array_equal(tensor.data.ravel(), optimizer.values[offset : offset + old.size])
+            assert not np.array_equal(tensor.data, old)
+            offset += old.size
+        assert offset == optimizer.values.size
+    # A tensor whose data is rebound would no longer be trained: refused.
+    built.rho[0].b.data = built.rho[0].b.data.copy()
+    with pytest.raises(ValueError, match="no longer views"):
+        AdamW(built)
 
 
 def _plateau_run(max_epochs):
