@@ -1,14 +1,22 @@
+import csv
+import hashlib
+import io
+import json
 import logging
 import math
 import os
 import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_data
 from molsets.data import (
+    CSV_COLUMNS,
     ConductivityPoint,
     DataError,
     FitError,
@@ -374,3 +382,135 @@ def test_record_validation():
         with pytest.raises(DataError):
             MixtureRecord("x", ["C", "CC"], [0.5, 0.5], "[Li+].[Cl-]", 1.0, [None, bad])
     MixtureRecord("x", ["C", "CC"], [0.5, 0.5], "[Li+].[Cl-]", 1.0, [None, 250.0])
+
+
+GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden" / "synthetic_corpus.json"
+
+
+def corpus_digests(n, seed, noise, path):
+    """sha256 of the corpus repr, of its CSV bytes written to path, and of
+    the repr of the 298 K targets inferred back from that CSV."""
+    records = generate_synthetic(n, seed=seed, noise_scale=noise)
+    write_dataset(records, str(path))
+    targets = [r.target_298K for r in attach_targets(load_dataset(str(path)))]
+    return {
+        "records_sha256": hashlib.sha256(repr(records).encode()).hexdigest(),
+        "csv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "targets_sha256": hashlib.sha256(repr(targets).encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("n, seed, noise", [(1, 0, 0.0), (40, 11, 0.0), (500, 0, 0.05), (500, 500, 0.05)])
+def test_synthetic_corpus_matches_golden(n, seed, noise, tmp_path):
+    golden = json.loads(GOLDEN_CORPUS.read_text())
+    assert corpus_digests(n, seed, noise, tmp_path / "corpus.csv") == golden[f"{n}/{seed}/{noise!r}"], (
+        "the synthetic corpus, its CSV bytes or its inferred targets changed; the golden pins the "
+        "numpy kernels of the machine that wrote it, so on another machine a last-bit difference "
+        "in a sum or a fit also fails here"
+    )
+
+
+@pytest.mark.parametrize("n, seed, noise", [(1, 3, 0.0), (7, 4, 0.2), (60, 5, 0.05)])
+def test_synthetic_corpus_equals_frozen(n, seed, noise):
+    records = generate_synthetic(n, seed=seed, noise_scale=noise)
+    assert records == frozen_data.generate_synthetic(n, seed=seed, noise_scale=noise)
+    for r in records:
+        args = (r.solvent_smiles, r.weight_fractions, r.salt_smiles, r.molality)
+        assert synthetic_ground_truth(*args) == frozen_data.synthetic_ground_truth(*args)
+
+
+@contextmanager
+def _warnings_of(name):
+    """Collect the messages of the named logger's records while open."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger(name)
+    log.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        log.removeHandler(handler)
+
+
+def _outcome(load, path, strict):
+    try:
+        return load(path, strict=strict)
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_BAD_CELLS = ["", " ", "abc", "nan", "inf", "-1", "1.5", "0"]
+
+
+@st.composite
+def _row_cells(draw):
+    """Cells of one row by column name: a valid row, its fields drawn from
+    a small pool so that rows of one mixture_id often disagree, with one
+    cell replaced by a bad one a third of the time."""
+    n = draw(st.integers(1, 2))
+    weights = ["1.0"] if n == 1 else draw(st.sampled_from([["0.5", "0.5"], ["0.25", "0.75"]]))
+    cells = {
+        "mixture_id": draw(st.sampled_from(["m1", "m2", " m1 ", "m3"])),
+        "salt_smiles": draw(st.sampled_from(["[Li+].[Cl-]", "F[B-](F)(F)F.[Li+]"])),
+        "molality_mol_per_kg": draw(st.sampled_from(["1.0", "0.5"])),
+        "temperature_K": draw(st.sampled_from(["300.0", "250.0"])),
+        "log10_conductivity_S_per_cm": draw(st.sampled_from(["-2.0", "-3.0"])),
+    }
+    for i in range(1, 5):
+        cells[f"solvent_smiles_{i}"] = draw(st.sampled_from(["C1CCOC1", "CCO"])) if i <= n else ""
+        cells[f"weight_frac_{i}"] = weights[i - 1] if i <= n else ""
+        cells[f"mol_weight_{i}"] = draw(st.sampled_from(["", "72.1"])) if i <= n else ""
+    if draw(st.integers(0, 2)) == 2:
+        cells[draw(st.sampled_from(CSV_COLUMNS))] = draw(st.sampled_from(_BAD_CELLS))
+    return cells
+
+
+@st.composite
+def _messy_csv(draw):
+    """CSV text with no blank line: a permuted header that may repeat, add
+    or drop a column, and rows with bad numbers, blank ids, short or long
+    rows and rows that disagree with an earlier row of their mixture_id."""
+    header = draw(st.permutations(CSV_COLUMNS))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(CSV_COLUMNS)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "note")
+    if draw(st.integers(0, 9)) == 9:
+        header.remove(draw(st.sampled_from(CSV_COLUMNS)))
+    last = {name: i for i, name in enumerate(header)}
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = draw(_row_cells())
+        # a repeated column's earlier cells are shadowed by its last one
+        row = [
+            cells.get(name, "n") if last[name] == i else draw(st.sampled_from(_BAD_CELLS))
+            for i, name in enumerate(header)
+        ]
+        shape = draw(st.integers(0, 5))
+        if shape == 4:
+            row = row[: draw(st.integers(1, len(row)))]
+        elif shape == 5:
+            row.append("extra")
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([header] + rows)
+    return buf.getvalue()
+
+
+# The frozen reader numbers records, not lines, so the two agree only on
+# files with no blank line and no quoted line break; those cases have
+# tests of their own below.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_messy_csv())
+def test_load_dataset_equals_frozen_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(load_dataset, path, True) == _outcome(frozen_data.load_dataset, path, True)
+        with _warnings_of("molsets.data") as ours, _warnings_of("frozen_data") as theirs:
+            lenient = _outcome(load_dataset, path, False)
+            assert lenient == _outcome(frozen_data.load_dataset, path, False)
+        assert ours == theirs

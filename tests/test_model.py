@@ -475,6 +475,27 @@ def test_golden_checkpoint_pins_the_format(tmp_path):
     assert predict(load_checkpoint(str(golden)), mix) == GOLDEN_MICRO_PREDICTION
 
 
+def predict_micro_reprs(conv, variant, golden):
+    """repr of predict() for each golden request, every graph built cold."""
+    params = micro_model(variant, conv, seed=golden["seed"])
+    reprs = []
+    for request in golden["requests"]:
+        solvents = [(build_graph(smiles), w) for smiles, w in request["solvents"]]
+        mix = MixtureInput(solvents, build_graph(request["salt"]), request["molality"])
+        reprs.append(repr(predict(params, mix)))
+    return reprs
+
+
+@pytest.mark.parametrize("conv", CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cold_predictions_match_golden(variant, conv):
+    golden = json.loads((GOLDEN / "predict_micro.json").read_text())
+    assert predict_micro_reprs(conv, variant, golden) == golden["predictions"][f"{conv}/{variant}"], (
+        "a cold prediction changed; the golden pins the numpy and OpenBLAS kernels of the machine "
+        "that wrote it, so on another machine a last-bit difference in a product also fails here"
+    )
+
+
 def test_checkpoint_load_draws_no_random_numbers(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew a random number")
