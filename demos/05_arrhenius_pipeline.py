@@ -10,7 +10,7 @@ import os
 import tempfile
 
 from molsets import arrhenius_fit, conductivity_at_298K, load_dataset, write_dataset
-from molsets.data import ConductivityPoint, generate_synthetic, prepared_records
+from molsets.data import ConductivityPoint, generate_synthetic, prepared_records, synthetic_ground_truth
 
 print("=== A two-point fit has a closed form ===")
 points = [ConductivityPoint(300.0, -2.0), ConductivityPoint(250.0, -3.0)]
@@ -23,7 +23,13 @@ print("=== Through the CSV pipeline ===")
 records = generate_synthetic(5, seed=0)
 for record in records[:2]:
     temps = [p.temperature_K for p in record.points]
-    print(f"{record.mixture_id}: measured at {temps}, target {record.target_298K:+.4f}")
+    truth = synthetic_ground_truth(
+        record.solvent_smiles, record.weight_fractions, record.salt_smiles, record.molality
+    )
+    print(
+        f"{record.mixture_id}: measured at {temps}, target {record.target_298K:+.4f} "
+        f"(documented formula {truth:+.4f})"
+    )
 
 with tempfile.TemporaryDirectory() as tmp:
     raw = os.path.join(tmp, "raw.csv")

@@ -162,6 +162,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
+    _check_out_path(args.out)
     records = data_mod.load_dataset(args.input, strict=not args.lenient)
     data_mod.write_dataset(data_mod.prepared_records(records), args.out)
     print(f"wrote {len(records)} mixtures to {args.out}")
@@ -175,15 +176,19 @@ def _cmd_split(args) -> int:
         raise UsageError(f"bad --ratios value {args.ratios!r}") from None
     if len(ratios) != 3:
         raise UsageError("--ratios needs three comma-separated numbers")
+    outputs = (args.out_train, args.out_val, args.out_test)
+    for path in outputs:
+        _check_out_path(path)
     records = data_mod.load_dataset(args.input)
     parts = data_mod.split_dataset(records, ratios, args.seed)
-    for part, path in zip(parts, (args.out_train, args.out_val, args.out_test)):
+    for part, path in zip(parts, outputs):
         data_mod.write_dataset(part, path)
     print(f"split sizes: {[len(p) for p in parts]}")
     return 0
 
 
 def _cmd_synth(args) -> int:
+    _check_out_path(args.out)
     records = data_mod.generate_synthetic(args.n, seed=args.seed, noise_scale=args.noise)
     data_mod.write_dataset(records, args.out)
     print(f"wrote {len(records)} synthetic mixtures to {args.out}")
@@ -295,6 +300,7 @@ def _cmd_permute_test(args) -> int:
 
 
 def _cmd_export_reprs(args) -> int:
+    _check_out_path(args.out)
     params = load_checkpoint(args.checkpoint)
     if params.config.variant == "concat":
         raise DataError("the concat variant has no aggregated mixture representation")

@@ -9,11 +9,17 @@ CSV schema (UTF-8, header required), one row per temperature point:
 
 Unused solvent slots are blank; mol_weight columns may be blank (they
 override the computed molecular weight, e.g. for polymers). Rows sharing
-a mixture_id merge their temperature points into one record.
+a mixture_id merge their temperature points into one record. Rows are
+read by header position, and a load error names the physical line on
+which its row starts. A record with neither points nor a target writes
+no row, so write_dataset refuses it.
 
 Conductivity follows a linear law in inverse temperature,
 log10(sigma) = k/T + b, fitted by ordinary least squares; a measured
 point within 0.5 K of 298 K takes precedence over the fit.
+
+The synthetic corpus computes each pool molecule's ground-truth term once
+per generate_synthetic call, the first time the molecule is drawn.
 """
 
 from __future__ import annotations
@@ -174,9 +180,15 @@ def prepared_records(records: list[MixtureRecord]) -> list[MixtureRecord]:
     return out
 
 
-def _parse_row(row: dict[str, str], line: int) -> tuple[str, dict]:
+_SLOT_COLUMNS = tuple(
+    (f"solvent_smiles_{i}", f"weight_frac_{i}", f"mol_weight_{i}")
+    for i in range(1, MAX_SOLVENT_SLOTS + 1)
+)
+
+
+def _parse_row(row: list[str], col: dict[str, int], line: int) -> tuple[str, dict]:
     def numeric(column: str) -> float:
-        raw = row[column].strip()
+        raw = row[col[column]].strip()
         try:
             return float(raw)
         except ValueError:
@@ -185,26 +197,26 @@ def _parse_row(row: dict[str, str], line: int) -> tuple[str, dict]:
     solvents: list[str] = []
     weights: list[float] = []
     overrides: list[float | None] = []
-    for i in range(1, MAX_SOLVENT_SLOTS + 1):
-        smiles = row[f"solvent_smiles_{i}"].strip()
+    for smiles_column, weight_column, mass_column in _SLOT_COLUMNS:
+        smiles = row[col[smiles_column]].strip()
         if not smiles:
             continue
         solvents.append(smiles)
-        weights.append(numeric(f"weight_frac_{i}"))
-        overrides.append(numeric(f"mol_weight_{i}") if row[f"mol_weight_{i}"].strip() else None)
+        weights.append(numeric(weight_column))
+        overrides.append(numeric(mass_column) if row[col[mass_column]].strip() else None)
     if not solvents:
         raise DataError(f"line {line}: no solvent SMILES")
     if all(o is None for o in overrides):
         overrides = None
 
-    mixture_id = row["mixture_id"].strip()
+    mixture_id = row[col["mixture_id"]].strip()
     if not mixture_id:
         raise DataError(f"line {line}: blank mixture_id")
     fields = dict(
         solvent_smiles=solvents,
         weight_fractions=weights,
         mol_weight_overrides=overrides,
-        salt_smiles=row["salt_smiles"].strip(),
+        salt_smiles=row[col["salt_smiles"]].strip(),
         molality=numeric("molality_mol_per_kg"),
     )
     point = ConductivityPoint(numeric("temperature_K"), numeric("log10_conductivity_S_per_cm"))
@@ -214,22 +226,35 @@ def _parse_row(row: dict[str, str], line: int) -> tuple[str, dict]:
 def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
     """Read and validate records, merging rows that share a mixture_id.
 
-    In strict mode the first bad row aborts with a DataError naming its
-    line; in lenient mode bad rows are skipped and reported via logging.
+    Cells are read by header position; when a column name repeats, its
+    last column wins, and a short row reads its missing cells as blank.
+    Blank rows are skipped. In strict mode the first bad row aborts with a
+    DataError naming the physical line it starts on; in lenient mode bad
+    rows are skipped and reported via logging.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             logger.warning("dataset %s is empty", path)
             return []
-        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+        col = {name: i for i, name in enumerate(header)}
+        missing = [c for c in CSV_COLUMNS if c not in col]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
 
+        width = len(header)
         grouped: dict[str, dict] = {}
-        for line, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            # a quoted cell may span lines, so a row starts where the last one ended
+            line, next_line = next_line, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
             try:
-                mixture_id, parsed = _parse_row(row, line)
+                mixture_id, parsed = _parse_row(row, col, line)
                 existing = grouped.get(mixture_id)
                 if existing is None:
                     parsed["points"] = [parsed.pop("point")]
@@ -270,7 +295,16 @@ def _format(value) -> str:
 
 
 def write_dataset(records: list[MixtureRecord], path: str) -> None:
-    """Serialize records to the CSV schema, one row per temperature point."""
+    """Serialize records to the CSV schema, one row per temperature point.
+
+    A record with neither points nor a target_298K would write no row, so
+    it is refused before the file is opened.
+    """
+    for record in records:
+        if not record.points and record.target_298K is None:
+            raise DataError(
+                f"mixture {record.mixture_id!r} has no temperature points and no target_298K"
+            )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -343,6 +377,23 @@ SYNTHETIC_SLOPE_K = -800.0  # shared temperature slope of generated mixtures
 SYNTHETIC_POINT_TEMPS = (280.0, 320.0)
 
 
+def _solvent_term(smiles: str) -> float:
+    graph = build_graph(smiles)
+    oxygen_fraction = float(graph.node_features[:, 3].sum()) / graph.n_nodes
+    return 1.5 * oxygen_fraction - 0.3 * (graph.log_mol_weight - 1.8)
+
+
+def _salt_term(smiles: str) -> float:
+    return 0.05 * build_graph(smiles).n_nodes
+
+
+def _target(solvent_terms: list[float], weights: list[float], salt_term: float, molality: float) -> float:
+    mix_term = 0.0
+    for term, w in zip(solvent_terms, weights):
+        mix_term += w * term
+    return -2.2 + mix_term + salt_term + 0.9 * molality - 0.3 * molality**2
+
+
 def synthetic_ground_truth(
     solvent_smiles: list[str],
     weights: list[float],
@@ -359,14 +410,8 @@ def synthetic_ground_truth(
     Every term is symmetric in the solvents, so the target is permutation
     invariant by construction.
     """
-    mix_term = 0.0
-    for smiles, w in zip(solvent_smiles, weights):
-        graph = build_graph(smiles)
-        oxygen_fraction = float(graph.node_features[:, 3].sum()) / graph.n_nodes
-        mix_term += w * (1.5 * oxygen_fraction - 0.3 * (graph.log_mol_weight - 1.8))
-    salt_graph = build_graph(salt_smiles)
-    salt_term = 0.05 * salt_graph.n_nodes
-    return -2.2 + mix_term + salt_term + 0.9 * molality - 0.3 * molality**2
+    terms = [_solvent_term(smiles) for smiles in solvent_smiles]
+    return _target(terms, weights, _salt_term(salt_smiles), molality)
 
 
 def generate_synthetic(n: int, seed: int = 0, noise_scale: float = 0.0) -> list[MixtureRecord]:
@@ -377,13 +422,16 @@ def generate_synthetic(n: int, seed: int = 0, noise_scale: float = 0.0) -> list[
     salt from SYNTHETIC_SALTS, molality uniform(0.5, 2). The target is
     synthetic_ground_truth plus Gaussian noise of the given scale, and
     each record carries two temperature points on the line with slope
-    SYNTHETIC_SLOPE_K through (298 K, target).
+    SYNTHETIC_SLOPE_K through (298 K, target). Each pool molecule is
+    parsed once per call, the first time it is drawn.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not (math.isfinite(noise_scale) and noise_scale >= 0):
         raise ValueError(f"noise_scale must be finite and non-negative, got {noise_scale}")
     rng = np.random.default_rng(seed)
+    solvent_terms: dict[str, float] = {}
+    salt_terms: dict[str, float] = {}
     records = []
     for i in range(n):
         size = int(rng.integers(1, 4))
@@ -394,7 +442,13 @@ def generate_synthetic(n: int, seed: int = 0, noise_scale: float = 0.0) -> list[
         salt = SYNTHETIC_SALTS[int(rng.integers(len(SYNTHETIC_SALTS)))]
         molality = float(rng.uniform(0.5, 2.0))
 
-        target = synthetic_ground_truth(solvents, weights, salt, molality)
+        for smiles in solvents:
+            if smiles not in solvent_terms:
+                solvent_terms[smiles] = _solvent_term(smiles)
+        if salt not in salt_terms:
+            salt_terms[salt] = _salt_term(salt)
+        terms = [solvent_terms[smiles] for smiles in solvents]
+        target = _target(terms, weights, salt_terms[salt], molality)
         if noise_scale > 0:
             target += float(rng.normal(0.0, noise_scale))
 

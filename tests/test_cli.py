@@ -611,3 +611,41 @@ def test_screen_refuses_an_unwritable_output_before_screening(tmp_path, capsys, 
     assert code == 2
     assert captured.err.startswith(f"data error: cannot write {out}: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("prepare", "--out"),
+        ("split", "--out-train"),
+        ("split", "--out-val"),
+        ("split", "--out-test"),
+        ("synth", "--out"),
+        ("export-reprs", "--out"),
+    ],
+)
+@pytest.mark.parametrize("bad", ["{out}", "{out}/missing/file.csv"], ids=["directory", "missing-parent"])
+def test_data_commands_refuse_an_unwritable_output_before_reading(
+    tmp_path, synthetic_csv, capsys, monkeypatch, command, flag, bad
+):
+    for name in ("load_dataset", "generate_synthetic"):
+        monkeypatch.setattr(f"molsets.data.{name}", _must_not_run(name))
+    monkeypatch.setattr("molsets.cli.load_checkpoint", _must_not_run("load_checkpoint"))
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = {
+        "prepare": ["--in", synthetic_csv],
+        "split": ["--in", synthetic_csv],
+        "synth": ["--n", "5"],
+        "export-reprs": ["--checkpoint", str(ckpt), "--data", synthetic_csv],
+    }[command]
+    outputs = {f: str(out / f"{f[2:]}.csv") for f in (["--out-train", "--out-val", "--out-test"] if command == "split" else ["--out"])}
+    outputs[flag] = bad.format(out=out)
+    code = cli([command] + inputs + [arg for item in outputs.items() for arg in item])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"data error: cannot write {outputs[flag]}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert os.listdir(out) == []

@@ -514,3 +514,62 @@ def test_load_dataset_equals_frozen_reader(text):
             lenient = _outcome(load_dataset, path, False)
             assert lenient == _outcome(frozen_data.load_dataset, path, False)
         assert ours == theirs
+
+
+def test_load_errors_name_the_physical_line(tmp_path):
+    good = "m1,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0"
+    bad = "m2,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,hot,-2.0"
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join([HEADER, good, "", "", bad]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^line 5: non-numeric temperature_K='hot'$"):
+        load_dataset(str(path))
+    # a quoted SMILES spanning two lines: the row starts on line 2, the bad one on 4
+    spanning = 'm1,"C1CC\nOC1",,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0'
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join([HEADER, spanning, bad]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^line 4: non-numeric temperature_K='hot'$"):
+        load_dataset(str(path))
+    path.write_text("\n".join([HEADER, bad.replace("hot", "300.0"), spanning.replace("m1", "m2")]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^line 3: mixture 'm2' fields disagree with line 2$"):
+        load_dataset(str(path))
+
+
+def test_load_reads_short_rows_and_the_last_repeated_column(tmp_path):
+    header = HEADER + ",mixture_id"
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "\n".join([header, "x,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0,m1", "m9,CCO"]) + "\n",
+        encoding="utf-8",
+    )
+    records = load_dataset(str(path), strict=False)
+    assert [r.mixture_id for r in records] == ["m1"]
+    with pytest.raises(DataError, match=r"^line 3: non-numeric weight_frac_1=''$"):
+        load_dataset(str(path))
+
+
+def test_write_dataset_refuses_a_record_with_no_rows(tmp_path):
+    path = tmp_path / "out.csv"
+    records = generate_synthetic(3, seed=1)
+    records[1] = _record([], mixture_id="empty")
+    with pytest.raises(DataError, match=r"mixture 'empty' has no temperature points and no target_298K"):
+        write_dataset(records, str(path))
+    assert not path.exists()
+    write_dataset([_record([], mixture_id="t", target_298K=-2.0)], str(path))
+    assert [r.points for r in load_dataset(str(path))] == [[ConductivityPoint(298.0, -2.0)]]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (3, 2), (500, 0)])
+def test_generate_synthetic_parses_each_pool_molecule_once(n, seed, monkeypatch):
+    from molsets import data as data_mod
+
+    calls = []
+    real = data_mod.build_graph
+
+    def counting(smiles):
+        calls.append(smiles)
+        return real(smiles)
+
+    monkeypatch.setattr(data_mod, "build_graph", counting)
+    records = generate_synthetic(n, seed=seed)
+    drawn = {s for r in records for s in r.solvent_smiles} | {r.salt_smiles for r in records}
+    assert sorted(calls) == sorted(drawn)
