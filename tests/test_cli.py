@@ -641,7 +641,8 @@ def test_data_commands_refuse_an_unwritable_output_before_reading(
         "synth": ["--n", "5"],
         "export-reprs": ["--checkpoint", str(ckpt), "--data", synthetic_csv],
     }[command]
-    outputs = {f: str(out / f"{f[2:]}.csv") for f in (["--out-train", "--out-val", "--out-test"] if command == "split" else ["--out"])}
+    flags = ["--out-train", "--out-val", "--out-test"] if command == "split" else ["--out"]
+    outputs = {f: str(out / f"{f[2:]}.csv") for f in flags}
     outputs[flag] = bad.format(out=out)
     code = cli([command] + inputs + [arg for item in outputs.items() for arg in item])
     captured = capsys.readouterr()

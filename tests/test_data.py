@@ -529,7 +529,8 @@ def test_load_errors_name_the_physical_line(tmp_path):
     path.write_text("\n".join([HEADER, spanning, bad]) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"^line 4: non-numeric temperature_K='hot'$"):
         load_dataset(str(path))
-    path.write_text("\n".join([HEADER, bad.replace("hot", "300.0"), spanning.replace("m1", "m2")]) + "\n", encoding="utf-8")
+    rows = [HEADER, bad.replace("hot", "300.0"), spanning.replace("m1", "m2")]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"^line 3: mixture 'm2' fields disagree with line 2$"):
         load_dataset(str(path))
 
