@@ -24,13 +24,16 @@ print(f"trained for {len(history)} epochs")
 
 print()
 print("=== Enumerate and rank ===")
+start = time.perf_counter()
 candidates = enumerate_binary_candidates(SOLVENTS, SALTS)
+enumerate_s = time.perf_counter() - start
 n_pairs = len(SOLVENTS) * (len(SOLVENTS) - 1) // 2
 print(f"{len(SOLVENTS)} solvents x {len(SALTS)} salts -> {n_pairs} pairs x {len(SALTS)} = {len(candidates)} candidates")
 
 start = time.perf_counter()
 results, skipped = run_screening(best, candidates)
-print(f"screened in {time.perf_counter() - start:.2f}s ({len(skipped)} skipped)")
+screen_s = time.perf_counter() - start
+print(f"enumerated in {enumerate_s * 1e3:.2f} ms, screened in {screen_s * 1e3:.2f} ms ({len(skipped)} skipped)")
 
 print("\ntop 5 predicted mixtures:")
 for res in results[:5]:

@@ -177,8 +177,12 @@ def _cmd_split(args) -> int:
     if len(ratios) != 3:
         raise UsageError("--ratios needs three comma-separated numbers")
     outputs = (args.out_train, args.out_val, args.out_test)
-    for path in outputs:
+    named = {}
+    for flag, path in zip(("--out-train", "--out-val", "--out-test"), outputs):
         _check_out_path(path)
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise DataError(f"cannot write {path}: {other} and {flag} name the same file")
     records = data_mod.load_dataset(args.input)
     parts = data_mod.split_dataset(records, ratios, args.seed)
     for part, path in zip(parts, outputs):

@@ -180,9 +180,10 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> Candid
     lexicographic order, as a `CandidateTable` of equal-weight candidates
     at 1 mol/kg; the count is C(n, 2) * s.
 
-    The specs are built here, once; the code columns come from
-    `np.triu_indices` over the sorted solvents, crossed with the sorted
-    salts, which is the same order.
+    The inputs are checked once per call, and the first spec goes through
+    `CandidateSpec(...)`; the rest are built directly (`_equal_weight_specs`).
+    The code columns come from `np.triu_indices` over the sorted solvents,
+    crossed with the sorted salts, which is the same order.
     """
     if len(set(solvents)) != len(solvents):
         raise ValueError("duplicate solvent entries")
@@ -193,7 +194,7 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> Candid
     if len(salts) < 1:
         raise ValueError("need at least 1 salt")
     solvents, salts = sorted(solvents), sorted(salts)
-    specs = [CandidateSpec(a, b, salt) for a, b in itertools.combinations(solvents, 2) for salt in salts]
+    specs = _equal_weight_specs(solvents, salts)
     smiles = sorted(set(solvents) | set(salts))
     code = {s: i for i, s in enumerate(smiles)}
     solvent_code = np.array([code[s] for s in solvents], dtype=np.intp)
@@ -209,6 +210,36 @@ def enumerate_binary_candidates(solvents: list[str], salts: list[str]) -> Candid
         weight_pairs=[specs[0].weights],
         molality=np.full(len(specs), specs[0].molality),
     )
+
+
+def _equal_weight_specs(solvents: list[str], salts: list[str]) -> list[CandidateSpec]:
+    """The equal-weight 1 mol/kg specs of every pair of `solvents` crossed
+    with `salts`, in that order, without running `__post_init__` per spec.
+
+    Both lists must be sorted and free of duplicates, so each pair is
+    already distinct and in the order `__post_init__` would give it. The
+    weights and molality are the same constants for every spec: the first
+    spec is built by `CandidateSpec(...)`, which checks them once, and the
+    others share its `weights` tuple and `molality`. The fields are set in
+    declaration order with `object.__setattr__`, as the dataclass
+    `__init__` sets them, so each spec takes the memory of a constructed
+    one (writing through `__dict__` would give each its own dict).
+    """
+    first = CandidateSpec(solvents[0], solvents[1], salts[0])
+    weights, molality = first.weights, first.molality
+    new, put = object.__new__, object.__setattr__
+    specs = []
+    for a, b in itertools.combinations(solvents, 2):
+        for salt in salts:
+            spec = new(CandidateSpec)
+            put(spec, "solvent_a", a)
+            put(spec, "solvent_b", b)
+            put(spec, "salt", salt)
+            put(spec, "weights", weights)
+            put(spec, "molality", molality)
+            specs.append(spec)
+    specs[0] = first
+    return specs
 
 
 def run_screening(

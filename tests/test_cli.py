@@ -650,3 +650,27 @@ def test_data_commands_refuse_an_unwritable_output_before_reading(
     assert captured.err.startswith(f"data error: cannot write {outputs[flag]}: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "train, val, test",
+    [
+        ("a.csv", "a.csv", "t.csv"),
+        ("a.csv", "v.csv", "a.csv"),
+        ("tr.csv", "a.csv", "a.csv"),
+        ("a.csv", "./a.csv", "t.csv"),
+    ],
+    ids=["train-val", "train-test", "val-test", "second-spelling"],
+)
+def test_split_refuses_two_outputs_naming_one_file(tmp_path, synthetic_csv, capsys, monkeypatch, train, val, test):
+    monkeypatch.setattr("molsets.data.load_dataset", _must_not_run("load_dataset"))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    code = cli(["split", "--in", synthetic_csv, "--out-train", train, "--out-val", val, "--out-test", test])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert "name the same file" in captured.err
+    assert captured.out == ""
+    assert os.listdir(out) == []

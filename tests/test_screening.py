@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import pickle
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -120,6 +121,20 @@ def test_enumeration_count_formula_full_grid():
         for s in range(1, 31):
             count = len(enumerate_binary_candidates(solvents[:n], salts[:s]))
             assert count == n * (n - 1) // 2 * s
+
+
+def test_enumeration_checks_one_spec(monkeypatch):
+    calls = []
+    post_init = CandidateSpec.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CandidateSpec, "__post_init__", counting)
+    table = enumerate_binary_candidates([f"s{i}" for i in range(28)], [f"x{i}" for i in range(30)])
+    assert len(table) == 11340
+    assert len(calls) <= 1
 
 
 def test_enumeration_is_canonically_ordered():
@@ -641,6 +656,20 @@ def test_screen_matches_the_frozen_per_candidate_loop(cands, variant, flat):
     _assert_same_screen(params, table, cands)
 
 
+def _assert_like_constructed(spec):
+    """spec cannot be told apart from the spec `CandidateSpec(...)` builds
+    from its solvents and salt."""
+    built = CandidateSpec(spec.solvent_a, spec.solvent_b, spec.salt)
+    assert spec == built and hash(spec) == hash(built)
+    assert vars(spec) == vars(built)
+    assert [type(v) for v in vars(spec).values()] == [str, str, str, tuple, float]
+    assert [type(w) for w in spec.weights] == [float, float]
+    for copy in (replace(spec), pickle.loads(pickle.dumps(spec))):
+        assert copy == spec and vars(copy) == vars(spec)
+    assert repr(spec) == repr(built)
+    assert spec.describe() == built.describe() and spec.sort_key() == built.sort_key()
+
+
 def _outcome(enumerate_fn, solvents, salts):
     try:
         return enumerate_fn(solvents, salts), None
@@ -661,5 +690,7 @@ def test_enumerated_table_matches_the_frozen_enumeration(solvents, salts, varian
     if error is None:
         assert [astuple(c) for c in table] == [astuple(c) for c in frozen]
         assert [type(w) for c in table for w in c.weights] == [type(w) for c in frozen for w in c.weights]
+        for spec in table:
+            _assert_like_constructed(spec)
         _assert_columns_decode(table)
         _assert_same_screen(SCREEN_PARAMS[(variant, False)], table, list(table))
