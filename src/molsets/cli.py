@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -136,13 +137,22 @@ def _read_smiles_list(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _check_out_path(path: str) -> None:
-    """Refuse an output path that cannot take a file, before any work."""
-    if os.path.isdir(path):
-        raise DataError(f"cannot write {path}: it is a directory")
-    parent = os.path.dirname(path)
-    if parent and not os.path.isdir(parent):
-        raise DataError(f"cannot write {path}: directory {parent} does not exist")
+def _check_out_paths(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Refuse, before any work, an output path that cannot take a file or
+    that names the same file as an input or an earlier output. Both map a
+    flag to its path, None for a flag not given."""
+    taken = {os.path.realpath(path): flag for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise DataError(f"cannot write {path}: directory {parent} does not exist")
+        other = taken.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise DataError(f"cannot write {path}: {other} and {flag} name the same file")
 
 
 def _cmd_featurize(args) -> int:
@@ -162,7 +172,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    _check_out_path(args.out)
+    _check_out_paths({"--out": args.out}, {"--in": args.input})
     records = data_mod.load_dataset(args.input, strict=not args.lenient)
     data_mod.write_dataset(data_mod.prepared_records(records), args.out)
     print(f"wrote {len(records)} mixtures to {args.out}")
@@ -177,12 +187,7 @@ def _cmd_split(args) -> int:
     if len(ratios) != 3:
         raise UsageError("--ratios needs three comma-separated numbers")
     outputs = (args.out_train, args.out_val, args.out_test)
-    named = {}
-    for flag, path in zip(("--out-train", "--out-val", "--out-test"), outputs):
-        _check_out_path(path)
-        other = named.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise DataError(f"cannot write {path}: {other} and {flag} name the same file")
+    _check_out_paths(dict(zip(("--out-train", "--out-val", "--out-test"), outputs)), {"--in": args.input})
     records = data_mod.load_dataset(args.input)
     parts = data_mod.split_dataset(records, ratios, args.seed)
     for part, path in zip(parts, outputs):
@@ -192,7 +197,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_out_path(args.out)
+    _check_out_paths({"--out": args.out}, {})
     records = data_mod.generate_synthetic(args.n, seed=args.seed, noise_scale=args.noise)
     data_mod.write_dataset(records, args.out)
     print(f"wrote {len(records)} synthetic mixtures to {args.out}")
@@ -200,6 +205,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_paths(
+        {"--out": args.out, "--history": args.history},
+        {"--data": args.data, "--val": args.val, "--config": args.config},
+    )
     sections = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -220,9 +229,6 @@ def _cmd_train(args) -> int:
         train_config = TrainConfig(**sections.get("train", {}))
     except TypeError as exc:
         raise UsageError(f"bad config file {args.config}: {exc}") from exc
-    for path in (args.out, args.history):
-        if path is not None:
-            _check_out_path(path)
 
     store = GraphStore()
     train_examples = _load_examples(args.data, store)
@@ -251,7 +257,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    _check_out_path(args.out)
+    _check_out_paths(
+        {"--out": args.out},
+        {"--checkpoint": args.checkpoint, "--solvents": args.solvents, "--salts": args.salts},
+    )
     params = load_checkpoint(args.checkpoint)
     store = GraphStore()
     dropped: list[str] = []
@@ -304,7 +313,7 @@ def _cmd_permute_test(args) -> int:
 
 
 def _cmd_export_reprs(args) -> int:
-    _check_out_path(args.out)
+    _check_out_paths({"--out": args.out}, {"--checkpoint": args.checkpoint, "--data": args.data})
     params = load_checkpoint(args.checkpoint)
     if params.config.variant == "concat":
         raise DataError("the concat variant has no aggregated mixture representation")
@@ -312,10 +321,10 @@ def _cmd_export_reprs(args) -> int:
     store = GraphStore()
     reprs = mixture_representation(params, [mixture_from_record(r, store) for r in records])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        header = ["mixture_id"] + [f"r_{i}" for i in range(params.config.representation_dim)]
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["mixture_id"] + [f"r_{i}" for i in range(params.config.representation_dim)])
         for record, vec in zip(records, reprs.data.tolist()):
-            fh.write(",".join([record.mixture_id] + [repr(v) for v in vec]) + "\n")
+            writer.writerow([record.mixture_id, *vec])
     print(f"wrote {len(records)} representations to {args.out}")
     return 0
 

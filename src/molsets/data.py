@@ -72,6 +72,26 @@ class ConductivityPoint:
             raise DataError(f"log10 conductivity must be finite, got {self.log10_sigma!r}")
 
 
+def composition_error(weights, molality) -> str | None:
+    """Why weight fractions and a salt molality are not a mixture's, or None:
+    every fraction lies in [0, 1], they sum to 1 within 1e-6, and the
+    molality is finite and >= 0."""
+    try:
+        if not all(0 <= w <= 1 for w in weights):
+            return f"weight fractions must lie in [0, 1], got {weights}"
+        total = sum(weights)
+    except TypeError:
+        return f"weight fractions must be numbers, got {weights!r}"
+    if abs(total - 1.0) > 1e-6:
+        return f"weight fractions sum to {total!r}, expected 1"
+    try:
+        if math.isfinite(molality) and molality >= 0:
+            return None
+    except TypeError:
+        return f"molality must be a number, got {molality!r}"
+    return f"molality must be finite and >= 0, got {molality}"
+
+
 @dataclass
 class MixtureRecord:
     mixture_id: str
@@ -91,19 +111,14 @@ class MixtureRecord:
             raise DataError(
                 f"{n} solvents but {len(self.weight_fractions)} weight fractions"
             )
-        if not all(0 <= w <= 1 for w in self.weight_fractions):
-            raise DataError(f"weight fractions must lie in [0, 1], got {self.weight_fractions}")
-        if abs(sum(self.weight_fractions) - 1.0) > 1e-6:
-            raise DataError(
-                f"weight fractions sum to {sum(self.weight_fractions)!r}, expected 1"
-            )
+        error = composition_error(self.weight_fractions, self.molality)
+        if error is not None:
+            raise DataError(error)
         overrides = self.mol_weight_overrides
         if overrides is not None and len(overrides) != n:
             raise DataError("mol_weight_overrides count does not match solvent count")
         if overrides and not all(m is None or (math.isfinite(m) and m > 0) for m in overrides):
             raise DataError(f"molecular weights must be finite and positive, got {overrides}")
-        if not (math.isfinite(self.molality) and self.molality >= 0):
-            raise DataError(f"molality must be finite and >= 0, got {self.molality}")
 
 
 @dataclass
@@ -228,9 +243,10 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
 
     Cells are read by header position; when a column name repeats, its
     last column wins, and a short row reads its missing cells as blank.
-    Blank rows are skipped. In strict mode the first bad row aborts with a
-    DataError naming the physical line it starts on; in lenient mode bad
-    rows are skipped and reported via logging.
+    Blank rows, and blank cells beyond the header, are skipped; a row with
+    any other cell beyond the header is a bad row. In strict mode the first
+    bad row aborts with a DataError naming the physical line it starts on;
+    in lenient mode bad rows are skipped and reported via logging.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -254,6 +270,8 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
             if len(row) < width:
                 row += [""] * (width - len(row))
             try:
+                if any(cell.strip() for cell in row[width:]):
+                    raise DataError(f"line {line}: cells beyond the header: {row[width:]!r}")
                 mixture_id, parsed = _parse_row(row, col, line)
                 existing = grouped.get(mixture_id)
                 if existing is None:

@@ -118,17 +118,9 @@ class GraphTensors:
         )
 
 
-def _check_input(params: ConvParams, x: Tensor) -> None:
-    if x.data.shape[1] != params.input_dim:
-        raise ad.DimensionError(
-            f"node features have dim {x.data.shape[1]}, expected {params.input_dim}"
-        )
-
-
 def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors, relu: bool = False) -> Tensor:
     """One graph-convolution layer, then max(., 0) if relu; returns the
     updated node-feature matrix."""
-    _check_input(params, x)
     kind = params.kind
     if kind in ("graphconv", "sageconv"):
         adjacency = gt.weighted if kind == "graphconv" else gt.mean
@@ -145,7 +137,6 @@ def dmpnn_forward(params: ConvParams, x: Tensor, gt: GraphTensors, iterations: i
     `ad.dmpnn` node over the union's edges."""
     if iterations < 1:
         raise ValueError("dmpnn needs at least one iteration")
-    _check_input(params, x)
     return ad.dmpnn(x, gt.src, gt.dst, gt.w, params.w_in, params.w_h, params.w_out, iterations)
 
 

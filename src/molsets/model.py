@@ -57,13 +57,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chem import (
-    FeaturizationError,
-    MolecularGraph,
-    NODE_FEATURE_DIM,
-    SmilesParseError,
-    build_graph,
-)
+from .chem import MolecularGraph, NODE_FEATURE_DIM, build_graph
+from .data import composition_error
 from .gnn import (
     CONV_KINDS,
     ConvParams,
@@ -207,13 +202,9 @@ class MixtureInput:
     def __post_init__(self):
         if not self.solvents:
             raise ValueError("a mixture needs at least one solvent")
-        weights = [w for _, w in self.solvents]
-        if not all(0 <= w <= 1 for w in weights):
-            raise ValueError(f"weight fractions must lie in [0, 1], got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-6:
-            raise ValueError(f"weight fractions sum to {sum(weights)!r}, expected 1")
-        if not (math.isfinite(self.molality) and self.molality >= 0):
-            raise ValueError(f"molality must be finite and >= 0, got {self.molality}")
+        error = composition_error([w for _, w in self.solvents], self.molality)
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass
@@ -560,26 +551,19 @@ class GraphStore:
     """Cache of built graphs keyed by (SMILES, molecular-weight override).
 
     Reusing one graph object per distinct molecule lets a batch embed it
-    once however many mixtures contain it. A key that failed to build keeps
-    its exception, which every later get of that key raises again.
+    once however many mixtures contain it. Only built graphs are kept: a
+    key that failed to build is parsed again, and fails again, at its next
+    get.
     """
 
     def __init__(self):
         self._graphs: dict[tuple[str, float | None], MolecularGraph] = {}
-        self._failures: dict[tuple[str, float | None], ValueError] = {}
 
     def get(self, smiles: str, mol_weight_override: float | None = None) -> MolecularGraph:
         key = (smiles, mol_weight_override)
         graph = self._graphs.get(key)
         if graph is None:
-            failure = self._failures.get(key)
-            if failure is not None:
-                raise failure.with_traceback(None)
-            try:
-                graph = self._graphs[key] = build_graph(smiles, mol_weight_override)
-            except (SmilesParseError, FeaturizationError) as exc:
-                self._failures[key] = exc
-                raise
+            graph = self._graphs[key] = build_graph(smiles, mol_weight_override)
         return graph
 
 

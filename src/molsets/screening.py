@@ -22,14 +22,13 @@ import csv
 import itertools
 import json
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chem import FeaturizationError, MolecularGraph, SmilesParseError
-from .data import MixtureRecord
+from .data import MixtureRecord, composition_error
 from .model import GraphStore, MixtureBatch, ModelParams, forward_columns
 
 logger = logging.getLogger(__name__)
@@ -63,25 +62,15 @@ class CandidateSpec:
             object.__setattr__(self, "solvent_b", b)
         try:
             w0, w1 = self.weights
-            weights_ok = 0 <= w0 <= 1 and 0 <= w1 <= 1 and abs(w0 + w1 - 1.0) <= 1e-6
         except (TypeError, ValueError):
-            weights_ok = False
-        if not weights_ok:
             raise ValueError(
-                f"candidate {self.describe()}: weight fractions must be two values in [0, 1] "
-                f"summing to 1, got {self.weights!r}"
-            )
+                f"candidate {self.describe()}: needs two weight fractions, got {self.weights!r}"
+            ) from None
+        error = composition_error([w0, w1], self.molality)
+        if error is not None:
+            raise ValueError(f"candidate {self.describe()}: {error}")
         if swapped or type(self.weights) is not tuple:
             object.__setattr__(self, "weights", (w1, w0) if swapped else (w0, w1))
-        try:
-            molality_ok = math.isfinite(self.molality) and self.molality >= 0
-        except TypeError:
-            molality_ok = False
-        if not molality_ok:
-            raise ValueError(
-                f"candidate {self.describe()}: molality must be finite and >= 0, "
-                f"got {self.molality!r}"
-            )
 
     def describe(self) -> str:
         return f"{self.solvent_a} | {self.solvent_b} | {self.salt}"

@@ -199,18 +199,14 @@ def train(
         if debug:
             epoch_start = time.perf_counter()
             tape_nodes, grad_norms, embedded = [], [], []
-            unions = [0, 0]  # built, reused
+            held = _union_count(train_batch) + _union_count(val_batch)
+            used = own = 0  # unions used by the steps and validation; built by the slices for themselves
         lr_used = optimizer.lr
         order = rng.permutation(len(train_data))
         epoch_squares = 0.0
         for start in range(0, len(order), config.batch_size):
             rows = order[start : start + config.batch_size]
-            if debug:
-                own = _union_count(train_batch)
             batch = train_batch.take(rows)
-            if debug:
-                # What take handed over, less the unions it built just now.
-                reused = _union_count(batch) - (_union_count(train_batch) - own)
             with Tape() as tape:
                 tape.watch(*tensors)
                 preds = forward_columns(params, batch)
@@ -229,12 +225,10 @@ def train(
                 squares = sum(float(np.vdot(grads[t], grads[t])) for t in tensors)
                 grad_norms.append(math.sqrt(squares))
                 embedded.append(len(batch.solvent_graphs) + len(batch.salt_graphs))
-                unions[0] += _union_count(batch) - reused
-                unions[1] += reused
+                used += _union_count(batch)
+                own += sum(len(u) for p, u in batch.unions.items() if u is not train_batch.unions.get(p))
 
         train_loss = epoch_squares / len(train_data)
-        if debug:
-            reused = _union_count(val_batch)
         val_preds = forward_columns(params, val_batch).data
         with np.errstate(over="ignore"):  # a non-finite loss is refused below
             val_loss = float(np.mean((val_preds - val_targets) ** 2))
@@ -242,8 +236,8 @@ def train(
             raise TrainingError(f"non-finite validation loss {val_loss} at epoch {epoch}, lr {lr_used}")
         history.append(HistoryEntry(epoch, train_loss, val_loss, lr_used))
         if debug:
-            unions[0] += _union_count(val_batch) - reused
-            unions[1] += reused
+            used += _union_count(val_batch)
+            built = own + _union_count(train_batch) + _union_count(val_batch) - held
             logger.debug(
                 json.dumps(
                     {
@@ -256,8 +250,8 @@ def train(
                         "tape_nodes_per_step": float(np.mean(tape_nodes)),
                         "grad_norm": float(np.mean(grad_norms)),
                         "molecules_embedded_per_step": float(np.mean(embedded)),
-                        "unions_built": unions[0],
-                        "unions_reused": unions[1],
+                        "unions_built": built,
+                        "unions_reused": used - built,
                     }
                 )
             )

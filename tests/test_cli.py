@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -674,3 +675,84 @@ def test_split_refuses_two_outputs_naming_one_file(tmp_path, synthetic_csv, caps
     assert "name the same file" in captured.err
     assert captured.out == ""
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "command, output, source",
+    [
+        ("prepare", "--out", "--in"),
+        ("split", "--out-train", "--in"),
+        ("split", "--out-val", "--in"),
+        ("split", "--out-test", "--in"),
+        ("train", "--out", "--data"),
+        ("train", "--out", "--val"),
+        ("train", "--out", "--config"),
+        ("train", "--history", "--data"),
+        ("train", "--history", "--val"),
+        ("train", "--history", "--config"),
+        ("train", "--history", "--out"),
+        ("screen", "--out", "--checkpoint"),
+        ("screen", "--out", "--solvents"),
+        ("screen", "--out", "--salts"),
+        ("export-reprs", "--out", "--checkpoint"),
+        ("export-reprs", "--out", "--data"),
+    ],
+)
+def test_commands_refuse_an_output_naming_an_input(
+    tmp_path, synthetic_csv, micro_config, capsys, monkeypatch, command, output, source
+):
+    for name in ("train", "load_checkpoint", "run_screening"):
+        monkeypatch.setattr(f"molsets.cli.{name}", _must_not_run(name))
+    monkeypatch.setattr("molsets.data.load_dataset", _must_not_run("load_dataset"))
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    val = tmp_path / "val.csv"
+    val.write_bytes(Path(synthetic_csv).read_bytes())
+    (tmp_path / "solvents.txt").write_text("C1CCOC1\nCOCOC\n", encoding="utf-8")
+    (tmp_path / "salts.txt").write_text("[Li+].[Cl-]\n", encoding="utf-8")
+    inputs = {
+        "prepare": {"--in": synthetic_csv},
+        "split": {"--in": synthetic_csv},
+        "train": {"--config": micro_config, "--data": synthetic_csv, "--val": str(val)},
+        "screen": {
+            "--checkpoint": str(ckpt),
+            "--solvents": str(tmp_path / "solvents.txt"),
+            "--salts": str(tmp_path / "salts.txt"),
+        },
+        "export-reprs": {"--checkpoint": str(ckpt), "--data": synthetic_csv},
+    }[command]
+    flags = {"split": ["--out-train", "--out-val", "--out-test"], "train": ["--out", "--history"]}
+    out = tmp_path / "out"
+    out.mkdir()
+    outputs = {flag: str(out / f"{flag[2:]}.csv") for flag in flags.get(command, ["--out"])}
+    target = {**inputs, **outputs}[source]
+    outputs[output] = os.path.join(os.path.dirname(target), ".", os.path.basename(target))
+    before = {path: Path(path).read_bytes() for path in inputs.values()}
+    code = cli([command] + [arg for item in {**inputs, **outputs}.items() for arg in item])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = f"cannot write {outputs[output]}: {source} and {output} name the same file"
+    assert captured.err == f"data error: {message}\n"
+    assert captured.out == ""
+    assert {path: Path(path).read_bytes() for path in inputs.values()} == before
+    assert os.listdir(out) == []
+
+
+def test_export_reprs_quotes_ids_that_need_it(tmp_path, capsys):
+    ids = ['a,"b', "c\nd", 'e"', "plain", "f,g"]
+    data = tmp_path / "data.csv"
+    write_dataset(
+        [dataclasses.replace(r, mixture_id=i) for r, i in zip(generate_synthetic(len(ids), seed=5), ids)],
+        str(data),
+    )
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    out = tmp_path / "reprs.csv"
+    assert cli(["export-reprs", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["mixture_id"] + [f"r_{i}" for i in range(6)]
+    assert [row[0] for row in rows[1:]] == ids
+    assert all(len(row) == 1 + 6 for row in rows)
+    plain = rows[1 + ids.index("plain")]
+    assert ",".join(plain) + "\n" in out.read_text(encoding="utf-8")  # no quotes where none are needed

@@ -8,6 +8,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen_data
+from molsets.chem import build_graph
 from molsets.data import (
     CSV_COLUMNS,
     ConductivityPoint,
@@ -24,6 +26,7 @@ from molsets.data import (
     TargetError,
     arrhenius_fit,
     attach_targets,
+    composition_error,
     conductivity_at_298K,
     generate_synthetic,
     load_dataset,
@@ -32,6 +35,8 @@ from molsets.data import (
     synthetic_ground_truth,
     write_dataset,
 )
+from molsets.model import MixtureInput
+from molsets.screening import CandidateSpec
 
 
 def _record(points, **overrides):
@@ -161,6 +166,17 @@ def test_load_rejects_weights_outside_unit_interval_with_line(tmp_path, caplog):
         records = load_dataset(path, strict=False)
     assert [r.mixture_id for r in records] == ["m1"]
     assert any("skipping" in m and "line 3" in m for m in caplog.messages)
+
+
+def test_load_refuses_cells_beyond_the_header(tmp_path, caplog):
+    good = "m1,C1CCOC1,,,,1.0,,,,,,,,[Li+].[Cl-],1.0,300.0,-2.0"
+    path = _write_csv(tmp_path, [good + ", ,", "m2" + good[2:] + ",,stray"])
+    with pytest.raises(DataError, match=r"^line 3: cells beyond the header: \['', 'stray'\]$"):
+        load_dataset(path)
+    with caplog.at_level(logging.WARNING):
+        records = load_dataset(path, strict=False)
+    assert [r.mixture_id for r in records] == ["m1"]  # blank cells beyond the header are ignored
+    assert caplog.messages == ["skipping row: line 3: cells beyond the header: ['', 'stray']"]
 
 
 def test_load_lenient_skips_bad_rows(tmp_path, caplog):
@@ -360,6 +376,37 @@ def test_synthetic_points_recover_target_through_fit():
         assert conductivity_at_298K(stripped) == pytest.approx(record.target_298K, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "weights, molality, message",
+    [
+        ((0.7, 0.7), 1.0, "weight fractions sum to 1.4, expected 1"),
+        ((1.2, -0.2), 1.0, "weight fractions must lie in [0, 1], got [1.2, -0.2]"),
+        ((float("nan"), 0.5), 1.0, "weight fractions must lie in [0, 1], got [nan, 0.5]"),
+        ((0.5, 0.5), -0.5, "molality must be finite and >= 0, got -0.5"),
+        ((0.5, 0.5), float("nan"), "molality must be finite and >= 0, got nan"),
+        ((0.5, 0.5), float("inf"), "molality must be finite and >= 0, got inf"),
+        (("half", "half"), 1.0, "weight fractions must be numbers, got ['half', 'half']"),
+        ((0.5, 0.5), "one", "molality must be a number, got 'one'"),
+    ],
+    ids=["sum-1.4", "out-of-range", "nan-weight", "negative-molality", "nan-molality", "inf-molality",
+         "text-weights", "text-molality"],
+)
+def test_one_composition_rule_for_records_inputs_and_candidates(weights, molality, message):
+    solvents, salt = ["C1CCOC1", "COCOC"], "[Li+].[Cl-]"
+    assert composition_error(list(weights), molality) == message
+    with pytest.raises(DataError) as record:
+        MixtureRecord("m1", solvents, list(weights), salt, molality)
+    graphs = [(build_graph(smiles), w) for smiles, w in zip(solvents, weights)]
+    with pytest.raises(ValueError) as mix:
+        MixtureInput(graphs, build_graph(salt), molality)
+    with pytest.raises(ValueError) as candidate:
+        CandidateSpec(*solvents, salt, weights=weights, molality=molality)
+    assert type(mix.value) is ValueError and type(candidate.value) is ValueError
+    prefix = "candidate C1CCOC1 | COCOC | [Li+].[Cl-]: "
+    assert str(candidate.value).startswith(prefix)
+    assert {str(record.value), str(mix.value), str(candidate.value)[len(prefix):]} == {message}
+
+
 def test_record_validation():
     with pytest.raises(DataError):
         MixtureRecord("x", [], [], "[Li+].[Cl-]", 1.0)
@@ -499,13 +546,29 @@ def _messy_csv(draw):
     return buf.getvalue()
 
 
+def _refusing_long_rows(parse_row):
+    """The frozen row parser, refusing first a row with a non-blank cell
+    beyond the header, as load_dataset does; the frozen reader loaded such
+    a row silently. DictReader files those cells under the key None."""
+
+    def parse(row, line):
+        extra = row.get(None, [])
+        if any(cell.strip() for cell in extra):
+            raise DataError(f"line {line}: cells beyond the header: {extra!r}")
+        return parse_row(row, line)
+
+    return parse
+
+
 # The frozen reader numbers records, not lines, so the two agree only on
 # files with no blank line and no quoted line break; those cases have
 # tests of their own below.
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=_messy_csv())
 def test_load_dataset_equals_frozen_reader(text):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        frozen_data, "_parse_row", _refusing_long_rows(frozen_data._parse_row)
+    ):
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

