@@ -270,7 +270,7 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
             if len(row) < width:
                 row += [""] * (width - len(row))
             try:
-                if any(cell.strip() for cell in row[width:]):
+                if len(row) > width and any(cell.strip() for cell in row[width:]):
                     raise DataError(f"line {line}: cells beyond the header: {row[width:]!r}")
                 mixture_id, parsed = _parse_row(row, col, line)
                 existing = grouped.get(mixture_id)
