@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -806,4 +807,56 @@ def test_train_grid_matches_golden(variant, conv, tmp_path):
         "the train history or checkpoint bytes changed; the golden pins the numpy and OpenBLAS "
         "kernels of the machine that wrote it, so on another machine a last-bit difference in a "
         "product also fails here"
+    )
+
+
+GOLDEN_GRADIENTS = Path(__file__).resolve().parent / "golden" / "first_step_gradients.json"
+GRADIENT_MICRO = dict(num_layers=2, hidden_dim=3, representation_dim=4, attention_dim=2, rho_hidden_dims=(3,))
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def first_step_gradients(conv, variant, run, monkeypatch) -> dict[str, np.ndarray]:
+    """The gradient of each parameter, by name, that train() hands AdamW at
+    its first step; train stops there."""
+
+    def stop(self, grads):
+        raise _FirstStep(grads)
+
+    monkeypatch.setattr(AdamW, "step", stop)
+    examples = _examples(run["records"], seed=run["data_seed"])
+    n = run["n_train"]
+    config = TrainConfig(batch_size=run["batch_size"], seed=run["train_seed"])
+    params = build_model(ModelConfig.for_conv(conv, variant=variant, seed=run["model_seed"], **GRADIENT_MICRO))
+    with pytest.raises(_FirstStep) as stopped:
+        train(params, examples[:n], examples[n:], config)
+    grads = stopped.value.args[0]
+    return {name: grads[t] for name, t in named_parameters(params)}
+
+
+# Roundoff-level reorderings of a step's sums pass this gate; a dropped or
+# scaled gradient term or a changed init draw does not. The bound is per
+# tensor: max |g - ref| <= 1e-12 * max |ref|. Model seed 1 leaves no
+# tensor with an all-zero gradient beyond the salt pathway's neighbour
+# weights (a salt's ions share no bond); at seed 0 the micro gcnconv
+# molsets model's ReLUs are all off and its gradients nearly all zero.
+@pytest.mark.parametrize("conv", gnn.CONV_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_first_step_gradients_match_golden(variant, conv, monkeypatch):
+    golden = json.loads(GOLDEN_GRADIENTS.read_text())
+    grads = first_step_gradients(conv, variant, golden["run"], monkeypatch)
+    stored = golden["gradients"][f"{conv}/{variant}"]
+    assert list(grads) == list(stored)
+    off = {}
+    for name, g in grads.items():
+        ref = np.frombuffer(base64.b64decode(stored[name]), "<f8").reshape(g.shape)
+        deviation, scale = np.abs(g - ref).max(), np.abs(ref).max()
+        if deviation > 1e-12 * scale:
+            off[name] = float(deviation / scale) if scale else math.inf
+    assert not off, (
+        f"first-step gradients moved beyond 1e-12 relative (max |g - ref| / max |ref| per tensor): {off}; "
+        "the reference pins the numpy and OpenBLAS kernels of the machine that wrote it, so on "
+        "another machine products summed in another order can also fail here"
     )
