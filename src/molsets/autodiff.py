@@ -16,11 +16,13 @@ loss). Each evaluates the numpy expressions of the primitive composition
 it stands for, in the same order, so its value and gradients are
 bit-identical to that composition's.
 
-`backward` reports no gradient for a constant input, one neither
-produced on the tape nor watched (node features, targets). The selective
-nodes `graph_conv`, `gat_conv`, `dmpnn` and `set_attention` do not even
-form it. Arguments passed as ndarrays (operators, edge lists, weight
-fractions) are not tape inputs at all.
+Every node's backward is `grad_fn(g, needed)`: the gradient of the
+node's output and one flag per input, false for a constant input (one
+neither produced on the tape nor watched: node features, targets). It
+returns one entry per input; `backward` drops a constant input's, and
+`graph_conv`, `gat_conv`, `dmpnn` and `set_attention` never form it.
+Arguments passed as ndarrays (operators, edge lists, weight fractions)
+are not tape inputs at all.
 """
 
 from __future__ import annotations
@@ -74,9 +76,8 @@ class Tape:
     """Records operations for one forward pass; discarded after backward."""
 
     def __init__(self):
-        # (output, inputs, grad_fn, selective); a selective grad_fn also takes
-        # one flag per input and returns None for an input not needed.
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable, bool]] = []
+        # (output, inputs, grad_fn); see the module docstring for grad_fn.
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._watched: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
@@ -98,24 +99,22 @@ class Tape:
         self._watched.extend(tensors)
 
 
-def _record(
-    out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable, selective: bool = False
-) -> Tensor:
+def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
     tape = _active_tape()
     if tape is not None:
         out.tape = tape
-        tape._nodes.append((out, inputs, grad_fn, selective))
+        tape._nodes.append((out, inputs, grad_fn))
     return out
 
 
 def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate gradients of a scalar output for every taped tensor.
 
-    Watched tensors always appear in the result (zeros when the output
-    does not depend on them). An input that is neither produced on the
-    tape nor watched gets no gradient; a selective node (see the module
-    docstring) does not even form it. Replaying the same tape is
-    deterministic.
+    Each node's grad_fn is called once, as grad_fn(g, needed) (see the
+    module docstring). Watched tensors always appear in the result (zeros
+    when the output does not depend on them). An input that is neither
+    produced on the tape nor watched gets no gradient. Replaying the same
+    tape is deterministic.
     """
     if output.data.size != 1:
         raise TapeError(f"backward requires a scalar output, got shape {output.data.shape}")
@@ -124,13 +123,12 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     watched = set(tape._watched)
-    for out, inputs, grad_fn, selective in reversed(tape._nodes):
+    for out, inputs, grad_fn in reversed(tape._nodes):
         g = grads.get(out)
         if g is None:
             continue
         needed = [inp.tape is tape or inp in watched for inp in inputs]
-        input_grads = grad_fn(g, needed) if selective else grad_fn(g)
-        for inp, gi, need in zip(inputs, input_grads, needed):
+        for inp, gi, need in zip(inputs, grad_fn(g, needed), needed):
             if not need:
                 continue
             prev = grads.get(inp)
@@ -151,7 +149,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     if relu:
         np.maximum(yv, 0.0, out=yv)
 
-    def grad(g):
+    def grad(g, needed):
         if relu:
             g = g * (yv > 0.0)  # an output above 0 is a pre-activation above 0
         return g @ wv.T, xv.T @ g, g.sum(axis=0)
@@ -194,7 +192,7 @@ def graph_conv(
         return (gx, ax.T @ g) if ws is None else (gx, ax.T @ g, xv.T @ g)
 
     inputs = (x, w_neigh) if w_self is None else (x, w_neigh, w_self)
-    return _record(Tensor(yv), inputs, grad, selective=True)
+    return _record(Tensor(yv), inputs, grad)
 
 
 def gat_conv(
@@ -244,7 +242,7 @@ def gat_conv(
         g_att = np.concatenate([xw1.T @ g_s1, xw2.T @ g_s2]).reshape(-1)
         return gx, xv.T @ g_xw1, xv.T @ g_xw2, g_att
 
-    return _record(Tensor(yv), (x, w_self, w_neigh, att), grad, selective=True)
+    return _record(Tensor(yv), (x, w_self, w_neigh, att), grad)
 
 
 def dmpnn(
@@ -300,7 +298,7 @@ def dmpnn(
             gx = g_c_out[:, :k_in] + _scatter_rows((g_pre0 @ wi.T)[:, :k_in], src, n)
         return gx, c_in.T @ g_pre0, g_wh, c_out.T @ g
 
-    return _record(Tensor(np.maximum(pre_out, 0.0)), (x, w_in, w_h, w_out), grad, selective=True)
+    return _record(Tensor(np.maximum(pre_out, 0.0)), (x, w_in, w_h, w_out), grad)
 
 
 def set_attention(
@@ -336,7 +334,7 @@ def set_attention(
         return gz, zv.T @ g_q, zv.T @ g_k, zv.T @ g_v
 
     out = Tensor(_scatter_rows(vv * scores * w, seg, n_sets))
-    return _record(out, (z, wq, wk, wv), grad, selective=True)
+    return _record(out, (z, wq, wk, wv), grad)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -348,7 +346,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             raise DimensionError(f"concat ranks differ: {values[0].shape} vs {v.shape}")
     out = Tensor(np.concatenate(values, axis=axis))
     offsets = list(itertools.accumulate(v.shape[axis] for v in values[:-1]))
-    return _record(out, tuple(parts), lambda g: np.split(g, offsets, axis=axis))
+    return _record(out, tuple(parts), lambda g, needed: np.split(g, offsets, axis=axis))
 
 
 def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -358,7 +356,7 @@ def rows(x: Tensor, indices: Sequence[int]) -> Tensor:
         raise DimensionError(f"rows expects a 2-D tensor, got shape {xv.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(xv[idx])
-    return _record(out, (x,), lambda g: (_scatter_rows(g, idx, xv.shape[0]),))
+    return _record(out, (x,), lambda g, needed: (_scatter_rows(g, idx, xv.shape[0]),))
 
 
 def _scatter_rows(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -398,7 +396,7 @@ def segment_sum(x: Tensor, segment, n_segments: int, weights) -> Tensor:
     if xv.ndim != 2 or seg.shape != xv.shape[:1] or w.shape != seg.shape:
         raise DimensionError(f"segment_sum shapes {xv.shape}, {seg.shape} and {w.shape} differ")
     out = Tensor(_scatter_rows(xv * w[:, None], seg, n_segments))
-    return _record(out, (x,), lambda g: (g[seg] * w[:, None],))
+    return _record(out, (x,), lambda g, needed: (g[seg] * w[:, None],))
 
 
 def segment_mean(x: Tensor, segment, sizes) -> Tensor:
@@ -410,7 +408,7 @@ def segment_mean(x: Tensor, segment, sizes) -> Tensor:
     if xv.ndim != 2 or seg.shape != xv.shape[:1]:
         raise DimensionError(f"segment_mean shapes {xv.shape} and {seg.shape} differ")
     out = Tensor(_scatter_rows(xv, seg, inverse.shape[0]) * inverse)
-    return _record(out, (x,), lambda g: ((g * inverse)[seg],))
+    return _record(out, (x,), lambda g, needed: ((g * inverse)[seg],))
 
 
 def mse(preds: Tensor, targets: Tensor) -> Tensor:
@@ -423,7 +421,7 @@ def mse(preds: Tensor, targets: Tensor) -> Tensor:
     diff = pv - tv
     out = Tensor((diff * diff).mean())
 
-    def grad(g):
+    def grad(g, needed):
         h = (g / diff.size) * diff
         gd = h + h
         return gd, -gd
@@ -434,7 +432,7 @@ def mse(preds: Tensor, targets: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xv = x.data
     out = Tensor(xv.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(xv.shape),))
+    return _record(out, (x,), lambda g, needed: (g.reshape(xv.shape),))
 
 
 def finite_diff_gradient(

@@ -41,11 +41,9 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ConvParams:
-    """One conv layer; the tensors its kind has (conv_shapes) are set."""
+    """One conv layer: its kind and the tensors of conv_shapes(kind), the rest None."""
 
     kind: str
-    input_dim: int
-    output_dim: int
     w1: Tensor | None = None
     w2: Tensor | None = None
     att: Tensor | None = None
@@ -173,4 +171,4 @@ def init_conv(kind: str, input_dim: int, output_dim: int, rng: np.random.Generat
         name: Tensor(rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]), shape))
         for name, shape in conv_shapes(kind, input_dim, output_dim)
     }
-    return ConvParams(kind, input_dim, output_dim, **tensors)
+    return ConvParams(kind, **tensors)

@@ -250,7 +250,7 @@ def _zero_model(config: ModelConfig) -> ModelParams:
 
     def pathway() -> GnnParams:
         convs = [
-            ConvParams(kind, dim, h, **{name: next(views) for name, _ in conv_shapes(kind, dim, h)})
+            ConvParams(kind, **{name: next(views) for name, _ in conv_shapes(kind, dim, h)})
             for dim in _conv_inputs(config)
         ]
         return GnnParams(convs, DenseParams(next(views), next(views)), config.num_layers)

@@ -5,7 +5,8 @@ the tests.
 
 The primitives record on `ad._record` like the package's own ops, so a
 composition of them runs on a `Tape` and `ad.backward` differentiates
-it. `mul` is the broadcasting version: an operand of total size 1 against
+it; their backwards take only the output's gradient, and the local
+`_record` hands them to the tape as `grad_fn(g, needed)`. `mul` is the broadcasting version: an operand of total size 1 against
 any tensor, a (k,) vector against the rows of a (B, k) matrix, and an
 (N, 1) column against the columns of an (N, k) matrix. `segment_sum` is
 the unweighted one. The compositions are the layer bodies as they stood
@@ -19,8 +20,12 @@ import math
 import numpy as np
 
 from molsets import autodiff as ad
-from molsets.autodiff import DimensionError, Tensor, _record, coo_to_dense
+from molsets.autodiff import DimensionError, Tensor, coo_to_dense
 from molsets.gnn import GAT_LEAKY_SLOPE, ConvParams, GraphTensors
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
+    return ad._record(out, inputs, lambda g, needed: grad_fn(g))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -167,7 +172,7 @@ def segment_softmax(x: Tensor, segment, n_segments: int) -> Tensor:
 
 def gat_composition(params: ConvParams, x: Tensor, gt: GraphTensors) -> Tensor:
     """One GAT layer without its ReLU, as primitives."""
-    out_dim = params.output_dim
+    out_dim = params.w1.shape[1]
     xw1 = matmul(x, params.w1)
     xw2 = matmul(x, params.w2)
     a_col = ad.reshape(params.att, (2 * out_dim, 1))

@@ -291,7 +291,7 @@ def test_gat_conv_matches_composition(specs, k_in, k_out, relu, exact, seed):
     rng = np.random.default_rng(seed)
     gt = _union_of(specs)
     x = Tensor(_draw(rng, (gt.n, k_in), exact))
-    p = ConvParams("gatconv", k_in, k_out)
+    p = ConvParams("gatconv")
     p.w1, p.w2 = (Tensor(_draw(rng, (k_in, k_out), exact)) for _ in range(2))
     p.att = Tensor(_draw(rng, 2 * k_out, exact))
 
@@ -315,7 +315,7 @@ def test_dmpnn_matches_composition(specs, k_in, k_out, iterations, exact, seed):
     rng = np.random.default_rng(seed)
     gt = _union_of(specs)
     x = Tensor(_draw(rng, (gt.n, k_in), exact))
-    p = ConvParams("dmpnn", k_in, k_out)
+    p = ConvParams("dmpnn")
     p.w_in = Tensor(_draw(rng, (k_in + 1, k_out), exact))
     p.w_h = Tensor(_draw(rng, (k_out, k_out), exact))
     p.w_out = Tensor(_draw(rng, (k_in + k_out, k_out), exact))
@@ -718,6 +718,18 @@ def test_independent_tapes_on_concurrent_threads():
         assert np.allclose(grad, np.tile(x_row[:, None], (1, 3)))
 
 
+def _tape_ops() -> list[str]:
+    """The public ops of autodiff that record a tape node."""
+    return [
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and "_record(" in inspect.getsource(fn)
+    ]
+
+
 def test_every_tape_op_has_a_caller():
     # A public op that records a tape node is called as `ad.<name>(` from the
     # package or a demo; an op that nothing calls is deleted, not kept alive
@@ -727,16 +739,43 @@ def test_every_tape_op_has_a_caller():
         for folder in ("src", "demos")
         for path in sorted((ROOT / folder).rglob("*.py"))
     )
-    ops = [
-        name
-        for name, fn in vars(ad).items()
-        if inspect.isfunction(fn)
-        and fn.__module__ == ad.__name__
-        and not name.startswith("_")
-        and "_record(" in inspect.getsource(fn)
-    ]
+    ops = _tape_ops()
     assert len(ops) == 11, ops
     assert [name for name in ops if f"ad.{name}(" not in text] == []
+
+
+def test_every_tape_node_has_one_backward_form():
+    # backward calls every node's backward one way: each op records
+    # (out, inputs, grad_fn), and grad_fn(g, needed) returns one entry per
+    # input, with the input's shape wherever the input is needed.
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, (4, 3)))
+    w = [Tensor(rng.uniform(-1, 1, shape)) for shape in [(3, 2), (3, 2), (3, 3), (4, 2), (2, 2), (5, 2)]]
+    src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+    ops = {
+        "affine": lambda: ad.affine(x, w[0], Tensor(np.zeros(2)), relu=True),
+        "graph_conv": lambda: ad.graph_conv(x, np.eye(4), w[0], w[1], relu=True),
+        "gat_conv": lambda: ad.gat_conv(x, src, dst, w[0], w[1], Tensor(np.ones(4)), GAT_LEAKY_SLOPE),
+        "dmpnn": lambda: ad.dmpnn(x, src, dst, np.ones(4), w[3], w[4], w[5], 2),
+        "set_attention": lambda: ad.set_attention(x, w[0], w[1], w[2], np.ones(4), [0, 0, 1, 1], 2),
+        "concat": lambda: ad.concat([x, w[2]]),
+        "rows": lambda: ad.rows(x, [2, 0, 2]),
+        "segment_sum": lambda: ad.segment_sum(x, [0, 1, 1, 0], 2, np.ones(4)),
+        "segment_mean": lambda: ad.segment_mean(x, [0, 1, 1, 0], [2, 2]),
+        "mse": lambda: ad.mse(x, Tensor(np.zeros((4, 3)))),
+        "reshape": lambda: ad.reshape(x, (3, 4)),
+    }
+    assert sorted(ops) == sorted(_tape_ops())
+    for name, build in ops.items():
+        with Tape() as tape:
+            out = build()
+        [node] = tape._nodes
+        assert len(node) == 3 and node[0] is out, name
+        _, inputs, grad_fn = node
+        for needed in ([True] * len(inputs), [False] * len(inputs), [False] + [True] * (len(inputs) - 1)):
+            grads = grad_fn(np.ones_like(out.data), needed)
+            assert len(grads) == len(inputs), name
+            assert all(g.shape == t.shape for g, t, need in zip(grads, inputs, needed) if need), name
 
 
 def test_every_public_function_has_a_caller():

@@ -38,7 +38,7 @@ def _tensors(n, edges):
 
 
 def _scalar_conv(kind):
-    p = ConvParams(kind, 1, 1)
+    p = ConvParams(kind)
     p.w1 = Tensor([[1.0]])
     p.w2 = Tensor([[1.0]])
     return p
@@ -68,16 +68,14 @@ def test_sageconv_isolated_node():
 
 def test_gcnconv_two_node_example():
     gt = _tensors(2, [(0, 1, 1.0)])
-    p = ConvParams("gcnconv", 1, 1, w1=Tensor([[1.0]]))
+    p = ConvParams("gcnconv", w1=Tensor([[1.0]]))
     out = conv_forward(p, Tensor([[1.0], [2.0]]), gt).data
     assert np.allclose(out, [[1.5], [1.5]])
 
 
 def test_gatconv_zero_attention_is_uniform():
     gt = _tensors(2, [(0, 1, 1.0)])
-    p = ConvParams(
-        "gatconv", 1, 1, w1=Tensor([[2.0]]), w2=Tensor([[3.0]]), att=Tensor([0.0, 0.0])
-    )
+    p = ConvParams("gatconv", w1=Tensor([[2.0]]), w2=Tensor([[3.0]]), att=Tensor([0.0, 0.0]))
     out = conv_forward(p, Tensor([[1.0], [1.0]]), gt).data
     # alpha uniform over {self, neighbor}: 0.5 * W1 x_i + 0.5 * W2 x_j
     assert np.allclose(out, [[2.5], [2.5]])
@@ -91,8 +89,6 @@ def test_gatconv_attention_sums_to_one():
     w = rng.uniform(-1, 1, (3, 3))
     p = ConvParams(
         "gatconv",
-        3,
-        3,
         w1=Tensor(w),
         w2=Tensor(w.copy()),
         att=Tensor(rng.uniform(-1, 1, 6)),
@@ -318,7 +314,7 @@ def _reference_dmpnn_tensors(n, edges):
 
 
 def _reference_gat(params, x, n, adj):
-    out_dim = params.output_dim
+    out_dim = params.w1.shape[1]
     xw1 = F.matmul(x, params.w1)
     xw2 = F.matmul(x, params.w2)
     a_col = ad.reshape(params.att, (2 * out_dim, 1))

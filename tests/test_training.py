@@ -437,7 +437,7 @@ def test_graphconv_step_forms_no_gradient_of_constant_inputs(conv, variant):
     watched = set(tensors)
     constants = {
         t
-        for _, inputs, _, _ in tape._nodes
+        for _, inputs, _ in tape._nodes
         for t in inputs
         if t.tape is not tape and t not in watched
     }
