@@ -26,6 +26,7 @@ from .chem import FeaturizationError, SmilesParseError, build_graph
 from .data import DataError
 from .gnn import CONV_KINDS
 from .model import (
+    CHECKPOINT_TEMP_SUFFIX,
     VARIANTS,
     GraphStore,
     ModelConfig,
@@ -205,8 +206,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    temp = f"{args.out}{CHECKPOINT_TEMP_SUFFIX}"  # save_checkpoint writes it, then renames it
     _check_out_paths(
-        {"--out": args.out, "--history": args.history},
+        {"--out": args.out, "--out's temp file": temp, "--history": args.history},
         {"--data": args.data, "--val": args.val, "--config": args.config},
     )
     sections = {}
@@ -321,7 +323,7 @@ def _cmd_export_reprs(args) -> int:
     store = GraphStore()
     reprs = mixture_representation(params, [mixture_from_record(r, store) for r in records])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh)
         writer.writerow(["mixture_id"] + [f"r_{i}" for i in range(params.config.representation_dim)])
         for record, vec in zip(records, reprs.data.tolist()):
             writer.writerow([record.mixture_id, *vec])

@@ -71,6 +71,7 @@ from .gnn import (
 )
 
 FEATURE_SCHEMA_VERSION = 1
+CHECKPOINT_TEMP_SUFFIX = ".tmp"
 _CHECKPOINT_KEYS = frozenset({"config", "feature_schema_version", "params"})
 
 # Mixture rows per transform_head call. Blocks start at multiples of
@@ -594,8 +595,8 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     to `{"shape": [...], "float64": "<base64>"}`: the base64 of the
     array's float64 values as little-endian bytes in C order.
 
-    The document is written to `path` + ".tmp" and renamed over `path`,
-    so a failed or interrupted save never leaves a partial checkpoint.
+    It is written to `path` + CHECKPOINT_TEMP_SUFFIX, then renamed over
+    `path`, so a failed or interrupted save never leaves a partial checkpoint.
     """
     doc = {
         "config": asdict(params.config),
@@ -608,7 +609,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             for name, t in named_parameters(params)
         },
     }
-    tmp = f"{path}.tmp"
+    tmp = f"{path}{CHECKPOINT_TEMP_SUFFIX}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)

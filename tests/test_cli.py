@@ -677,6 +677,9 @@ def test_split_refuses_two_outputs_naming_one_file(tmp_path, synthetic_csv, caps
     assert os.listdir(out) == []
 
 
+TEMP = "--out's temp file"  # save_checkpoint writes <--out>.tmp, then renames it over --out
+
+
 @pytest.mark.parametrize(
     "command, output, source",
     [
@@ -691,6 +694,9 @@ def test_split_refuses_two_outputs_naming_one_file(tmp_path, synthetic_csv, caps
         ("train", "--history", "--val"),
         ("train", "--history", "--config"),
         ("train", "--history", "--out"),
+        ("train", TEMP, "--data"),
+        ("train", TEMP, "--val"),
+        ("train", TEMP, "--config"),
         ("screen", "--out", "--checkpoint"),
         ("screen", "--out", "--solvents"),
         ("screen", "--out", "--salts"),
@@ -725,13 +731,20 @@ def test_commands_refuse_an_output_naming_an_input(
     out = tmp_path / "out"
     out.mkdir()
     outputs = {flag: str(out / f"{flag[2:]}.csv") for flag in flags.get(command, ["--out"])}
-    target = {**inputs, **outputs}[source]
-    outputs[output] = os.path.join(os.path.dirname(target), ".", os.path.basename(target))
+    if output == TEMP:  # the input is named like the checkpoint's temp file
+        renamed = tmp_path / "model.json.tmp"
+        renamed.write_bytes(Path(inputs[source]).read_bytes())
+        inputs[source] = str(renamed)
+        outputs["--out"] = os.path.join(str(tmp_path), ".", "model.json")
+        written = outputs["--out"] + ".tmp"
+    else:
+        target = {**inputs, **outputs}[source]
+        outputs[output] = written = os.path.join(os.path.dirname(target), ".", os.path.basename(target))
     before = {path: Path(path).read_bytes() for path in inputs.values()}
     code = cli([command] + [arg for item in {**inputs, **outputs}.items() for arg in item])
     captured = capsys.readouterr()
     assert code == 2
-    message = f"cannot write {outputs[output]}: {source} and {output} name the same file"
+    message = f"cannot write {written}: {source} and {output} name the same file"
     assert captured.err == f"data error: {message}\n"
     assert captured.out == ""
     assert {path: Path(path).read_bytes() for path in inputs.values()} == before
@@ -739,7 +752,7 @@ def test_commands_refuse_an_output_naming_an_input(
 
 
 def test_export_reprs_quotes_ids_that_need_it(tmp_path, capsys):
-    ids = ['a,"b', "c\nd", 'e"', "plain", "f,g"]
+    ids = ['a,"b', "c\nd", 'e"', "plain", "f,g", "a\rb"]
     data = tmp_path / "data.csv"
     write_dataset(
         [dataclasses.replace(r, mixture_id=i) for r, i in zip(generate_synthetic(len(ids), seed=5), ids)],
