@@ -41,7 +41,7 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ConvParams:
-    """One conv layer: its kind and the tensors of conv_shapes(kind), the rest None."""
+    """One conv layer: its kind and the tensors conv_shapes names for it, the rest None."""
 
     kind: str
     w1: Tensor | None = None

@@ -6,9 +6,10 @@ the tests.
 The primitives record on `ad._record` like the package's own ops, so a
 composition of them runs on a `Tape` and `ad.backward` differentiates
 it; their backwards take only the output's gradient, and the local
-`_record` hands them to the tape as `grad_fn(g, needed)`. `mul` is the broadcasting version: an operand of total size 1 against
-any tensor, a (k,) vector against the rows of a (B, k) matrix, and an
-(N, 1) column against the columns of an (N, k) matrix. `segment_sum` is
+`_record` hands them to the tape as `grad_fn(g, needed)`. `mul` is the
+broadcasting version: an operand of total size 1 against any tensor, a
+(k,) vector against the rows of a (B, k) matrix, and an (N, 1) column
+against the columns of an (N, k) matrix. `segment_sum` is
 the unweighted one. The compositions are the layer bodies as they stood
 before the fusion, with these primitives in place of the deleted `ad.`
 ones; the attention scale reads d_k off `wq`. Not a test module: pytest

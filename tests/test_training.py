@@ -841,7 +841,8 @@ def first_step_gradients(conv, variant, run, monkeypatch) -> dict[str, np.ndarra
 # tensor: max |g - ref| <= 1e-12 * max |ref|. Model seed 1 leaves no
 # tensor with an all-zero gradient beyond the salt pathway's neighbour
 # weights (a salt's ions share no bond); at seed 0 the micro gcnconv
-# molsets model's ReLUs are all off and its gradients nearly all zero.
+# molsets model's first head layer has every ReLU off, so only the last
+# bias gets a gradient.
 @pytest.mark.parametrize("conv", gnn.CONV_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_first_step_gradients_match_golden(variant, conv, monkeypatch):
