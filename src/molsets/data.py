@@ -92,6 +92,13 @@ def composition_error(weights, molality) -> str | None:
     return f"molality must be finite and >= 0, got {molality}"
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """ValueError unless `value` is an int or numpy integer, not a bool,
+    and >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class MixtureRecord:
     mixture_id: str

@@ -58,7 +58,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .chem import MolecularGraph, NODE_FEATURE_DIM, build_graph
-from .data import composition_error
+from .data import check_integer, composition_error
 from .gnn import (
     CONV_KINDS,
     ConvParams,
@@ -123,11 +123,11 @@ class ModelConfig:
             raise ValueError(f"unknown convolution kind {self.conv!r}")
         if not isinstance(self.rho_hidden_dims, (list, tuple)):
             raise ValueError(f"rho_hidden_dims must be a list, got {self.rho_hidden_dims!r}")
-        checks = [(name, getattr(self, name), 1) for name in _SIZE_FIELDS]
-        checks += [("rho_hidden_dims", d, 1) for d in self.rho_hidden_dims]
-        for name, value, least in checks + [("seed", self.seed, 0)]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in _SIZE_FIELDS:
+            check_integer(name, getattr(self, name), 1)
+        for d in self.rho_hidden_dims:
+            check_integer("rho_hidden_dims", d, 1)
+        check_integer("seed", self.seed, 0)
         # Python ints, so that sizes cannot overflow and checkpoints serialize.
         for name in (*_SIZE_FIELDS, "seed"):
             setattr(self, name, int(getattr(self, name)))
@@ -144,7 +144,8 @@ class ModelConfig:
     @classmethod
     def for_conv(cls, conv: str, variant: str = "molsets", seed: int = 0, **overrides) -> "ModelConfig":
         """Config with the tuned defaults for the given convolution operator."""
-        layers, hidden, repr_dim, att = DEFAULT_HPARAMS[conv]
+        # An unknown kind gets graphconv's values here, and cls refuses it.
+        layers, hidden, repr_dim, att = DEFAULT_HPARAMS.get(conv, DEFAULT_HPARAMS["graphconv"])
         base = dict(
             variant=variant,
             conv=conv,
@@ -478,6 +479,8 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
     cfg = params.config
     sizes = batch.set_sizes
     n_sets = sizes.size
+    if sizes.min() < 1:
+        raise ValueError("cannot aggregate an empty mixture set")
     if sizes.max() > cfg.max_solvents:
         raise ValueError(
             f"mixture has {sizes.max()} solvents, model accepts at most {cfg.max_solvents}"

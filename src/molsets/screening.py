@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chem import FeaturizationError, MolecularGraph, SmilesParseError
+from .chem import FeaturizationError, MolecularGraph, SmilesParseError, build_graph
 from .data import MixtureRecord, composition_error
-from .model import GraphStore, MixtureBatch, ModelParams, forward_columns
+from .model import MixtureBatch, ModelParams, forward_columns
 
 logger = logging.getLogger(__name__)
 
@@ -247,12 +247,11 @@ def run_screening(
     reports the counts.
     """
     table = candidates if isinstance(candidates, CandidateTable) else CandidateTable(candidates)
-    store = GraphStore()
     graphs: list[MolecularGraph | None] = []
     errors: dict[int, ValueError] = {}
-    for code, smiles in enumerate(table.smiles):
+    for code, smiles in enumerate(table.smiles):  # distinct, so each is parsed once
         try:
-            graphs.append(store.get(smiles))
+            graphs.append(build_graph(smiles))
         except (SmilesParseError, FeaturizationError) as exc:
             graphs.append(None)
             errors[code] = exc

@@ -4,8 +4,10 @@ The protocol: AdamW (decoupled weight decay) from an initial learning
 rate of 1e-3 with weight decay 1e-4. `train` counts the epochs since the
 last strict improvement of the validation loss: every 10 of them halve
 the learning rate, and 20 stop training, restoring the parameters from
-the epoch with the lowest validation loss. Training updates the given
-parameters in place and returns them restored to that epoch. The
+the epoch with the lowest validation loss. TrainConfig holds each
+setting of the protocol, with its default and its check, and AdamW reads
+its settings from the TrainConfig it is built with. Training updates the
+given parameters in place and returns them restored to that epoch. The
 training and validation sets are each built into one columnar batch per
 call; a step runs on a slice of the training batch (`MixtureBatch.take`),
 and validation on the whole validation batch. The loop is
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .data import check_integer
 from .model import (
     MixtureBatch,
     MixtureInput,
@@ -61,16 +64,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (
-            ("max_epochs", 1),
-            ("batch_size", 1),
-            ("scheduler_patience", 0),
-            ("early_stop_patience", 0),
-            ("seed", 0),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("max_epochs", "batch_size"):
+            check_integer(name, getattr(self, name), 1)
+        for name in ("scheduler_patience", "early_stop_patience", "seed"):
+            check_integer(name, getattr(self, name), 0)
         for name in ("lr0", "weight_decay", "eps", "scheduler_factor"):
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value >= 0):
@@ -111,27 +108,22 @@ class AdamW:
     """Adam with decoupled weight decay:
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
-    It steps the model's parameter vector (`values`, ModelParams.values) in
-    place, with one element-wise update per step; `step` takes each
-    parameter tensor's gradient, keyed by the tensor.
+    It reads its settings from a TrainConfig, which has checked them: `lr`
+    starts at lr0 (train cuts it on a plateau), and weight_decay, betas and
+    eps are as given. It steps the model's parameter vector (`values`,
+    ModelParams.values) in place, with one element-wise update per step;
+    `step` takes each parameter tensor's gradient, keyed by the tensor.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        lr: float = 0.001,
-        weight_decay: float = 0.0001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ModelParams, config: TrainConfig):
         if any(t.data.base is not params.values for t in params.tensors):
             raise ValueError("a parameter tensor no longer views the model's parameter vector")
         self.tensors = params.tensors
         self.values = params.values
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.lr = config.lr0
+        self.weight_decay = config.weight_decay
+        self.beta1, self.beta2 = config.betas
+        self.eps = config.eps
         self.step_count = 0
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
@@ -176,13 +168,7 @@ def train(
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
     tensors = params.tensors
-    optimizer = AdamW(
-        params,
-        lr=config.lr0,
-        weight_decay=config.weight_decay,
-        betas=config.betas,
-        eps=config.eps,
-    )
+    optimizer = AdamW(params, config)
     rng = np.random.default_rng(config.seed)
     train_batch = batch_of(params, [mix for mix, _ in train_data])
     train_targets = np.array([target for _, target in train_data])

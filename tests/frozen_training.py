@@ -92,13 +92,7 @@ def train_reference(params, train_data, val_data, config):
     if not train_data or not val_data:
         raise ValueError("training and validation sets must be non-empty")
     tensors = [t for _, t in named_parameters(params)]
-    optimizer = AdamW(
-        params,
-        lr=config.lr0,
-        weight_decay=config.weight_decay,
-        betas=config.betas,
-        eps=config.eps,
-    )
+    optimizer = AdamW(params, config)
     scheduler = PlateauScheduler(optimizer, config.scheduler_factor, config.scheduler_patience)
     rng = np.random.default_rng(config.seed)
 

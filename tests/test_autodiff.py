@@ -445,6 +445,8 @@ def test_fused_node_shape_errors():
         ad.set_attention(x, wq, wq, Tensor(np.zeros((3, 2))), np.ones(3), [0, 0, 0], 1)
     with pytest.raises(DimensionError):
         ad.set_attention(x, wq, wq, wv, np.ones(3), [0, 0], 1)
+    with pytest.raises(DimensionError, match="2-D"):
+        ad.rows(Tensor(np.ones(3)), [0])
 
 
 def _softmax(x):
@@ -505,6 +507,10 @@ def test_concat_examples():
     assert np.array_equal(ad.concat([Tensor([7.0]), Tensor(np.zeros(0))]).data, [7.0])
     wide = ad.concat([Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))], axis=1)
     assert wide.data.shape == (2, 5)
+    with pytest.raises(DimensionError, match="empty sequence"):
+        ad.concat([])
+    with pytest.raises(DimensionError, match="ranks differ"):
+        ad.concat([Tensor(np.ones((2, 2))), Tensor(np.ones(2))])
 
 
 def test_backward_linear():
@@ -585,6 +591,8 @@ def test_finite_diff_square():
     x = Tensor([3.0])
     fd = ad.finite_diff_gradient(lambda: float(x.data[0] ** 2), [x])
     assert abs(fd[x][0] - 6.0) <= 1e-8
+    with pytest.raises(ValueError, match="must be positive"):
+        ad.finite_diff_gradient(lambda: float(x.data[0] ** 2), [x], h=0)
 
 
 def test_finite_diff_constant():

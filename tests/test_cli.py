@@ -99,6 +99,11 @@ def test_usage_errors(capsys):
     assert cli([]) == 1
     assert cli(["train", "--data", "x.csv"]) == 1  # missing required flags
     assert "error" in capsys.readouterr().err
+    split = ["split", "--in", "x.csv", "--out-train", "a.csv", "--out-val", "b.csv", "--out-test", "c.csv"]
+    assert cli([*split, "--ratios", "0.8,x,0.1"]) == 1
+    assert "bad --ratios value '0.8,x,0.1'" in capsys.readouterr().err
+    assert cli([*split, "--ratios", "0.5,0.5"]) == 1
+    assert "--ratios needs three comma-separated numbers" in capsys.readouterr().err
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

@@ -342,6 +342,11 @@ def test_synthetic_rejects_negative_or_non_finite_noise(noise):
         generate_synthetic(3, seed=9, noise_scale=noise)
 
 
+def test_synthetic_rejects_an_empty_corpus():
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        generate_synthetic(0)
+
+
 def test_synthetic_noise_perturbs_targets():
     clean = generate_synthetic(10, seed=9)
     noisy = generate_synthetic(10, seed=9, noise_scale=0.1)
@@ -420,6 +425,10 @@ def test_record_validation():
         MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", float("nan"))
     with pytest.raises(DataError):
         MixtureRecord("x", ["C"], [1.0], "[Li+].[Cl-]", float("inf"))
+    with pytest.raises(DataError, match="2 solvents but 1 weight fractions"):
+        MixtureRecord("x", ["C", "CC"], [1.0], "[Li+].[Cl-]", 1.0)
+    with pytest.raises(DataError, match="mol_weight_overrides count"):
+        MixtureRecord("x", ["C", "CC"], [0.5, 0.5], "[Li+].[Cl-]", 1.0, [None])
     with pytest.raises(DataError):
         ConductivityPoint(-5.0, -2.0)
     for bad in (float("inf"), float("-inf"), float("nan")):

@@ -177,6 +177,17 @@ def test_conv_rejects_wrong_feature_dim():
         conv_forward(p, Tensor(np.zeros((2, 5))), gt)
 
 
+def test_conv_refuses_unknown_kinds_and_zero_iterations():
+    gt = _tensors(2, [(0, 1, 1.0)])
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="does not handle kind 'foo'"):
+        conv_forward(ConvParams("foo"), x, gt)
+    with pytest.raises(ValueError, match="unknown convolution kind 'foo'"):
+        conv_shapes("foo", 3, 2)
+    with pytest.raises(ValueError, match="at least one iteration"):
+        dmpnn_forward(init_conv("dmpnn", 3, 2, np.random.default_rng(0)), x, gt, iterations=0)
+
+
 def _random_graph(rng, n=6):
     edges = []
     seen = set()

@@ -254,6 +254,33 @@ def test_concat_variant_enforces_max_solvents():
         predict(params, MixtureInput(solvents, SALT, 1.0))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_refuses_an_empty_solvent_set(variant):
+    # Two mixtures; the second's solvent set has no member, so predicting
+    # it would treat the mixture as salt-only.
+    batch = model_mod.MixtureBatch(
+        solvent_graphs=[THF],
+        salt_graphs=[SALT],
+        slot_graph=np.array([0]),
+        slot_weight=np.array([1.0]),
+        set_sizes=np.array([1, 0]),
+        set_of=np.arange(2),
+        salt_of=np.zeros(2, dtype=np.intp),
+        molality=np.ones(2),
+    )
+    with pytest.raises(ValueError, match="cannot aggregate an empty mixture set"):
+        forward_columns(micro_model(variant), batch)
+
+
+def test_forward_refuses_no_mixtures_and_other_feature_widths():
+    params = micro_model()
+    with pytest.raises(ValueError, match="at least one mixture"):
+        forward_batch(params, [])
+    narrow = replace(THF, node_features=THF.node_features[:, 1:])
+    with pytest.raises(ad.DimensionError, match=f"dim {NODE_FEATURE_DIM - 1}, expected {NODE_FEATURE_DIM}"):
+        predict(params, MixtureInput([(narrow, 1.0)], SALT, 1.0))
+
+
 EQUIVALENCE_MIXTURES = [
     [(THF, 1.0)],
     [(GLYME, 0.3), (THF, 0.7)],
@@ -571,6 +598,7 @@ def _one_float_short(doc, name):
         (lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "seed"}}, "seed"),
         (lambda doc: _with_config(doc, hidden_dim=0), "hidden_dim"),
         (lambda doc: _with_config(doc, max_solvents=0), "max_solvents"),
+        (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items() if k != "rho0.b"}}, "missing parameter 'rho0.b'"),
         (lambda doc: _with_saved_value("rho0.b", float("nan")), "rho0.b"),
         (lambda doc: _with_saved_value("attention.wq", float("-inf")), "attention.wq"),
         (lambda doc: {**doc, "params": {**doc["params"], "rho0.w": [0.0]}}, "rho0.w"),
@@ -595,6 +623,7 @@ def _one_float_short(doc, name):
         "missing-config-key",
         "zero-hidden-dim",
         "zero-max-solvents",
+        "missing-parameter",
         "nan-parameter",
         "inf-parameter",
         "parameter-not-object",
@@ -630,11 +659,17 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, corrupt, message):
         ("seed", "x"),
         ("seed", 1.5),
         ("seed", True),
+        ("variant", "foo"),
+        ("conv", "foo"),
+        ("rho_hidden_dims", 3),
     ],
 )
 def test_model_config_rejects_non_positive_sizes(field, value):
+    # Both constructors refuse, with the same ValueError.
     with pytest.raises(ValueError, match=field):
         ModelConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ModelConfig.for_conv(**{"conv": "graphconv", field: value})
 
 
 def _hand_count(config) -> int:

@@ -296,7 +296,8 @@ def test_screening_parses_a_bad_smiles_once(monkeypatch):
         calls.append(smiles)
         return build_graph(smiles, mol_weight_override)
 
-    monkeypatch.setattr(model_mod, "build_graph", counted_build_graph)
+    for module in (screening_mod, model_mod):  # the screen's parse, then GraphStore's
+        monkeypatch.setattr(module, "build_graph", counted_build_graph)
     cands = enumerate_binary_candidates(["C1CCOC1", bad, "COCOC"], ["[Li+].[Cl-]", "[Na+].[Cl-]"])
     results, skipped = run_screening(_micro_params(5), cands)
     assert sorted(calls) == sorted(["C1CCOC1", bad, "COCOC", "[Li+].[Cl-]", "[Na+].[Cl-]"])

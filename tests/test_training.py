@@ -56,10 +56,11 @@ def _examples(n, seed, store=None):
 
 
 def _micro_optimizer(start, **hyper):
-    """(AdamW on a micro model whose parameters all start at `start`, the model)."""
+    """(AdamW with the TrainConfig settings `hyper` on a micro model whose
+    parameters all start at `start`, the model)."""
     params = build_model(ModelConfig.for_conv("gatconv", seed=0, **MICRO))
     params.values[...] = start
-    return AdamW(params, **hyper), params
+    return AdamW(params, TrainConfig(**hyper)), params
 
 
 def _same_gradient(params, g):
@@ -67,13 +68,13 @@ def _same_gradient(params, g):
 
 
 def test_adamw_first_step_closed_form():
-    opt, params = _micro_optimizer(1.0, lr=0.001, weight_decay=1e-4)
+    opt, params = _micro_optimizer(1.0, lr0=0.001, weight_decay=1e-4)
     opt.step(_same_gradient(params, 1.0))
     assert params.values == pytest.approx(0.9989999, abs=1e-7)
 
 
 def test_adamw_zero_gradient_no_decay_is_identity():
-    opt, params = _micro_optimizer(0.0, lr=0.01, weight_decay=0.0)
+    opt, params = _micro_optimizer(0.0, lr0=0.01, weight_decay=0.0)
     start = np.random.default_rng(0).uniform(-1, 1, params.values.size)
     params.values[...] = start
     for _ in range(5):
@@ -82,7 +83,7 @@ def test_adamw_zero_gradient_no_decay_is_identity():
 
 
 def test_adamw_identical_gradients_evolve_identically():
-    opt, params = _micro_optimizer(0.5, lr=0.01, weight_decay=1e-4)
+    opt, params = _micro_optimizer(0.5, lr0=0.01, weight_decay=1e-4)
     rng = np.random.default_rng(0)
     for _ in range(20):
         opt.step(_same_gradient(params, rng.normal()))
@@ -103,7 +104,7 @@ def test_adamw_without_decay_matches_scalar_adam_trace():
         v_hat = v / (1 - b2**t)
         theta_ref -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
-    opt, params = _micro_optimizer(0.4, lr=lr, weight_decay=0.0, betas=(b1, b2), eps=eps)
+    opt, params = _micro_optimizer(0.4, lr0=lr, weight_decay=0.0, betas=(b1, b2), eps=eps)
     for g in gradient_sequence:
         opt.step(_same_gradient(params, g))
     assert params.values == pytest.approx(theta_ref, abs=1e-14)
@@ -128,7 +129,7 @@ def test_train_lr_cuts_and_stop_match_the_plateau_rules():
         )
         params = build_model(ModelConfig.for_conv("graphconv", seed=3, **MICRO))
         _, history = train(params, examples[:30], examples[30:], config)
-        optimizer = AdamW(params, lr=config.lr0)
+        optimizer = AdamW(params, config)
         scheduler = PlateauScheduler(optimizer, config.scheduler_factor, scheduler_patience)
         cuts, val_losses = 0, []
         for entry in history:
@@ -320,7 +321,7 @@ def test_adamw_tensors_are_views_of_one_vector(tmp_path):
         named = named_parameters(params)
         before = [t.data.copy() for _, t in named]
         assert params.values.shape == (sum(b.size for b in before),)
-        optimizer = AdamW(params, lr=0.01)
+        optimizer = AdamW(params, TrainConfig(lr0=0.01))
         optimizer.step({t: np.ones_like(t.data) for _, t in named})
         offset = 0
         for (name, tensor), old in zip(named, before):
@@ -334,7 +335,7 @@ def test_adamw_tensors_are_views_of_one_vector(tmp_path):
     # A tensor whose data is rebound would no longer be trained: refused.
     built.rho[0].b.data = built.rho[0].b.data.copy()
     with pytest.raises(ValueError, match="no longer views"):
-        AdamW(built)
+        AdamW(built, TrainConfig())
 
 
 def _plateau_run(max_epochs):
