@@ -469,7 +469,9 @@ def batch_of(params: ModelParams, mixes: list[MixtureInput]) -> MixtureBatch:
 def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
     """Solvent part of the head input, one row per solvent set, (S, D):
     the only place each variant differs. The distinct solvent graphs are
-    embedded in one pass over the batch's solvent unions.
+    embedded in one pass over the batch's solvent unions. Every forward
+    path comes through here, so this is where a batch with no mixture, an
+    empty solvent set or more than max_solvents members is refused.
 
     molsets: attention aggregation of each set's slots. wsum:
     weight-fraction-weighted sum of their embeddings. concat: the
@@ -479,6 +481,8 @@ def _set_representation(params: ModelParams, batch: MixtureBatch) -> Tensor:
     cfg = params.config
     sizes = batch.set_sizes
     n_sets = sizes.size
+    if n_sets == 0:
+        raise ValueError("a forward pass needs at least one mixture")
     if sizes.min() < 1:
         raise ValueError("cannot aggregate an empty mixture set")
     if sizes.max() > cfg.max_solvents:
@@ -535,9 +539,8 @@ def forward_columns(params: ModelParams, batch: MixtureBatch) -> Tensor:
 
 def forward_batch(params: ModelParams, mixes: list[MixtureInput]) -> Tensor:
     """Predictions of a batch of mixtures as a (B,) tensor (differentiable):
-    forward_columns with each mixture as its own solvent set."""
-    if not mixes:
-        raise ValueError("forward_batch needs at least one mixture")
+    forward_columns with each mixture as its own solvent set. An empty
+    batch is refused by _set_representation, as on every forward path."""
     return forward_columns(params, batch_of(params, mixes))
 
 
@@ -571,11 +574,10 @@ class GraphStore:
         return graph
 
 
-def mixture_from_record(record, store: GraphStore | None = None) -> MixtureInput:
+def mixture_from_record(record, store: GraphStore) -> MixtureInput:
     """Build a MixtureInput from a dataset record (duck-typed: needs
     solvent_smiles, weight_fractions, mol_weight_overrides, salt_smiles,
-    molality)."""
-    store = store if store is not None else GraphStore()
+    molality), its graphs taken from `store`."""
     overrides = record.mol_weight_overrides or [None] * len(record.solvent_smiles)
     solvents = [
         (store.get(smiles, override), weight)

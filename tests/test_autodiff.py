@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -809,3 +810,23 @@ def test_every_public_function_has_a_caller():
                 if calls == len(re.findall(rf"\b(?:def|class) {name}\(", text)):
                     uncalled.append(f"{module.__name__}.{name}")
     assert uncalled == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name a molsets module imports is read somewhere in that module;
+    # __init__.py is left out, since its imports are the package's API.
+    unused = []
+    for path in sorted((ROOT / "src" / "molsets").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

@@ -11,6 +11,7 @@ import pytest
 from molsets.cli import cli
 from molsets.data import CSV_COLUMNS, generate_synthetic, load_dataset, write_dataset
 from molsets.model import ModelConfig, build_model, named_parameters, save_checkpoint
+from molsets.screening import run_screening
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -211,18 +212,37 @@ def test_screen_command(tmp_path, synthetic_csv, micro_config, capsys):
     assert len(lines) == 1 + 6
 
 
-def test_screen_reports_partial_success(tmp_path, synthetic_csv, micro_config, capsys):
+def test_screen_reports_partial_success(tmp_path, synthetic_csv, micro_config, capsys, monkeypatch):
     ckpt = _train_checkpoint(tmp_path, synthetic_csv, micro_config)
+    capsys.readouterr()
     solvents = tmp_path / "solvents.txt"
     salts = tmp_path / "salts.txt"
-    solvents.write_text("C1CCOC1\nCOCOC\nbad(smiles\n", encoding="utf-8")
-    salts.write_text("[Li+].[Cl-]\n", encoding="utf-8")
+    # A bad SMILES listed twice is reported twice and is no duplicate.
+    solvents.write_text("C1CCOC1\nbad(smiles\nCOCOC\nbad(smiles\n", encoding="utf-8")
+    salts.write_text("Xx\n[Li+].[Cl-]\n", encoding="utf-8")
     ranked = tmp_path / "ranked.csv"
+    skip_lists = []
+
+    def screen(params, candidates):
+        results, skipped = run_screening(params, candidates)
+        skip_lists.append(skipped)
+        return results, skipped
+
+    # The CLI hands the screen only SMILES that parse, so the screen
+    # skips nothing and the lines below are the only skip report.
+    monkeypatch.setattr("molsets.cli.run_screening", screen)
     code = cli(
         ["screen", "--checkpoint", ckpt, "--solvents", str(solvents), "--salts", str(salts), "--out", str(ranked)]
     )
     assert code == 2  # exit code distinguishes partial success
-    assert "skipped" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "skipped 'bad(smiles': unsupported element 'a' (at offset 1 in 'bad(smiles')",
+        "skipped 'bad(smiles': unsupported element 'a' (at offset 1 in 'bad(smiles')",
+        "skipped 'Xx': unsupported element 'X' (at offset 0 in 'Xx')",
+    ]
+    assert out == f"ranked 1 candidates into {ranked}\n"
+    assert skip_lists == [[]]
     assert len(ranked.read_text().strip().splitlines()) == 1 + 1
 
 

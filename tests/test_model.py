@@ -274,8 +274,13 @@ def test_every_variant_refuses_an_empty_solvent_set(variant):
 
 def test_forward_refuses_no_mixtures_and_other_feature_widths():
     params = micro_model()
-    with pytest.raises(ValueError, match="at least one mixture"):
-        forward_batch(params, [])
+    for empty in (
+        lambda: forward_batch(params, []),
+        lambda: forward_columns(params, model_mod.batch_of(params, [])),
+        lambda: mixture_representation(params, []),
+    ):
+        with pytest.raises(ValueError, match="at least one mixture"):
+            empty()
     narrow = replace(THF, node_features=THF.node_features[:, 1:])
     with pytest.raises(ad.DimensionError, match=f"dim {NODE_FEATURE_DIM - 1}, expected {NODE_FEATURE_DIM}"):
         predict(params, MixtureInput([(narrow, 1.0)], SALT, 1.0))
@@ -786,7 +791,7 @@ def test_mixture_from_record_duck_typed():
         salt_smiles = "F[P-](F)(F)(F)(F)F.[Li+]"
         molality = 1.5
 
-    mix = mixture_from_record(Record())
+    mix = mixture_from_record(Record(), GraphStore())
     assert len(mix.solvents) == 2
     assert mix.solvents[1][0].log_mol_weight == pytest.approx(np.log10(250.0))
     assert mix.molality == 1.5
