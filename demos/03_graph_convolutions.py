@@ -4,18 +4,26 @@ Each operator updates node features from neighbors (weighted by the
 scalar bond codes where its formula uses them); stacking layers, mean
 pooling, and appending log M gives the molecule embedding. The topology
 of one graph, or of several run as one disjoint union, is GraphTensors of
-a list of graphs.
+a list of graphs. Every kind, DMPNN included, is one ConvParams run by
+conv_forward; the layers here are the first conv layer of a model's
+solvent pathway, drawn by build_model.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from molsets import build_graph
+from molsets import ModelConfig, build_graph, build_model
 from molsets.autodiff import Tensor
-from molsets.gnn import GraphTensors, conv_forward, dmpnn_forward, init_conv, mean_pool
+from molsets.gnn import GraphTensors, conv_forward, mean_pool
 
 np.set_printoptions(precision=3, suppress=True)
+
+
+def first_layer(kind, **overrides):
+    """The first conv layer of a model's solvent pathway: 13 -> 4 node features."""
+    return build_model(ModelConfig.for_conv(kind, hidden_dim=4, **overrides)).phi_solvent.convs[0]
+
 
 graph = build_graph("CC(=O)O")  # acetic acid: chain with one double bond
 gt = GraphTensors([graph])
@@ -23,16 +31,14 @@ x = Tensor(graph.node_features)
 print("molecule: CC(=O)O with bond codes",
       dict(zip(map(tuple, graph.edge_index.tolist()), graph.edge_order.tolist())))
 
-rng = np.random.default_rng(1)
 for kind in ("graphconv", "sageconv", "gcnconv", "gatconv"):
-    params = init_conv(kind, 13, 4, rng)
-    out = conv_forward(params, x, gt)
+    out = conv_forward(first_layer(kind, seed=1), x, gt)
     print(f"\n{kind}: node features 13 -> 4")
     print(out.data)
 
-params = init_conv("dmpnn", 13, 4, rng)
-out = dmpnn_forward(params, x, gt, iterations=3)
-print("\ndmpnn (3 iterations of directed edge states):")
+params = first_layer("dmpnn", num_layers=3, seed=1)
+out = conv_forward(params, x, gt)
+print(f"\ndmpnn ({params.iterations} iterations of directed edge states):")
 print(out.data)
 
 print("\nmean pooling collapses the node axis:")
@@ -42,10 +48,12 @@ print("\n=== Two molecules as one disjoint-union graph ===")
 water = build_graph("O")
 union = GraphTensors([graph, water])
 x_union = Tensor(np.concatenate([graph.node_features, water.node_features]))
-pooled = mean_pool(dmpnn_forward(params, x_union, union, iterations=3), union).data
+pooled = mean_pool(conv_forward(params, x_union, union), union).data
 alone = mean_pool(out, gt).data[0]
+union_gap = np.abs(pooled[0] - alone).max()
 print("one pass, one pooled row per molecule:", pooled.shape)
-print("acetic acid row vs its own pass, max difference:", np.abs(pooled[0] - alone).max())
+print("acetic acid row vs its own pass, max difference:", union_gap)
+assert union_gap <= 1e-12
 
 print("\n=== Permutation equivariance ===")
 perm = [3, 1, 0, 2]
@@ -54,8 +62,9 @@ permuted = replace(
     graph, node_features=graph.node_features[perm], edge_index=relabel[graph.edge_index]
 )
 gt_perm = GraphTensors([permuted])
-params = init_conv("graphconv", 13, 4, np.random.default_rng(2))
+params = first_layer("graphconv", seed=2)
 out = conv_forward(params, x, gt).data
 out_perm = conv_forward(params, Tensor(permuted.node_features), gt_perm).data
-print("relabeling nodes permutes the output rows identically:",
-      np.abs(out_perm - out[perm]).max())
+relabel_gap = np.abs(out_perm - out[perm]).max()
+print("relabeling nodes permutes the output rows identically:", relabel_gap)
+assert relabel_gap <= 1e-12

@@ -23,7 +23,7 @@ from .data import (
     split_dataset,
     write_dataset,
 )
-from .gnn import ConvParams, DenseParams, GraphTensors, conv_forward, dmpnn_forward
+from .gnn import ConvParams, DenseParams, GraphTensors, conv_forward
 from .model import (
     AttentionParams,
     MixtureBatch,

@@ -134,7 +134,7 @@ def _load_examples(path: str, store: GraphStore):
 
 
 def _read_smiles_list(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return [line.strip() for line in fh if line.strip()]
 
 
@@ -213,7 +213,7 @@ def _cmd_train(args) -> int:
     )
     sections = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             sections = json.load(fh)
         if not isinstance(sections, dict):
             raise UsageError(

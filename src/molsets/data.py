@@ -1,7 +1,7 @@
 """Mixture conductivity records: CSV ingestion, 298 K target inference,
 dataset splitting, and a synthetic corpus generator.
 
-CSV schema (UTF-8, header required), one row per temperature point:
+CSV schema (UTF-8, BOM allowed, header required), one row per temperature point:
 
     mixture_id, solvent_smiles_1..4, weight_frac_1..4, mol_weight_1..4,
     salt_smiles, molality_mol_per_kg, temperature_K,
@@ -74,22 +74,25 @@ class ConductivityPoint:
 
 def composition_error(weights, molality) -> str | None:
     """Why weight fractions and a salt molality are not a mixture's, or None:
-    every fraction lies in [0, 1], they sum to 1 within 1e-6, and the
-    molality is finite and >= 0."""
-    try:
-        if not all(0 <= w <= 1 for w in weights):
-            return f"weight fractions must lie in [0, 1], got {weights}"
-        total = sum(weights)
-    except TypeError:
+    each is a number (is_number), every fraction lies in [0, 1], they sum
+    to 1 within 1e-6, and the molality is finite and >= 0."""
+    if not all(is_number(w) for w in weights):
         return f"weight fractions must be numbers, got {weights!r}"
+    if not is_number(molality):
+        return f"molality must be a number, got {molality!r}"
+    if not all(0 <= w <= 1 for w in weights):
+        return f"weight fractions must lie in [0, 1], got {weights}"
+    total = sum(weights)
     if abs(total - 1.0) > 1e-6:
         return f"weight fractions sum to {total!r}, expected 1"
-    try:
-        if math.isfinite(molality) and molality >= 0:
-            return None
-    except TypeError:
-        return f"molality must be a number, got {molality!r}"
+    if math.isfinite(molality) and molality >= 0:
+        return None
     return f"molality must be finite and >= 0, got {molality}"
+
+
+def is_number(value) -> bool:
+    """An int, float or numpy number, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 def check_integer(name: str, value, least: int) -> None:
@@ -255,7 +258,7 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
     bad row aborts with a DataError naming the physical line it starts on;
     in lenient mode bad rows are skipped and reported via logging.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -6,7 +6,8 @@ as a disjoint union (GraphTensors(graphs)): each `edge_index` row
 (i, j) appears as i -> j and j -> i with its bond code as weight, the
 graphs' node rows are stacked and their edge lists offset, so a conv
 layer is one pass over all of them and mean pooling is one segment sum.
-Graphconv, sageconv and gcnconv read their operator off the edge list as
+A layer of any kind is one ConvParams run by conv_forward. Graphconv,
+sageconv and gcnconv read their operator off the edge list as
 a dense matrix filled from (row, col, value) entries, built once per
 union; at the union sizes used here (a few hundred atoms at most) one
 dense matmul costs less than a scatter-add over the edges. Each layer,
@@ -41,7 +42,8 @@ GAT_LEAKY_SLOPE = 0.2
 
 @dataclass
 class ConvParams:
-    """One conv layer: its kind and the tensors conv_shapes names for it, the rest None."""
+    """One conv layer: its kind, the tensors conv_shapes names for it (the
+    rest None) and, for DMPNN only, its message-passing iterations."""
 
     kind: str
     w1: Tensor | None = None
@@ -50,6 +52,7 @@ class ConvParams:
     w_in: Tensor | None = None
     w_h: Tensor | None = None
     w_out: Tensor | None = None
+    iterations: int | None = None
 
 
 @dataclass
@@ -117,8 +120,9 @@ class GraphTensors:
 
 
 def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors, relu: bool = False) -> Tensor:
-    """One graph-convolution layer, then max(., 0) if relu; returns the
-    updated node-feature matrix."""
+    """One graph-convolution layer of any kind, then max(., 0) if relu;
+    returns the updated node-feature matrix. DMPNN runs its iterations and
+    its readout, which ends in a ReLU, so relu changes nothing there."""
     kind = params.kind
     if kind in ("graphconv", "sageconv"):
         adjacency = gt.weighted if kind == "graphconv" else gt.mean
@@ -127,15 +131,12 @@ def conv_forward(params: ConvParams, x: Tensor, gt: GraphTensors, relu: bool = F
         return ad.graph_conv(x, gt.gcn, params.w1, relu=relu)
     if kind == "gatconv":
         return ad.gat_conv(x, gt.src, gt.dst, params.w1, params.w2, params.att, GAT_LEAKY_SLOPE, relu)
+    if kind == "dmpnn":
+        iterations = params.iterations
+        if iterations is None or iterations < 1:
+            raise ValueError("dmpnn needs at least one iteration")
+        return ad.dmpnn(x, gt.src, gt.dst, gt.w, params.w_in, params.w_h, params.w_out, iterations)
     raise ValueError(f"conv_forward does not handle kind {kind!r}")
-
-
-def dmpnn_forward(params: ConvParams, x: Tensor, gt: GraphTensors, iterations: int) -> Tensor:
-    """Directed message passing on edge states, then a node readout: one
-    `ad.dmpnn` node over the union's edges."""
-    if iterations < 1:
-        raise ValueError("dmpnn needs at least one iteration")
-    return ad.dmpnn(x, gt.src, gt.dst, gt.w, params.w_in, params.w_h, params.w_out, iterations)
 
 
 def mean_pool(x: Tensor, gt: GraphTensors) -> Tensor:
@@ -162,13 +163,3 @@ def conv_shapes(kind: str, input_dim: int, output_dim: int) -> list[tuple[str, t
             ("w_out", (input_dim + output_dim, output_dim)),
         ]
     raise ValueError(f"unknown convolution kind {kind!r}")
-
-
-def init_conv(kind: str, input_dim: int, output_dim: int, rng: np.random.Generator) -> ConvParams:
-    """One conv layer on its own, each tensor of conv_shapes drawn in order
-    from U(+-1/sqrt(shape[0]))."""
-    tensors = {
-        name: Tensor(rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]), shape))
-        for name, shape in conv_shapes(kind, input_dim, output_dim)
-    }
-    return ConvParams(kind, **tensors)

@@ -66,7 +66,6 @@ from .gnn import (
     GraphTensors,
     conv_forward,
     conv_shapes,
-    dmpnn_forward,
     mean_pool,
 )
 
@@ -213,7 +212,6 @@ class MixtureInput:
 class GnnParams:
     convs: list[ConvParams]
     readout: DenseParams
-    num_layers: int
 
 
 @dataclass
@@ -255,7 +253,9 @@ def _zero_model(config: ModelConfig) -> ModelParams:
             ConvParams(kind, **{name: next(views) for name, _ in conv_shapes(kind, dim, h)})
             for dim in _conv_inputs(config)
         ]
-        return GnnParams(convs, DenseParams(next(views), next(views)), config.num_layers)
+        if kind == "dmpnn":  # its one layer (_conv_inputs) runs num_layers iterations
+            convs[0].iterations = config.num_layers
+        return GnnParams(convs, DenseParams(next(views), next(views)))
 
     phi_solvent, phi_salt = pathway(), pathway()
     attention = None
@@ -310,12 +310,8 @@ def _pack(graphs: list[MolecularGraph]) -> list[GraphTensors]:
 
 def _embed_union(phi: GnnParams, gt: GraphTensors) -> Tensor:
     x = Tensor(gt.features)
-    convs = phi.convs
-    if convs[0].kind == "dmpnn":
-        x = dmpnn_forward(convs[0], x, gt, iterations=phi.num_layers)
-    else:
-        for idx, conv in enumerate(convs):
-            x = conv_forward(conv, x, gt, relu=idx < len(convs) - 1)
+    for idx, conv in enumerate(phi.convs):
+        x = conv_forward(conv, x, gt, relu=idx < len(phi.convs) - 1)
     with_mass = ad.concat([mean_pool(x, gt), Tensor(gt.log_mass)], axis=1)
     return ad.affine(with_mass, phi.readout.w, phi.readout.b)
 
@@ -637,7 +633,7 @@ def load_checkpoint(path: str) -> ModelParams:
     "float64"}` with the shape of parameter_layout, as a list of ints, and
     a base64 string of that many finite values.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
         raise ValueError(

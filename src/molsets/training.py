@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import check_integer
+from .data import check_integer, is_number
 from .model import (
     MixtureBatch,
     MixtureInput,
@@ -70,7 +70,7 @@ class TrainConfig:
             check_integer(name, getattr(self, name), 0)
         for name in ("lr0", "weight_decay", "eps", "scheduler_factor"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+            if not (is_number(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.eps == 0:  # AdamW divides by sqrt(v) + eps
             raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
@@ -78,14 +78,10 @@ class TrainConfig:
         if not (
             isinstance(betas, (list, tuple))
             and len(betas) == 2
-            and all(_is_number(b) and 0 <= b < 1 for b in betas)
+            and all(is_number(b) and 0 <= b < 1 for b in betas)
         ):
             raise ValueError(f"betas must be a pair of numbers in [0, 1), got {betas!r}")
         self.betas = tuple(betas)
-
-
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 @dataclass

@@ -588,6 +588,38 @@ def test_screen_prints_skip_lines_when_enumeration_fails(tmp_path, capsys):
     assert not ranked.exists()
 
 
+def test_inputs_with_a_byte_order_mark_read_as_without_one(tmp_path, synthetic_csv, micro_config, capsys):
+    # The SMILES lists, the checkpoint and the --config JSON may each start
+    # with a UTF-8 byte-order mark, as some editors save them.
+    ckpt = tmp_path / "micro.json"
+    ckpt.write_text(json.dumps(_micro_checkpoint_doc()), encoding="utf-8")
+    lists = {"solvents": "CCO\nC1CCOC1\nbad(smiles\nCOCOC\n", "salts": "[Li+].[Cl-]\n"}
+    runs = {}
+    for encoding in ("utf-8", "utf-8-sig"):
+        folder = tmp_path / encoding
+        folder.mkdir()
+        for name, text in lists.items():
+            (folder / f"{name}.txt").write_text(text, encoding=encoding)
+        (folder / "micro.json").write_text(ckpt.read_text(encoding="utf-8"), encoding=encoding)
+        (folder / "config.json").write_text(Path(micro_config).read_text(encoding="utf-8"), encoding=encoding)
+        ranked = folder / "ranked.csv"
+        code = cli(
+            ["screen", "--checkpoint", str(folder / "micro.json"), "--solvents", str(folder / "solvents.txt"),
+             "--salts", str(folder / "salts.txt"), "--out", str(ranked)]
+        )
+        err = capsys.readouterr().err
+        trained = folder / "trained.json"
+        assert cli(
+            ["train", "--config", str(folder / "config.json"), "--data", synthetic_csv, "--val", synthetic_csv,
+             "--out", str(trained)]
+        ) == 0
+        capsys.readouterr()
+        runs[encoding] = (code, err, ranked.read_bytes(), trained.read_bytes())
+    assert (tmp_path / "utf-8-sig" / "solvents.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert runs["utf-8-sig"] == runs["utf-8"]
+    assert runs["utf-8"][:2] == (2, "skipped 'bad(smiles': unsupported element 'a' (at offset 1 in 'bad(smiles')\n")
+
+
 def _must_not_run(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} was called")

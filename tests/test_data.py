@@ -230,6 +230,14 @@ def test_write_then_load_is_idempotent(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_dataset_saved_with_a_byte_order_mark_loads_the_same_records(tmp_path):
+    plain = tmp_path / "plain.csv"
+    write_dataset(generate_synthetic(8, seed=2), str(plain))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_dataset(str(marked)) == load_dataset(str(plain))
+
+
 SMILES_POOL = ["C1CCOC1", "COCOC", "CC#N", "[Li+].[Cl-]", "F[P-](F)(F)(F)(F)F.[Li+]", "O=C(OC)OC"]
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
@@ -392,9 +400,11 @@ def test_synthetic_points_recover_target_through_fit():
         ((0.5, 0.5), float("inf"), "molality must be finite and >= 0, got inf"),
         (("half", "half"), 1.0, "weight fractions must be numbers, got ['half', 'half']"),
         ((0.5, 0.5), "one", "molality must be a number, got 'one'"),
+        ((True, False), 1.0, "weight fractions must be numbers, got [True, False]"),
+        ((0.5, 0.5), True, "molality must be a number, got True"),
     ],
     ids=["sum-1.4", "out-of-range", "nan-weight", "negative-molality", "nan-molality", "inf-molality",
-         "text-weights", "text-molality"],
+         "text-weights", "text-molality", "bool-weights", "bool-molality"],
 )
 def test_one_composition_rule_for_records_inputs_and_candidates(weights, molality, message):
     solvents, salt = ["C1CCOC1", "COCOC"], "[Li+].[Cl-]"

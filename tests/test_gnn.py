@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import accumulate
 
 import frozen_ops as F
@@ -17,11 +18,16 @@ from molsets.gnn import (
     GraphTensors,
     conv_forward,
     conv_shapes,
-    dmpnn_forward,
-    init_conv,
     mean_pool,
 )
-from molsets.model import ModelConfig, build_model, embed_unions, named_parameters
+from molsets.model import (
+    MixtureInput,
+    ModelConfig,
+    build_model,
+    embed_unions,
+    forward,
+    named_parameters,
+)
 
 
 def _graph(n, edges):
@@ -35,6 +41,17 @@ def _graph(n, edges):
 def _tensors(n, edges):
     """GraphTensors of one graph of n nodes from a list of (i, j, w) bonds."""
     return GraphTensors([_graph(n, edges)])
+
+
+def _layer(kind, input_dim, output_dim, rng):
+    """One conv layer on its own: each tensor of conv_shapes drawn in order
+    from U(+-1/sqrt(shape[0])), the draw build_model makes for a layer; a
+    DMPNN layer runs 2 iterations."""
+    tensors = {
+        name: Tensor(rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]), shape))
+        for name, shape in conv_shapes(kind, input_dim, output_dim)
+    }
+    return ConvParams(kind, **tensors, iterations=2 if kind == "dmpnn" else None)
 
 
 def _scalar_conv(kind):
@@ -101,20 +118,20 @@ def test_gatconv_attention_sums_to_one():
 
 def test_dmpnn_two_node_fixed_point():
     rng = np.random.default_rng(5)
-    p = init_conv("dmpnn", 2, 3, rng)
+    p = _layer("dmpnn", 2, 3, rng)
     gt = _tensors(2, [(0, 1, 1.0)])
     x = Tensor(rng.uniform(-1, 1, (2, 2)))
-    one = dmpnn_forward(p, x, gt, iterations=1).data
-    two = dmpnn_forward(p, x, gt, iterations=2).data
+    one = conv_forward(replace(p, iterations=1), x, gt).data
+    two = conv_forward(replace(p, iterations=2), x, gt).data
     assert np.array_equal(one, two)
 
 
 def test_dmpnn_isolated_node_readout():
     rng = np.random.default_rng(6)
-    p = init_conv("dmpnn", 2, 3, rng)
+    p = _layer("dmpnn", 2, 3, rng)
     gt = _tensors(1, [])
     x = np.array([[0.3, -0.7]])
-    out = dmpnn_forward(p, Tensor(x), gt, iterations=2).data
+    out = conv_forward(p, Tensor(x), gt).data
     expected = np.maximum(np.concatenate([x, np.zeros((1, 3))], axis=1) @ p.w_out.data, 0.0)
     assert np.allclose(out, expected)
 
@@ -163,8 +180,8 @@ def test_dmpnn_builds_no_edge_by_edge_matrix():
     rng = np.random.default_rng(8)
     gt = GraphTensors([_graph(5, _random_graph(rng, 5)) for _ in range(3)])
     m = gt.src.size
-    params = init_conv("dmpnn", 4, 3, rng)
-    dmpnn_forward(params, Tensor(rng.uniform(-1, 1, (gt.n, 4))), gt, 3)
+    params = replace(_layer("dmpnn", 4, 3, rng), iterations=3)
+    conv_forward(params, Tensor(rng.uniform(-1, 1, (gt.n, 4))), gt)
     for name, value in vars(gt).items():
         shape = np.shape(value.data if isinstance(value, Tensor) else value)
         assert len(shape) < 2 or m not in shape, name
@@ -172,7 +189,7 @@ def test_dmpnn_builds_no_edge_by_edge_matrix():
 
 def test_conv_rejects_wrong_feature_dim():
     gt = _tensors(2, [(0, 1, 1.0)])
-    p = init_conv("graphconv", 3, 2, np.random.default_rng(0))
+    p = _layer("graphconv", 3, 2, np.random.default_rng(0))
     with pytest.raises(ad.DimensionError):
         conv_forward(p, Tensor(np.zeros((2, 5))), gt)
 
@@ -184,8 +201,53 @@ def test_conv_refuses_unknown_kinds_and_zero_iterations():
         conv_forward(ConvParams("foo"), x, gt)
     with pytest.raises(ValueError, match="unknown convolution kind 'foo'"):
         conv_shapes("foo", 3, 2)
-    with pytest.raises(ValueError, match="at least one iteration"):
-        dmpnn_forward(init_conv("dmpnn", 3, 2, np.random.default_rng(0)), x, gt, iterations=0)
+    layer = _layer("dmpnn", 3, 2, np.random.default_rng(0))
+    for iterations in (None, 0):
+        with pytest.raises(ValueError, match="dmpnn needs at least one iteration"):
+            conv_forward(replace(layer, iterations=iterations), x, gt)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_conv_forward_runs_dmpnn_as_one_ad_dmpnn_node(relu):
+    rng = np.random.default_rng(10)
+    gt = GraphTensors([_graph(5, _random_graph(rng, 5)), _graph(3, [(0, 1, 2.0)])])
+    x = Tensor(rng.uniform(-1, 1, (gt.n, 4)))
+    proj = Tensor(rng.uniform(-1, 1, (gt.n, 3)))
+    layer = _layer("dmpnn", 4, 3, rng)
+    tensors = [x, layer.w_in, layer.w_h, layer.w_out]
+
+    def run(forward):
+        with Tape() as tape:
+            tape.watch(*tensors)
+            out = forward()
+            loss = F.reduce_sum(F.mul(out, proj))
+        return out.data, ad.backward(tape, loss)
+
+    for k in (1, 2, 3):
+        out, grads = run(lambda: conv_forward(replace(layer, iterations=k), x, gt, relu=relu))
+        ref, ref_grads = run(
+            lambda: ad.dmpnn(x, gt.src, gt.dst, gt.w, layer.w_in, layer.w_h, layer.w_out, k)
+        )
+        assert np.array_equal(out, ref)
+        for t in tensors:
+            assert np.array_equal(grads[t], ref_grads[t])
+
+
+@pytest.mark.parametrize("kind", CONV_KINDS)
+def test_every_layer_of_both_pathways_runs_through_conv_forward(kind, monkeypatch):
+    params = build_model(ModelConfig.for_conv(kind))
+    ran = []
+
+    def recording(layer, *args, **kwargs):
+        ran.append(layer)
+        return conv_forward(layer, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "conv_forward", recording)
+    graph = _random_molecule(7, 3)
+    forward(params, MixtureInput([(graph, 1.0)], graph, 1.0))
+    layers = params.phi_solvent.convs + params.phi_salt.convs
+    assert len(layers) == (2 if kind == "dmpnn" else 2 * params.config.num_layers)
+    assert len(ran) == len(layers) and all(a is b for a, b in zip(ran, layers))
 
 
 def _random_graph(rng, n=6):
@@ -210,19 +272,15 @@ def test_node_permutation_equivariance(kind):
     for trial in range(5):
         edges = _random_graph(rng, n)
         x = rng.uniform(-1, 1, (n, 4))
-        params = init_conv(kind, 4, 3, np.random.default_rng(100 + trial))
+        params = _layer(kind, 4, 3, np.random.default_rng(100 + trial))
         perm = rng.permutation(n)
         relabel = {old: new for new, old in enumerate(perm)}
         permuted_edges = [(relabel[i], relabel[j], w) for i, j, w in edges]
 
         gt = _tensors(n, edges)
         gt_perm = _tensors(n, permuted_edges)
-        if kind == "dmpnn":
-            out = dmpnn_forward(params, Tensor(x), gt, 2).data
-            out_perm = dmpnn_forward(params, Tensor(x[perm]), gt_perm, 2).data
-        else:
-            out = conv_forward(params, Tensor(x), gt).data
-            out_perm = conv_forward(params, Tensor(x[perm]), gt_perm).data
+        out = conv_forward(params, Tensor(x), gt).data
+        out_perm = conv_forward(params, Tensor(x[perm]), gt_perm).data
         assert np.abs(out_perm - out[perm]).max() <= 1e-10
 
 
@@ -231,16 +289,12 @@ def test_conv_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(9)
     gt = _tensors(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)])
     x = Tensor(rng.uniform(-1, 1, (4, 3)))
-    params = init_conv(kind, 3, 2, rng)
+    params = _layer(kind, 3, 2, rng)
     proj = Tensor(rng.uniform(-1, 1, (4, 2)))
     tensors = [getattr(params, name) for name, _ in conv_shapes(kind, 3, 2)]
 
     def run():
-        if kind == "dmpnn":
-            out = dmpnn_forward(params, x, gt, 2)
-        else:
-            out = conv_forward(params, x, gt)
-        return F.reduce_sum(F.mul(out, proj))
+        return F.reduce_sum(F.mul(conv_forward(params, x, gt), proj))
 
     with Tape() as tape:
         tape.watch(*tensors)
@@ -250,16 +304,6 @@ def test_conv_gradients_match_finite_differences(kind):
     for t in tensors:
         denom = max(np.linalg.norm(fd[t]), np.linalg.norm(grads[t]), 1e-10)
         assert np.linalg.norm(grads[t] - fd[t]) / denom <= 1e-6
-
-
-def test_uniform_init_is_seeded_and_scaled():
-    for kind in CONV_KINDS:
-        a = init_conv(kind, 4, 3, np.random.default_rng(1))
-        b = init_conv(kind, 4, 3, np.random.default_rng(1))
-        for name, shape in conv_shapes(kind, 4, 3):
-            ta, tb = getattr(a, name), getattr(b, name)
-            assert ta.data.shape == shape and np.array_equal(ta.data, tb.data)
-            assert 0 < np.abs(ta.data).max() <= 1 / np.sqrt(shape[0])
 
 
 # Reference operators: the dense loop-built matrices and GAT's per-node loop
@@ -367,7 +411,7 @@ def _reference_forward(params, x, n, edges):
         return F.matmul(F.matmul(_reference_gcn(n, edges), x), params.w1)
     if kind == "gatconv":
         return _reference_gat(params, x, n, _reference_adjacency(n, edges))
-    return _reference_dmpnn(params, x, n, edges, iterations=2)
+    return _reference_dmpnn(params, x, n, edges, params.iterations)
 
 
 @st.composite
@@ -395,7 +439,7 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
     n, edges = graph
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-1, 1, (n, 4)))
-    params = init_conv(kind, 4, 3, rng)
+    params = _layer(kind, 4, 3, rng)
     proj = Tensor(rng.uniform(-1, 1, (n, 3)))
     tensors = [getattr(params, name) for name, _ in conv_shapes(kind, 4, 3)]
     gt = _tensors(n, edges)
@@ -407,10 +451,7 @@ def test_edge_list_convs_match_dense_reference(graph, kind, seed):
             loss = F.reduce_sum(F.mul(out, proj))
         return out.data, ad.backward(tape, loss)
 
-    if kind == "dmpnn":
-        out, grads = run(lambda: dmpnn_forward(params, x, gt, 2))
-    else:
-        out, grads = run(lambda: conv_forward(params, x, gt))
+    out, grads = run(lambda: conv_forward(params, x, gt))
     ref_out, ref_grads = run(lambda: _reference_forward(params, x, n, edges))
     assert np.abs(out - ref_out).max() <= 1e-12
     for t in tensors:
@@ -462,7 +503,7 @@ def _reference_embedding(phi, graph):
     x = Tensor(graph.node_features)
     convs = phi.convs
     if convs[0].kind == "dmpnn":
-        x = _reference_dmpnn(convs[0], x, n, edges, iterations=phi.num_layers)
+        x = _reference_dmpnn(convs[0], x, n, edges, convs[0].iterations)
     else:
         for idx, conv in enumerate(convs):
             x = _reference_forward(conv, x, n, edges)

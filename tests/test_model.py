@@ -770,6 +770,16 @@ def test_build_model_matches_golden(variant, conv):
         )
 
 
+@pytest.mark.parametrize("conv", CONV_KINDS)
+def test_only_a_dmpnn_layer_holds_iterations_also_after_a_load(conv, tmp_path):
+    params = build_model(ModelConfig.for_conv(conv, num_layers=4))
+    path = tmp_path / "model.json"
+    save_checkpoint(params, str(path))
+    for model in (params, load_checkpoint(str(path))):
+        for phi in (model.phi_solvent, model.phi_salt):
+            assert [c.iterations for c in phi.convs] == ([4] if conv == "dmpnn" else [None] * 4)
+
+
 def test_build_model_is_seed_deterministic():
     a = build_model(ModelConfig.for_conv("graphconv", seed=19))
     b = build_model(ModelConfig.for_conv("graphconv", seed=19))
