@@ -213,8 +213,7 @@ def _cmd_train(args) -> int:
     )
     sections = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8-sig") as fh:
-            sections = json.load(fh)
+        sections = data_mod.read_json(args.config)
         if not isinstance(sections, dict):
             raise UsageError(
                 f"bad config file {args.config}: expected a JSON object with optional "

@@ -16,7 +16,11 @@ no row, so write_dataset refuses it.
 
 Conductivity follows a linear law in inverse temperature,
 log10(sigma) = k/T + b, fitted by ordinary least squares; a measured
-point within 0.5 K of 298 K takes precedence over the fit.
+point within 0.5 K of 298 K takes precedence over the fit. Every fit of
+a call runs in one pass of per-record sums (`np.bincount`), with no BLAS
+call, so a target has the same bits on every BLAS kernel. A record is
+validated once, when it is built; the copies that carry its target or
+its 298 K point are not validated again.
 
 The synthetic corpus computes each pool molecule's ground-truth term once
 per generate_synthetic call, the first time the molecule is drawn.
@@ -24,10 +28,12 @@ per generate_synthetic call, the first time the molecule is drawn.
 
 from __future__ import annotations
 
+import copy
 import csv
+import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,22 +145,37 @@ class ArrheniusFit:
     r_squared: float
 
 
-def arrhenius_fit(points: list[ConductivityPoint]) -> ArrheniusFit:
-    """Ordinary least squares of log10(sigma) against 1/T."""
+def _line_fits(x: np.ndarray, y: np.ndarray, segment: np.ndarray, n: int):
+    """Each of `n` segments' ordinary least-squares slope and intercept of
+    y against x, where segment[i] names the segment of point i. Every sum
+    is a `np.bincount` (sequential in point order), not a BLAS call."""
+    count = np.bincount(segment, minlength=n)
+    x_mean = np.bincount(segment, x, n) / count
+    y_mean = np.bincount(segment, y, n) / count
+    dx = x - x_mean[segment]
+    dy = y - y_mean[segment]
+    slope = np.bincount(segment, dx * dy, n) / np.bincount(segment, dx * dx, n)
+    return slope, y_mean - slope * x_mean
+
+
+def _check_fit(points: list[ConductivityPoint]) -> None:
     temps = {p.temperature_K for p in points}
     if len(temps) < 2:
         raise FitError(f"need at least 2 distinct temperatures, got {sorted(temps)}")
+
+
+def arrhenius_fit(points: list[ConductivityPoint]) -> ArrheniusFit:
+    """Ordinary least squares of log10(sigma) against 1/T."""
+    _check_fit(points)
     x = np.array([1.0 / p.temperature_K for p in points])
     y = np.array([p.log10_sigma for p in points])
-    x_mean = x.mean()
-    y_mean = y.mean()
-    dx = x - x_mean
-    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
-    intercept = float(y_mean - slope * x_mean)
+    slopes, intercepts = _line_fits(x, y, np.zeros(len(points), dtype=np.intp), 1)
+    slope, intercept = float(slopes[0]), float(intercepts[0])
 
     residuals = y - (slope * x + intercept)
-    ss_res = float(np.dot(residuals, residuals))
-    ss_tot = float(np.dot(y - y_mean, y - y_mean))
+    ss_res = float(np.sum(residuals * residuals))
+    dy = y - y.mean()
+    ss_tot = float(np.sum(dy * dy))
     if ss_tot == 0.0:
         r_squared = 1.0 if ss_res <= 1e-24 else 0.0
     else:
@@ -162,46 +183,77 @@ def arrhenius_fit(points: list[ConductivityPoint]) -> ArrheniusFit:
     return ArrheniusFit(slope, intercept, len(points), r_squared)
 
 
+def _targets_298K(records: list[MixtureRecord]) -> list[float]:
+    """Each record's 298 K value from its points, in order: the nearest
+    point within 0.5 K of 298 K, else the Arrhenius extrapolation. All
+    fits run in one `_line_fits` call; the first record with neither
+    raises TargetError."""
+    targets: list[float | None] = []
+    fitted: list[int] = []  # index in targets of each fitted record
+    x: list[float] = []
+    y: list[float] = []
+    segment: list[int] = []
+    for record in records:
+        near = [
+            p
+            for p in record.points
+            if abs(p.temperature_K - TARGET_TEMPERATURE_K) <= TEMPERATURE_MATCH_TOLERANCE_K
+        ]
+        if near:
+            nearest = min(near, key=lambda p: abs(p.temperature_K - TARGET_TEMPERATURE_K))
+            targets.append(nearest.log10_sigma)
+            continue
+        try:
+            _check_fit(record.points)
+        except FitError as exc:
+            raise TargetError(
+                f"mixture {record.mixture_id!r}: no 298 K point and no usable fit ({exc})"
+            ) from exc
+        for p in record.points:
+            x.append(1.0 / p.temperature_K)
+            y.append(p.log10_sigma)
+            segment.append(len(fitted))
+        fitted.append(len(targets))
+        targets.append(None)
+    if fitted:
+        slope, intercept = _line_fits(
+            np.array(x), np.array(y), np.array(segment, dtype=np.intp), len(fitted)
+        )
+        for i, target in zip(fitted, (slope / TARGET_TEMPERATURE_K + intercept).tolist()):
+            targets[i] = target
+    return targets
+
+
 def conductivity_at_298K(record: MixtureRecord) -> float:
-    """Measured-at-298 K value when present, else the Arrhenius extrapolation."""
-    near = [
-        p
-        for p in record.points
-        if abs(p.temperature_K - TARGET_TEMPERATURE_K) <= TEMPERATURE_MATCH_TOLERANCE_K
-    ]
-    if near:
-        nearest = min(near, key=lambda p: abs(p.temperature_K - TARGET_TEMPERATURE_K))
-        return nearest.log10_sigma
-    try:
-        fit = arrhenius_fit(record.points)
-    except FitError as exc:
-        raise TargetError(
-            f"mixture {record.mixture_id!r}: no 298 K point and no usable fit ({exc})"
-        ) from exc
-    return fit.slope_k / TARGET_TEMPERATURE_K + fit.intercept_b
+    """Measured-at-298 K value when present, else the Arrhenius extrapolation
+    (the same bits `attach_targets` gives the record)."""
+    return _targets_298K([record])[0]
 
 
 def attach_targets(records: list[MixtureRecord]) -> list[MixtureRecord]:
-    """Copies of the records with target_298K filled (existing targets kept)."""
+    """The records with target_298K filled: a record that has a target is
+    returned as it is, every other one as a shallow copy carrying
+    conductivity_at_298K. The inputs are not changed, and the copies are
+    not validated again. All fits run in one pass; the first record
+    without a 298 K point or a usable fit raises TargetError."""
+    targets = iter(_targets_298K([r for r in records if r.target_298K is None]))
     out = []
     for record in records:
         if record.target_298K is None:
-            out.append(replace(record, target_298K=conductivity_at_298K(record)))
-        else:
-            out.append(record)
+            record = copy.copy(record)
+            record.target_298K = next(targets)
+        out.append(record)
     return out
 
 
 def prepared_records(records: list[MixtureRecord]) -> list[MixtureRecord]:
-    """One-point-per-mixture records at 298 K carrying the inferred target."""
+    """Shallow copies of the records with one point, at 298 K, carrying the
+    inferred target; the inputs are not changed."""
     out = []
     for record in attach_targets(records):
-        out.append(
-            replace(
-                record,
-                points=[ConductivityPoint(TARGET_TEMPERATURE_K, record.target_298K)],
-            )
-        )
+        prepared = copy.copy(record)
+        prepared.points = [ConductivityPoint(TARGET_TEMPERATURE_K, record.target_298K)]
+        out.append(prepared)
     return out
 
 
@@ -248,6 +300,17 @@ def _parse_row(row: list[str], col: dict[str, int], line: int) -> tuple[str, dic
     return mixture_id, {"fields": fields, "point": point}
 
 
+def _rows(reader, path: str):
+    """The rows of a `csv.reader` of the file at `path`. A row the reader
+    cannot split (a field over the csv module's size limit, as from a
+    stray quote that opens a cell) ends the read with a DataError naming
+    the file and the line where the reader stopped."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
     """Read and validate records, merging rows that share a mixture_id.
 
@@ -256,11 +319,13 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
     Blank rows, and blank cells beyond the header, are skipped; a row with
     any other cell beyond the header is a bad row. In strict mode the first
     bad row aborts with a DataError naming the physical line it starts on;
-    in lenient mode bad rows are skipped and reported via logging.
+    in lenient mode bad rows are skipped and reported via logging. A file
+    the csv reader cannot split into rows is a DataError in both modes.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _rows(reader, path)
+        header = next(rows, None)
         if header is None:
             logger.warning("dataset %s is empty", path)
             return []
@@ -272,7 +337,7 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
         width = len(header)
         grouped: dict[str, dict] = {}
         next_line = reader.line_num + 1
-        for row in reader:
+        for row in rows:
             # a quoted cell may span lines, so a row starts where the last one ended
             line, next_line = next_line, reader.line_num + 1
             if not row:
@@ -314,6 +379,17 @@ def load_dataset(path: str, strict: bool = True) -> list[MixtureRecord]:
     if not records:
         logger.warning("dataset %s has no records", path)
     return records
+
+
+def read_json(path: str):
+    """The JSON document in the file at `path` (UTF-8, BOM allowed). A
+    document nested too deeply for the parser is a DataError naming the
+    file; any other malformed document raises json.JSONDecodeError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DataError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _format(value) -> str:

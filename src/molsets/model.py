@@ -58,7 +58,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .chem import MolecularGraph, NODE_FEATURE_DIM, build_graph
-from .data import check_integer, composition_error
+from .data import MixtureRecord, check_integer, composition_error, read_json
 from .gnn import (
     CONV_KINDS,
     ConvParams,
@@ -573,7 +573,12 @@ class GraphStore:
 def mixture_from_record(record, store: GraphStore) -> MixtureInput:
     """Build a MixtureInput from a dataset record (duck-typed: needs
     solvent_smiles, weight_fractions, mol_weight_overrides, salt_smiles,
-    molality), its graphs taken from `store`."""
+    molality), its graphs taken from `store`.
+
+    A `MixtureRecord` checked its composition when it was built, so its
+    MixtureInput is built without `__post_init__`; any other record goes
+    through `MixtureInput(...)` and is checked there.
+    """
     overrides = record.mol_weight_overrides or [None] * len(record.solvent_smiles)
     solvents = [
         (store.get(smiles, override), weight)
@@ -581,11 +586,12 @@ def mixture_from_record(record, store: GraphStore) -> MixtureInput:
             record.solvent_smiles, record.weight_fractions, overrides
         )
     ]
-    return MixtureInput(
-        solvents=solvents,
-        salt=store.get(record.salt_smiles),
-        molality=record.molality,
-    )
+    salt = store.get(record.salt_smiles)
+    if not isinstance(record, MixtureRecord):
+        return MixtureInput(solvents=solvents, salt=salt, molality=record.molality)
+    mixture = object.__new__(MixtureInput)
+    mixture.solvents, mixture.salt, mixture.molality = solvents, salt, record.molality
+    return mixture
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -627,14 +633,14 @@ def load_checkpoint(path: str) -> ModelParams:
 
     Each parameter is decoded from its base64 little-endian float64 bytes
     into its slice of the model's new parameter vector; a load draws no
-    random numbers. Raises ValueError when the document is not a
+    random numbers. Raises ValueError when the file's JSON is nested too
+    deeply to read (a DataError, from `read_json`), the document is not a
     checkpoint of this feature schema version, its config is invalid, a
     parameter is unknown or missing, or an entry is not `{"shape",
     "float64"}` with the shape of parameter_layout, as a list of ints, and
     a base64 string of that many finite values.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) != _CHECKPOINT_KEYS:
         raise ValueError(
             f"{path} is not a checkpoint: expected a JSON object with keys {sorted(_CHECKPOINT_KEYS)}"

@@ -1,13 +1,21 @@
-"""The data-layer ingest that parsing each pool molecule once and reading
-CSV rows by column index replaced, frozen as the equivalence reference
-for the tests.
+"""Data-layer code that later changes replaced, frozen as the
+equivalence reference for the tests.
 
 `synthetic_ground_truth` and `generate_synthetic` build every record's
 graphs afresh, three `build_graph` calls per record. `_parse_row` and
 `load_dataset` read rows through `csv.DictReader`, one dict per row, and
-number a row by its record count, not its physical line. Each is copied
-verbatim from `molsets.data` as it stood before; only the imports and
-the logger's name differ. Not a test module: pytest does not collect it.
+number a row by its record count, not its physical line. These are the
+ingest that parsing each pool molecule once and reading CSV rows by
+column index replaced.
+
+`arrhenius_fit`, `conductivity_at_298K` and `attach_targets` fit one
+record at a time with `np.dot` sums, and fill a target through
+`dataclasses.replace`, which validates the record again. These are the
+298 K targets that the one-pass `np.bincount` fit replaced.
+
+Each is copied verbatim from `molsets.data` as it stood before; only the
+imports and the logger's name differ. Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,9 +36,13 @@ from molsets.data import (
     SYNTHETIC_SLOPE_K,
     SYNTHETIC_SOLVENTS,
     TARGET_TEMPERATURE_K,
+    TEMPERATURE_MATCH_TOLERANCE_K,
+    ArrheniusFit,
     ConductivityPoint,
     DataError,
+    FitError,
     MixtureRecord,
+    TargetError,
 )
 
 logger = logging.getLogger(__name__)
@@ -197,3 +210,56 @@ def generate_synthetic(n: int, seed: int = 0, noise_scale: float = 0.0) -> list[
             )
         )
     return records
+
+
+def arrhenius_fit(points: list[ConductivityPoint]) -> ArrheniusFit:
+    """Ordinary least squares of log10(sigma) against 1/T."""
+    temps = {p.temperature_K for p in points}
+    if len(temps) < 2:
+        raise FitError(f"need at least 2 distinct temperatures, got {sorted(temps)}")
+    x = np.array([1.0 / p.temperature_K for p in points])
+    y = np.array([p.log10_sigma for p in points])
+    x_mean = x.mean()
+    y_mean = y.mean()
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    intercept = float(y_mean - slope * x_mean)
+
+    residuals = y - (slope * x + intercept)
+    ss_res = float(np.dot(residuals, residuals))
+    ss_tot = float(np.dot(y - y_mean, y - y_mean))
+    if ss_tot == 0.0:
+        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
+    else:
+        r_squared = 1.0 - ss_res / ss_tot
+    return ArrheniusFit(slope, intercept, len(points), r_squared)
+
+
+def conductivity_at_298K(record: MixtureRecord) -> float:
+    """Measured-at-298 K value when present, else the Arrhenius extrapolation."""
+    near = [
+        p
+        for p in record.points
+        if abs(p.temperature_K - TARGET_TEMPERATURE_K) <= TEMPERATURE_MATCH_TOLERANCE_K
+    ]
+    if near:
+        nearest = min(near, key=lambda p: abs(p.temperature_K - TARGET_TEMPERATURE_K))
+        return nearest.log10_sigma
+    try:
+        fit = arrhenius_fit(record.points)
+    except FitError as exc:
+        raise TargetError(
+            f"mixture {record.mixture_id!r}: no 298 K point and no usable fit ({exc})"
+        ) from exc
+    return fit.slope_k / TARGET_TEMPERATURE_K + fit.intercept_b
+
+
+def attach_targets(records: list[MixtureRecord]) -> list[MixtureRecord]:
+    """Copies of the records with target_298K filled (existing targets kept)."""
+    out = []
+    for record in records:
+        if record.target_298K is None:
+            out.append(replace(record, target_298K=conductivity_at_298K(record)))
+        else:
+            out.append(record)
+    return out

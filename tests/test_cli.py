@@ -826,3 +826,61 @@ def test_export_reprs_quotes_ids_that_need_it(tmp_path, capsys):
     assert all(len(row) == 1 + 6 for row in rows)
     plain = rows[1 + ids.index("plain")]
     assert ",".join(plain) + "\n" in out.read_text(encoding="utf-8")  # no quotes where none are needed
+
+
+def _one_data_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("trouble", ["long_id", "stray_quote"])
+def test_csv_the_reader_cannot_split_is_one_data_error(tmp_path, capsys, trouble, lenient):
+    """A field over the csv module's 131,072-character limit, from a long
+    cell or a stray quote that swallows the rest of a large file, ends
+    `prepare` with exit 2 and one line naming the file and line, in strict
+    and lenient mode."""
+    source = tmp_path / "ok.csv"
+    write_dataset(generate_synthetic(3, seed=2), str(source))
+    header, first, *rest = source.read_text(encoding="utf-8").splitlines()
+    if trouble == "long_id":
+        rows = [first.replace("synth-00000", "x" * 200_000, 1), *rest]
+    else:  # the quote opens a cell on line 3 that runs past the limit
+        rows = [first, '"' + rest[0], *rest[1:]] + [first] * 3000
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    # the reader stops on the line where the open cell passes the limit
+    text = path.read_text(encoding="utf-8")
+    opened = text.index("x" * 200_000 if trouble == "long_id" else '"')
+    line = text.count("\n", 0, opened + 131_072) + 1
+    before = path.read_bytes()
+    args = ["prepare", "--in", str(path), "--out", str(tmp_path / "out.csv")]
+    assert cli(args + (["--lenient"] if lenient else [])) == 2
+    err = _one_data_error(capsys)
+    assert err == f"data error: {path}: line {line}: field larger than field limit (131072)\n"
+    assert path.read_bytes() == before
+    assert not (tmp_path / "out.csv").exists()
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_train_config_nested_too_deeply_is_one_data_error(tmp_path, synthetic_csv, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP_JSON, encoding="utf-8")
+    code = cli(
+        ["train", "--config", str(config), "--data", synthetic_csv, "--val", synthetic_csv,
+         "--out", str(tmp_path / "model.json")]
+    )
+    assert code == 2
+    assert _one_data_error(capsys) == f"data error: {config}: JSON nested too deeply to read\n"
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_checkpoint_nested_too_deeply_is_one_data_error(tmp_path, synthetic_csv, capsys):
+    ckpt = tmp_path / "deep.json"
+    ckpt.write_text(DEEP_JSON, encoding="utf-8")
+    assert cli(["eval", "--checkpoint", str(ckpt), "--data", synthetic_csv]) == 2
+    assert _one_data_error(capsys) == f"data error: {ckpt}: JSON nested too deeply to read\n"

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import io
@@ -5,6 +6,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,7 +38,7 @@ from molsets.data import (
     synthetic_ground_truth,
     write_dataset,
 )
-from molsets.model import MixtureInput
+from molsets.model import GraphStore, MixtureInput, mixture_from_record
 from molsets.screening import CandidateSpec
 
 
@@ -474,6 +477,181 @@ def test_synthetic_corpus_matches_golden(n, seed, noise, tmp_path):
         "numpy kernels of the machine that wrote it, so on another machine a last-bit difference "
         "in a sum or a fit also fails here"
     )
+
+
+def test_corpus_golden_holds_on_other_blas_kernels():
+    """The 500-mixture corpus digests equal the golden when OpenBLAS runs
+    its Haswell (AVX2) or Prescott (SSE3) kernels, set in the child
+    process's environment only: no BLAS call reaches the 298 K targets."""
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    child = (
+        "import json, sys, tempfile, pathlib\n"
+        f"sys.path[:0] = [{str(src)!r}, {str(tests)!r}]\n"
+        "from test_data import corpus_digests\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = pathlib.Path(tmp) / 'corpus.csv'\n"
+        "    print(json.dumps({f'{n}/{seed}/{noise!r}': corpus_digests(n, seed, noise, path)\n"
+        "                      for n, seed, noise in [(500, 0, 0.05), (500, 500, 0.05)]}))\n"
+    )
+    golden = json.loads(GOLDEN_CORPUS.read_text())
+    for coretype in ("Haswell", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+        done = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        digests = json.loads(done.stdout.splitlines()[-1])
+        for key, digest in digests.items():
+            assert digest == golden[key], f"{key} under OPENBLAS_CORETYPE={coretype}"
+
+
+def _ulps(a: float, b: float) -> int:
+    """The number of float64 steps from a to b (0 when they are equal)."""
+
+    def ordered(v):
+        i = int(np.float64(v).view(np.int64))
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(ordered(a) - ordered(b))
+
+
+def _error_or(call, *args):
+    try:
+        return call(*args)
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _target_outcome(attach, records):
+    return _error_or(lambda: [r.target_298K for r in attach(records)])
+
+
+def _assert_targets_near_frozen(records):
+    ours = _target_outcome(attach_targets, records)
+    theirs = _target_outcome(frozen_data.attach_targets, records)
+    if isinstance(theirs, str):
+        assert ours == theirs
+        return
+    assert len(ours) == len(theirs)
+    worst = max(_ulps(a, b) for a, b in zip(ours, theirs))
+    assert worst <= 8, f"a target moved {worst} ulp from the np.dot fit"
+
+
+@pytest.mark.parametrize("n, seed, noise", [(1, 0, 0.0), (40, 11, 0.0), (500, 0, 0.05), (500, 500, 0.05)])
+def test_targets_equal_frozen_fit_on_golden_corpora(n, seed, noise, tmp_path):
+    """On the golden corpora, read back from their CSV as the golden does,
+    every target is within 8 ulp of the former per-record np.dot fit."""
+    path = tmp_path / "corpus.csv"
+    write_dataset(generate_synthetic(n, seed=seed, noise_scale=noise), str(path))
+    _assert_targets_near_frozen(load_dataset(str(path)))
+
+
+def _hand_records():
+    """Records of 3 and 5 points, one with a point within 0.5 K of 298 K,
+    one that already has a target, and two whose points do not fit."""
+    P = ConductivityPoint
+    return {
+        "three": _record([P(250.0, -3.1), P(300.0, -2.0), P(340.0, -1.7)], mixture_id="three"),
+        "five": _record(
+            [P(t, -900.0 / t + 0.37 + 0.01 * k) for k, t in enumerate((253.0, 271.5, 310.0, 333.3, 365.0))],
+            mixture_id="five",
+        ),
+        "near": _record([P(250.0, -3.0), P(298.3, -2.2), P(320.0, -1.9)], mixture_id="near"),
+        "has_target": _record([P(250.0, -3.0), P(320.0, -1.9)], mixture_id="has_target", target_298K=-2.25),
+        "one_point": _record([P(310.0, -2.0)], mixture_id="one_point"),
+        "one_temperature": _record([P(305.0, -2.0), P(305.0, -2.2)], mixture_id="one_temperature"),
+    }
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("three", "five", "near", "has_target"),
+        ("three",),
+        ("five", "has_target"),
+        ("three", "one_point", "five", "one_temperature"),
+        ("one_temperature", "one_point"),
+        ("near", "one_point"),
+    ],
+)
+def test_targets_equal_frozen_fit_on_hand_records(names):
+    """Hand-written records give targets within 8 ulp of the former fit,
+    and a record that cannot be fitted raises the same error type and
+    message, from attach_targets and from conductivity_at_298K."""
+    hand = _hand_records()
+    records = [hand[name] for name in names]
+    _assert_targets_near_frozen(records)
+    for record in records:
+        ours = _error_or(conductivity_at_298K, record)
+        theirs = _error_or(frozen_data.conductivity_at_298K, record)
+        if isinstance(theirs, str):
+            assert ours == theirs
+        else:
+            assert _ulps(ours, theirs) <= 8
+
+
+def test_arrhenius_fit_equals_frozen_fit():
+    hand = _hand_records()
+    for name in ("three", "five", "near", "has_target"):
+        ours, theirs = arrhenius_fit(hand[name].points), frozen_data.arrhenius_fit(hand[name].points)
+        assert _ulps(ours.slope_k, theirs.slope_k) <= 8 and _ulps(ours.intercept_b, theirs.intercept_b) <= 8
+        assert ours.n_points == theirs.n_points
+        assert ours.r_squared == pytest.approx(theirs.r_squared, abs=1e-12)
+    for name in ("one_point", "one_temperature"):
+        with pytest.raises(FitError) as ours:
+            arrhenius_fit(hand[name].points)
+        with pytest.raises(FitError) as theirs:
+            frozen_data.arrhenius_fit(hand[name].points)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_attach_targets_equals_conductivity_at_298K_bit_for_bit(tmp_path):
+    """A record's target is the same float whether it is fitted alone or
+    in one pass with the others."""
+    path = tmp_path / "corpus.csv"
+    write_dataset(generate_synthetic(500, seed=0, noise_scale=0.05), str(path))
+    hand = _hand_records()
+    records = load_dataset(str(path)) + [hand[name] for name in ("three", "five", "near")]
+    attached = attach_targets(records)
+    for i, record in enumerate(records):
+        assert attached[i].target_298K == conductivity_at_298K(record)
+
+
+def test_each_record_is_checked_once(tmp_path):
+    """load_dataset -> attach_targets -> mixture_from_record checks each
+    record's composition once, and attach_targets and prepared_records
+    leave their inputs as they were."""
+    n = 25
+    path = tmp_path / "corpus.csv"
+    write_dataset(generate_synthetic(n, seed=9), str(path))
+    calls = []
+
+    def counted(weights, molality):
+        calls.append(1)
+        return composition_error(weights, molality)
+
+    store = GraphStore()
+    with mock.patch("molsets.data.composition_error", counted), mock.patch(
+        "molsets.model.composition_error", counted
+    ):
+        records = load_dataset(str(path))
+        mixtures = [mixture_from_record(r, store) for r in attach_targets(records)]
+    assert len(mixtures) == n
+    assert len(calls) == n
+
+    for record, mixture in zip(records, mixtures):
+        assert mixture == MixtureInput(
+            solvents=[(store.get(s), w) for s, w in zip(record.solvent_smiles, record.weight_fractions)],
+            salt=store.get(record.salt_smiles),
+            molality=record.molality,
+        )
+    before = copy.deepcopy(records)
+    attached = attach_targets(records)
+    prepared = prepared_records(records)
+    assert records == before and all(r.target_298K is None for r in records)
+    assert all(a is not r for a, r in zip(attached, records))
+    assert all(p is not r and len(p.points) == 1 for p, r in zip(prepared, records))
 
 
 @pytest.mark.parametrize("n, seed, noise", [(1, 3, 0.0), (7, 4, 0.2), (60, 5, 0.05)])
